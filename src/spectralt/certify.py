@@ -98,10 +98,7 @@ def union_bound_empirical_check(
             raise HypothesisViolation(f"clause iii): c_{i} >= 1 (lambda1(G{i}) <= 0)")
         cs.append(c)
     g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), g1.edges)
-    combined = union(
-        union(g1_full, MultiGraph(g2.vertices, g2.edges)),
-        MultiGraph(g3.vertices, g3.edges),
-    )
+    combined = union(g1_full, g2, g3)
     lhs = lambda1(combined)
     rhs = union_bound(cs[0], cs[1], cs[2])
     return UnionCheck(lhs, rhs, lhs >= rhs - 1e-6)
@@ -156,11 +153,12 @@ def zuk_certificate(
     delta = build_delta_k(p, k)
     lam = lambda1(delta)
     audit = double_edge_audit(delta)
-    ignored = len(p.relators) - len(p.relators_of_length(k))
+    used = len(p.relators_of_length(k))
+    prof = delta.degree_profile()
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
-        f"relators used={len(p.relators) - ignored} ignored={ignored}",
-        f"degree min={delta.degree_profile().min} max={delta.degree_profile().max}",
+        f"relators used={used} ignored={len(p.relators) - used}",
+        f"degree min={prof.min} max={prof.max}",
     ]
     return Certificate(
         method="direct-delta-k",
@@ -284,9 +282,9 @@ def certify_via_decomposition(
     m_bound: int = 3,
 ) -> Certificate:
     """Full pipeline certificate; certification always uses the direct value."""
-    delta = build_delta_k(p, k)
-    lam = lambda1(delta)
     dec = sigma_decomposition(p, k)
+    delta = dec.delta()
+    lam = lambda1(delta)
     audits = [double_edge_audit(s, m_bound) for s in (dec.sigma1, dec.sigma2, dec.sigma3)]
     overall_audit = DoubleEdgeAudit(
         max_multiplicity=max(a.max_multiplicity for a in audits),

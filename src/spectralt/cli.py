@@ -67,6 +67,17 @@ def _opt(args: argparse.Namespace, cfg: dict, name: str, default=None):
     return default
 
 
+def _num(args: argparse.Namespace, cfg: dict, name: str, typ: type, default=None):
+    """`_opt` converted by `typ`; a config value `typ` rejects is an input error."""
+    val = _opt(args, cfg, name, default)
+    if val is None:
+        return None
+    try:
+        return typ(val)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be {typ.__name__}, got {val!r}")
+
+
 # ---------------------------------------------------------------- certify
 
 def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
@@ -76,15 +87,14 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
         return EXIT_INPUT
     with open(path) as fh:
         pres = Presentation.parse(fh.read())
-    k = _opt(args, cfg, "k", pres.k)
+    k = _num(args, cfg, "k", int, pres.k)
     if k is None:
         print("error: k not given and not recorded in the file", file=sys.stderr)
         return EXIT_INPUT
-    k = int(k)
     if _opt(args, cfg, "pipeline", False):
-        params = RegularityParams(delta=float(_opt(args, cfg, "delta", 0.2)))
+        params = RegularityParams(delta=_num(args, cfg, "delta", float, 0.2))
         cert = certify_via_decomposition(
-            pres, k, params, m_bound=int(_opt(args, cfg, "m_bound", 3))
+            pres, k, params, m_bound=_num(args, cfg, "m_bound", int, 3)
         )
     else:
         cert = zuk_certificate(pres, k)
@@ -102,43 +112,41 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     if model is None:
         print("error: --model is required", file=sys.stderr)
         return EXIT_INPUT
-    seed = Seed(int(_opt(args, cfg, "seed", 0)), int(_opt(args, cfg, "stream", 0)))
-    n = _opt(args, cfg, "n")
-    k = _opt(args, cfg, "k")
-    l = _opt(args, cfg, "l")
-    p = _opt(args, cfg, "p")
-    d = _opt(args, cfg, "d")
+    seed = Seed(_num(args, cfg, "seed", int, 0), _num(args, cfg, "stream", int, 0))
+    n, k, l, m, m1, m2, f = (
+        _num(args, cfg, name, int) for name in ("n", "k", "l", "m", "m1", "m2", "f")
+    )
+    p = _num(args, cfg, "p", float)
+    d = _num(args, cfg, "d", float)
 
     if model == "gnp":
-        if _opt(args, cfg, "m") is None or p is None:
+        if m is None or p is None:
             raise InputError("model gnp requires --m and --p")
-        out = sample_gnp(int(_opt(args, cfg, "m")), float(p), seed)
+        out = sample_gnp(m, p, seed)
     elif model == "bgnp":
-        m1, m2 = _opt(args, cfg, "m1"), _opt(args, cfg, "m2")
         if m1 is None or m2 is None or p is None:
             raise InputError("model bgnp requires --m1, --m2 and --p")
-        out = sample_bipartite_gnp(int(m1), int(m2), float(p), seed)
+        out = sample_bipartite_gnp(m1, m2, p, seed)
     elif model == "red":
         if n is None or l is None or p is None:
             raise InputError("model red requires --n, --l and --p")
-        out = sample_red(int(n), int(l), float(p), seed)
+        out = sample_red(n, l, p, seed)
     elif model == "bred":
         if n is None or l is None or p is None:
             raise InputError("model bred requires --n, --l and --p")
-        out = sample_bred(int(n), int(l), float(p), seed)
+        out = sample_bred(n, l, p, seed)
     elif model == "strict":
         if n is None or k is None or d is None:
             raise InputError("model strict requires --n, --k and --d")
-        out = sample_gamma_strict(int(n), int(k), float(d), seed)
+        out = sample_gamma_strict(n, k, d, seed)
     elif model == "p":
         if n is None or k is None or p is None:
             raise InputError("model p requires --n, --k and --p")
-        out = sample_gamma_p(int(n), int(k), float(p), seed)
+        out = sample_gamma_p(n, k, p, seed)
     elif model == "lax":
-        f = _opt(args, cfg, "f")
         if n is None or k is None or d is None or f is None:
             raise InputError("model lax requires --n, --k, --d and --f")
-        out = sample_gamma_lax(int(n), LaxParams(int(k), float(d), int(f)), seed)
+        out = sample_gamma_lax(n, LaxParams(k, d, f), seed)
     else:
         raise InputError(f"unknown model {model!r}")
 
@@ -197,16 +205,19 @@ def _parse_grid(args: argparse.Namespace, cfg: dict) -> list[float]:
     grid_text = _opt(args, cfg, "d_grid")
     if grid_text is not None:
         if isinstance(grid_text, str):
-            return [float(tok) for tok in grid_text.split(",") if tok.strip()]
-        return [float(x) for x in grid_text]
-    d_min = _opt(args, cfg, "d_min")
-    d_max = _opt(args, cfg, "d_max")
-    d_step = _opt(args, cfg, "d_step")
+            grid_text = [tok for tok in grid_text.split(",") if tok.strip()]
+        try:
+            return [float(x) for x in grid_text]
+        except (TypeError, ValueError):
+            raise InputError(f"malformed density grid {grid_text!r}")
+    d_min = _num(args, cfg, "d_min", float)
     if d_min is None:
         raise InputError("sweep needs --d-grid or --d-min/--d-max/--d-step")
-    d_min = float(d_min)
-    d_max = float(d_min if d_max is None else d_max)
-    d_step = float(d_step) if d_step is not None else 1.0
+    d_max = _num(args, cfg, "d_max", float, d_min)
+    d_step = _num(args, cfg, "d_step", float, 1.0)
+    # the accumulating loop below ends only for a finite range and a positive step
+    if not (math.isfinite(d_min) and math.isfinite(d_max) and d_step > 0):
+        raise InputError("sweep needs finite --d-min/--d-max and --d-step > 0")
     grid, d = [], d_min
     while d <= d_max + 1e-12:
         grid.append(d)
@@ -216,25 +227,23 @@ def _parse_grid(args: argparse.Namespace, cfg: dict) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     model = _opt(args, cfg, "model", "strict")
-    n = _opt(args, cfg, "n")
-    k = _opt(args, cfg, "k")
+    n, k = _num(args, cfg, "n", int), _num(args, cfg, "k", int)
     if n is None or k is None:
         print("error: sweep requires --n and --k", file=sys.stderr)
         return EXIT_INPUT
-    n, k = int(n), int(k)
-    f = int(_opt(args, cfg, "f", 0))
-    trials = int(_opt(args, cfg, "trials", 1))
+    f = _num(args, cfg, "f", int, 0)
+    trials = _num(args, cfg, "trials", int, 1)
     if trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    seed_value = int(_opt(args, cfg, "seed", 0))
+    seed_value = _num(args, cfg, "seed", int, 0)
+    SP.eigen_cap()  # a malformed cap fails the sweep, not each of its trials
     pipeline = bool(_opt(args, cfg, "pipeline", False))
     grid = _parse_grid(args, cfg)
     if not grid:
         print("error: empty density grid", file=sys.stderr)
         return EXIT_INPUT
-    jobs = _opt(args, cfg, "jobs")
-    jobs = os.cpu_count() or 1 if jobs is None else int(jobs)
+    jobs = _num(args, cfg, "jobs", int, os.cpu_count() or 1)
     out_path = _opt(args, cfg, "out")
 
     tasks = [
@@ -457,7 +466,7 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     if suite not in _SUITES:
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return EXIT_INPUT
-    seed = Seed(int(_opt(args, cfg, "seed", 0)))
+    seed = Seed(_num(args, cfg, "seed", int, 0))
     checks = _SUITES[suite](seed)
     failed = False
     for name, passed, note in checks:

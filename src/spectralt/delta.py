@@ -58,14 +58,21 @@ class Presentation:
                 continue
             parts = line.split()
             if parts[0] == "n" and len(parts) == 2 and n is None:
-                n = int(parts[1])
+                n = _header_int(parts)
             elif parts[0] == "k" and len(parts) == 2 and k is None and not relators:
-                k = int(parts[1])
+                k = _header_int(parts)
             else:
                 relators.append(W.word_from_text(line))
         if n is None:
             raise InputError("presentation file missing 'n <int>' header")
         return cls(n, tuple(relators), k)
+
+
+def _header_int(parts: list[str]) -> int:
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise InputError(f"'{parts[0]}' header needs an integer, got {parts[1]!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,7 @@ class SigmaDecomposition:
     ignored_relators: int = 0
 
     def delta(self) -> MultiGraph:
-        return union(union(self.sigma1, _strip_partition(self.sigma2)),
-                     _strip_partition(self.sigma3))
-
-
-def _strip_partition(g: MultiGraph) -> MultiGraph:
-    return MultiGraph(g.vertices, g.edges) if g.partition is not None else g
+        return union(self.sigma1, self.sigma2, self.sigma3)
 
 
 def sigma_vertex_lengths(k: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ multiplicity once, not twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -182,27 +182,23 @@ class MultiGraph:
         )
 
 
-def union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
-    """Graph union: vertex label union, edge multiset sum.
+def union(*graphs: MultiGraph) -> MultiGraph:
+    """Graph union: vertex labels in first-seen order, edge multiset sum.
 
-    The result carries a bipartition only if both inputs do and the merged
+    The result carries a bipartition only if every input does and the merged
     partition is consistent; conflicting side assignments on a shared vertex
     raise.
     """
-    vertices = list(g.vertices) + [v for v in h.vertices if v not in g._index]
-    edges = g.edges
-    for key, m in h._edges.items():
-        edges[key] = edges.get(key, 0) + m
+    edges: dict[EdgeKey, int] = {}
+    for g in graphs:
+        for key, m in g._edges.items():
+            edges[key] = edges.get(key, 0) + m
 
     partition = None
-    if g.partition is not None and h.partition is not None:
-        g1, g2 = g.partition
-        h1, h2 = h.partition
-        if (g1 & h2) or (g2 & h1):
+    if all(g.partition is not None for g in graphs):
+        side1 = frozenset().union(*(g.partition[0] for g in graphs))
+        side2 = frozenset().union(*(g.partition[1] for g in graphs))
+        if side1 & side2:
             raise InputError("conflicting bipartitions on shared vertices")
-        partition = (g1 | h1, g2 | h2)
-    return MultiGraph(vertices, edges, partition=partition)
-
-
-def from_vertices(labels: Sequence[str]) -> MultiGraph:
-    return MultiGraph(labels)
+        partition = (side1, side2)
+    return MultiGraph([v for g in graphs for v in g.vertices], edges, partition=partition)

@@ -17,13 +17,10 @@ BRUTE_FORCE_VERTEX_CUTOFF = 16
 @dataclass(frozen=True)
 class RegularityParams:
     delta: float = 0.2
-    epsilon: float = 0.25
 
     def __post_init__(self):
         if not 0.0 <= self.delta < 1.0:
             raise InputError("need 0 <= delta < 1")
-        if self.epsilon <= 0.0:
-            raise InputError("need epsilon > 0")
 
 
 def is_almost_regular(g: MultiGraph, d: float, epsilon: float) -> bool:
@@ -230,10 +227,10 @@ def extract_red_regular_union(
         raise InputError(
             f"vertex count {g.num_vertices()} does not match |W_{l}| for n={n}"
         )
-    result = MultiGraph(g.vertices, {})
+    factors = []
     for i, layer in sorted(red_class_layers(g, n).items()):
         factor = extract_regular_subgraph(layer, target_d1, target_d2)
         if factor is None:
             return None
-        result = union(result, MultiGraph(factor.vertices, factor.edges))
-    return result
+        factors.append(factor)
+    return union(MultiGraph(g.vertices), *factors)

@@ -20,7 +20,11 @@ SYMMETRY_TOL = 1e-9
 
 
 def eigen_cap() -> int:
-    return int(os.environ.get("SPECTRAL_T_MAX_VERTICES", DEFAULT_EIGEN_CAP))
+    raw = os.environ.get("SPECTRAL_T_MAX_VERTICES", str(DEFAULT_EIGEN_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"SPECTRAL_T_MAX_VERTICES must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,13 @@ class SpectralReport:
 
 def normalized_laplacian(g: MultiGraph) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2}; requires min degree >= 1."""
-    deg = g.degrees()
-    isolated = [v for v in g.vertices if deg[v] == 0]
+    a = g.adjacency_matrix().astype(float)
+    deg = a.sum(axis=1)  # a loop counts once, as in MultiGraph.degrees
+    isolated = [v for v, d in zip(g.vertices, deg) if d == 0]
     if isolated:
         raise DegenerateGraphError(f"isolated vertices: {isolated}")
-    a = g.adjacency_matrix().astype(float)
-    d = np.array([deg[v] for v in g.vertices], dtype=float)
-    scale = 1.0 / np.sqrt(d)
-    return np.eye(len(d)) - scale[:, None] * a * scale[None, :]
+    scale = 1.0 / np.sqrt(deg)
+    return np.eye(len(deg)) - scale[:, None] * a * scale[None, :]
 
 
 def spectrum(m: np.ndarray) -> np.ndarray:
@@ -58,10 +61,12 @@ def spectrum(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_report(g: MultiGraph) -> SpectralReport:
-    deg = g.degrees()
-    if g.num_vertices() == 0 or min(deg.values()) == 0:
+    if g.num_vertices() == 0:
         return SpectralReport((), 0.0, True)
-    eigs = spectrum(normalized_laplacian(g))
+    try:
+        eigs = spectrum(normalized_laplacian(g))
+    except DegenerateGraphError:
+        return SpectralReport((), 0.0, True)
     lam1 = 0.0 if g.components() > 1 else float(eigs[1]) if len(eigs) > 1 else 0.0
     return SpectralReport(tuple(float(x) for x in eigs), lam1, False)
 
@@ -70,17 +75,9 @@ def lambda1(g: MultiGraph) -> float:
     """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected."""
     if g.num_vertices() < 2:
         raise InputError("lambda1 needs at least 2 vertices")
-    deg = g.degrees()
-    if min(deg.values()) == 0 or g.components() > 1:
+    if g.components() > 1:  # with >= 2 vertices, also true if one is isolated
         return 0.0
     return float(spectrum(normalized_laplacian(g))[1])
-
-
-def mu_from_lambda(report: SpectralReport, i: int) -> float:
-    """1 - lambda_i: the (i+1)-th largest eigenvalue of D^{-1/2}AD^{-1/2}."""
-    if not 0 <= i < len(report.eigenvalues):
-        raise InputError(f"eigenvalue index {i} out of range")
-    return 1.0 - report.eigenvalues[i]
 
 
 def weyl_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

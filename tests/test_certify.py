@@ -130,6 +130,12 @@ class TestPipeline:
         b = certify_via_decomposition(p, 6)
         assert a == b
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+    def test_lambda1_is_the_direct_value(self, k):
+        # Delta_k comes from the Sigma split here, so this pins it bit for bit
+        p = sample_gamma_p(2, k, 0.5, Seed(27, k))
+        assert certify_via_decomposition(p, k).lambda1 == zuk_certificate(p, k).lambda1
+
 
 class TestJson:
     def test_frozen_keys(self):

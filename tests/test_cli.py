@@ -37,6 +37,21 @@ class TestCertify:
         code, _, _ = run(capsys, "certify", "/nonexistent/file")
         assert code == 2
 
+    def test_malformed_header(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("n x\ng1 g2 g1\n")
+        code, _, err = run(capsys, "certify", str(path), "--k", "3")
+        assert code == 2
+        assert err == "error: 'n' header needs an integer, got 'x'\n"
+
+    def test_malformed_vertex_cap(self, capsys, monkeypatch, aba_file):
+        monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", "abc")
+        for args in (["certify", aba_file],
+                     ["sweep", "--n", "2", "--k", "3", "--d-grid", "0.3", "--jobs", "1"]):
+            code, _, err = run(capsys, *args)
+            assert code == 2
+            assert err == "error: SPECTRAL_T_MAX_VERTICES must be an integer, got 'abc'\n"
+
     def test_k_mismatch_still_exits_zero(self, capsys, aba_file):
         code, out, _ = run(capsys, "certify", aba_file, "--k", "4")
         assert code == 0
@@ -118,6 +133,17 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--n", "2", "--k", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [
+        ["--d-min", "0.3", "--d-step", "0"],
+        ["--d-min", "0.3", "--d-max", "0.5", "--d-step", "-0.1"],
+        ["--d-min", "0.3", "--d-max", "inf"],
+        ["--d-grid", "0.3,x"],
+    ])
+    def test_unbounded_or_malformed_grid(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--n", "2", "--k", "3", *grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["spectra", "lemmas", "regularity", "models"])
@@ -139,6 +165,17 @@ class TestConfig:
         code, out, _ = run(capsys, "--config", str(cfg), "certify")
         assert code == 0
         assert json.loads(out)["k"] == 3
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--k", "3", "--d-grid", "0.3"],
+        ["sample", "--model", "red", "--l", "2", "--p", "0.5"],
+    ])
+    def test_malformed_value(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "abc"}))
+        code, out, err = run(capsys, "--config", str(cfg), *command)
+        assert code == 2 and out == ""
+        assert err == "error: n must be int, got 'abc'\n"
 
     def test_flags_override_config(self, capsys, tmp_path, aba_file):
         cfg = tmp_path / "cfg.json"

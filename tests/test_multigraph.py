@@ -62,15 +62,27 @@ class TestOps:
         assert MultiGraph("abcd", [("a", "b")]).components() == 3
 
     def test_union_sums_multiplicities(self):
-        g = MultiGraph("ab", [("a", "b")])
-        h = MultiGraph("ab", [("a", "b")])
-        assert union(g, h).multiplicity("a", "b") == 2
+        g = MultiGraph("ab", [("a", "b")], partition=("a", "b"))
+        h = MultiGraph("bca", [("a", "b")] * 2, partition=("ac", "b"))
+        u = union(g, h, g)
+        assert u.multiplicity("a", "b") == 4
+        assert u.vertices == ("a", "b", "c")
+        assert u.partition == (frozenset("ac"), frozenset("b"))
 
     def test_union_of_disjoint_vertex_sets(self):
         g = MultiGraph("ab", [("a", "b")])
         h = MultiGraph("cd", [("c", "d")])
-        u = union(g, h)
-        assert u.num_vertices() == 4 and u.num_edges() == 2
+        e = MultiGraph("ef", [("e", "f")])
+        u = union(g, h, e)
+        assert u.vertices == tuple("abcdef") and u.num_edges() == 3
+
+    def test_union_partition_needs_every_input(self):
+        g = MultiGraph("ab", [("a", "b")], partition=("a", "b"))
+        plain = MultiGraph("bc", [("b", "c")])
+        assert union(g, g, plain).partition is None
+        flipped = MultiGraph("ab", [("a", "b")], partition=("b", "a"))
+        with pytest.raises(InputError, match="conflicting"):
+            union(g, g, flipped)
 
     def test_dump_parse_round_trip(self):
         g = MultiGraph("abc", {("a", "b"): 2, ("b", "c"): 1})

@@ -128,5 +128,3 @@ class TestRedUnion:
     def test_params_validation(self):
         with pytest.raises(InputError):
             RegularityParams(delta=-0.1)
-        with pytest.raises(InputError):
-            RegularityParams(epsilon=0.0)

@@ -46,6 +46,13 @@ class TestLaplacian:
         with pytest.raises(DegenerateGraphError):
             spectra.normalized_laplacian(g)
         assert spectra.lambda1(g) == 0.0
+        assert spectra.spectral_report(g) == spectra.SpectralReport((), 0.0, True)
+        assert spectra.spectral_report(MultiGraph("")).degenerate
+
+    def test_loop_counts_once_in_degree(self):
+        g = MultiGraph("ab", {("a", "a"): 1, ("a", "b"): 1})
+        lap = spectra.normalized_laplacian(g)
+        assert np.allclose(lap, [[0.5, -1 / np.sqrt(2)], [-1 / np.sqrt(2), 1.0]])
 
     def test_disconnected_lambda1_zero(self):
         g = MultiGraph("abcd", [("a", "b"), ("c", "d")])
@@ -86,5 +93,3 @@ class TestBounds:
         g = cycle_graph(5)
         rep = spectra.spectral_report(g)
         assert rep.lambda1 == pytest.approx(rep.eigenvalues[1])
-        # mu_i = 1 - lambda_{i}; index shift per the switching convention
-        assert spectra.mu_from_lambda(rep, 1) == pytest.approx(1 - rep.eigenvalues[1])
