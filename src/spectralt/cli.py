@@ -37,6 +37,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+# most trials (densities x trials per density) one sweep may queue
+SWEEP_TRIAL_CAP = 10**6
+
 CSV_HEADER = [
     "n", "k", "d", "trial", "seed", "num_relators",
     "lambda1", "pipeline_bound", "certified", "status",
@@ -201,25 +204,42 @@ def _sweep_trial(task: tuple) -> tuple:
         return (n, k, _fmt(d), trial, str(seed), "", "", "", "", f"error: {exc}")
 
 
-def _parse_grid(args: argparse.Namespace, cfg: dict) -> list[float]:
+def _check_sweep_size(points: float, trials: int) -> None:
+    """Refuse a sweep of more than SWEEP_TRIAL_CAP trials before allocating it."""
+    if points * trials > SWEEP_TRIAL_CAP:
+        raise ResourceCapError(
+            f"sweep of up to {points} densities x {trials} trials "
+            f"exceeds cap {SWEEP_TRIAL_CAP}"
+        )
+
+
+def _parse_grid(args: argparse.Namespace, cfg: dict, trials: int) -> list[float]:
     grid_text = _opt(args, cfg, "d_grid")
     if grid_text is not None:
         if isinstance(grid_text, str):
             grid_text = [tok for tok in grid_text.split(",") if tok.strip()]
         try:
-            return [float(x) for x in grid_text]
+            grid = [float(x) for x in grid_text]
         except (TypeError, ValueError):
             raise InputError(f"malformed density grid {grid_text!r}")
+        _check_sweep_size(len(grid), trials)
+        return grid
     d_min = _num(args, cfg, "d_min", float)
     if d_min is None:
         raise InputError("sweep needs --d-grid or --d-min/--d-max/--d-step")
     d_max = _num(args, cfg, "d_max", float, d_min)
     d_step = _num(args, cfg, "d_step", float, 1.0)
-    # the accumulating loop below ends only for a finite range and a positive step
     if not (math.isfinite(d_min) and math.isfinite(d_max) and d_step > 0):
         raise InputError("sweep needs finite --d-min/--d-max and --d-step > 0")
+    # floor(steps) + 1 points fit in the range, plus one for rounding in the
+    # accumulation below; the bound also ends it where d + d_step rounds to d
+    steps = (d_max + 1e-12 - d_min) / d_step
+    points = math.floor(steps) + 2 if math.isfinite(steps) else math.inf
+    _check_sweep_size(points, trials)
     grid, d = [], d_min
-    while d <= d_max + 1e-12:
+    for _ in range(max(points, 0)):
+        if d > d_max + 1e-12:
+            break
         grid.append(d)
         d += d_step
     return grid
@@ -239,7 +259,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     seed_value = _num(args, cfg, "seed", int, 0)
     SP.eigen_cap()  # a malformed cap fails the sweep, not each of its trials
     pipeline = bool(_opt(args, cfg, "pipeline", False))
-    grid = _parse_grid(args, cfg)
+    grid = _parse_grid(args, cfg, trials)
     if not grid:
         print("error: empty density grid", file=sys.stderr)
         return EXIT_INPUT
@@ -251,8 +271,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         for di, d in enumerate(grid)
         for trial in range(trials)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once, so start no more than can run
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_trial, tasks))
     else:
         rows = [_sweep_trial(t) for t in tasks]

@@ -161,8 +161,12 @@ class MultiGraph:
             if parts[0] == "v" and len(parts) == 2:
                 vertices.append(parts[1])
             elif parts[0] == "e" and len(parts) == 4:
+                try:
+                    m = int(parts[3])
+                except ValueError:
+                    raise InputError(f"edge multiplicity must be an integer: {line!r}")
                 key = edge_key(parts[1], parts[2])
-                edges[key] = edges.get(key, 0) + int(parts[3])
+                edges[key] = edges.get(key, 0) + m
             else:
                 raise InputError(f"bad graph dump line: {line!r}")
         return cls(vertices, edges)

@@ -85,11 +85,29 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     return MultiGraph(left + right, edges, partition=(left, right))
 
 
-def _word_universe(n: int, l: int, cap: int) -> tuple[list[Word], list[str], list[int]]:
+def _word_universe(n: int, l: int, cap: int) -> tuple[list[str], np.ndarray]:
+    """Labels and classes (first-letter codes) of W_l in canonical order."""
     ws = W.enumerate_reduced(n, l, cap=cap)
     labels = [W.word_to_label(w) for w in ws]
-    classes = [W.class_index(w, n) for w in ws]
-    return ws, labels, classes
+    classes = np.array([W.class_index(w, n) for w in ws])
+    return labels, classes
+
+
+def _later_pairs(classes: np.ndarray, same: bool):
+    """For each i, the j > i whose class equals (same) or differs from class i.
+
+    A Bernoulli loop over the pairs (i, j), i < j, in row-major order draws
+    row i with one `rng.random` call: for PCG64 that yields the same numbers
+    as one scalar call per pair, and keeps the draws O(|W_l|) in memory.
+    """
+    for i in range(len(classes)):
+        later = classes[i + 1 :]
+        yield i, i + 1 + np.flatnonzero((later == classes[i]) == same)
+
+
+def _hits(rng: np.random.Generator, p: float, js: np.ndarray) -> list[int]:
+    """The j of `js` whose Bernoulli(p) draw, one per j in order, succeeds."""
+    return js[rng.random(len(js)) < p].tolist()
 
 
 def sample_red(
@@ -107,19 +125,16 @@ def sample_red(
 
 def _red_with_rng(
     n: int, l: int, p: float, rng: np.random.Generator, cap: int
-) -> tuple[MultiGraph, tuple[list[str], list[int]]]:
+) -> tuple[MultiGraph, tuple[list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
-    _, labels, classes = _word_universe(n, l, cap)
-    m = len(labels)
+    labels, classes = _word_universe(n, l, cap)
     edges: dict[EdgeKey, int] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if classes[i] == classes[j]:
-                continue
-            mult = int(rng.random() < p) + int(rng.random() < p)
-            if mult:
-                edges[edge_key(labels[i], labels[j])] = mult
+    for i, js in _later_pairs(classes, same=False):
+        mult = (rng.random((len(js), 2)) < p).sum(axis=1)
+        hit = mult > 0
+        for j, c in zip(js[hit].tolist(), mult[hit].tolist()):
+            edges[edge_key(labels[i], labels[j])] = c
     return MultiGraph(labels, edges), (labels, classes)
 
 
@@ -148,20 +163,17 @@ def _bred_with_rng(
     rng: np.random.Generator,
     cap: int,
     allow_short: bool,
-) -> tuple[MultiGraph, tuple[list[str], list[int], list[str], list[int]]]:
+) -> tuple[MultiGraph, tuple[list[str], np.ndarray, list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
     if l < 3 and not allow_short:
         raise InputError("the model is declared for l >= 3 (pass allow_short to override)")
-    _, labels1, classes1 = _word_universe(n, l, cap)
-    _, labels2, classes2 = _word_universe(n, l + 1, cap)
+    labels1, classes1 = _word_universe(n, l, cap)
+    labels2, classes2 = _word_universe(n, l + 1, cap)
     edges: dict[EdgeKey, int] = {}
     for i, v in enumerate(labels1):
-        for j, w in enumerate(labels2):
-            if classes1[i] == classes2[j]:
-                continue
-            if rng.random() < p:
-                edges[edge_key(v, w)] = 1
+        for j in _hits(rng, p, np.flatnonzero(classes2 != classes1[i])):
+            edges[edge_key(v, labels2[j])] = 1
     graph = MultiGraph(labels1 + labels2, edges, partition=(labels1, labels2))
     return graph, (labels1, classes1, labels2, classes2)
 
@@ -178,13 +190,9 @@ def coupled_red_extension(
     g, (labels, classes) = _red_with_rng(n, l, p, rng, cap)
     q = 2 * p - p * p
     edges = {key: 1 for key in g.edges}
-    m = len(labels)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if classes[i] != classes[j]:
-                continue
-            if rng.random() < q:
-                edges[edge_key(labels[i], labels[j])] = 1
+    for i, js in _later_pairs(classes, same=True):
+        for j in _hits(rng, q, js):
+            edges[edge_key(labels[i], labels[j])] = 1
     return g, MultiGraph(labels, edges)
 
 
@@ -204,11 +212,8 @@ def coupled_bred_extension(
     )
     edges = g.edges
     for i, v in enumerate(labels1):
-        for j, w in enumerate(labels2):
-            if classes1[i] != classes2[j]:
-                continue
-            if rng.random() < p:
-                edges[edge_key(v, w)] = 1
+        for j in _hits(rng, p, np.flatnonzero(classes2 == classes1[i])):
+            edges[edge_key(v, labels2[j])] = 1
     gp = MultiGraph(labels1 + labels2, edges, partition=(labels1, labels2))
     return g, gp
 
@@ -218,15 +223,13 @@ def strict_model_size(n: int, k: int, d: float) -> int:
     return int(math.floor((2 * n - 1) ** (k * d) + 1e-9))
 
 
-def _uniform_subset(
-    universe: list[Word], size: int, rng: np.random.Generator
-) -> tuple[Word, ...]:
-    if size > len(universe):
+def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` distinct ranks of a universe of `total` words, drawn uniformly."""
+    if size > total:
         raise InputError(
-            f"requested {size} relators but the universe has {len(universe)}"
+            f"requested {size} relators but the universe has {total}"
         )
-    idx = sorted(rng.choice(len(universe), size=size, replace=False))
-    return tuple(universe[i] for i in idx)
+    return np.sort(rng.choice(total, size=size, replace=False))
 
 
 def sample_gamma_strict(
@@ -235,9 +238,10 @@ def sample_gamma_strict(
     """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
     if n < 2 or k < 3 or not 0.0 < d < 1.0:
         raise InputError("need n >= 2, k >= 3, d in (0, 1)")
-    universe = W.enumerate_cyclically_reduced(n, k, cap=cap)
-    relators = _uniform_subset(universe, strict_model_size(n, k, d), seed.rng())
-    return Presentation(n, relators, k)
+    W.check_cap(n, k, cap)
+    total = W.cyclically_reduced_count(n, k)
+    ranks = _uniform_ranks(total, strict_model_size(n, k, d), seed.rng())
+    return Presentation(n, tuple(W.unrank_cyclically_reduced(n, k, ranks)), k)
 
 
 def sample_gamma_p(
@@ -246,25 +250,30 @@ def sample_gamma_p(
     """Bernoulli model: each word of C(n, k) kept independently with prob p."""
     if n < 2 or k < 3 or not 0.0 <= p <= 1.0:
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
-    universe = W.enumerate_cyclically_reduced(n, k, cap=cap)
-    mask = seed.rng().random(len(universe)) < p
-    return Presentation(n, tuple(w for w, keep in zip(universe, mask) if keep), k)
+    W.check_cap(n, k, cap)
+    keep = seed.rng().random(W.cyclically_reduced_count(n, k)) < p
+    relators = W.unrank_cyclically_reduced(n, k, np.flatnonzero(keep))
+    return Presentation(n, tuple(relators), k)
 
 
 def sample_gamma_lax(
     n: int, params: LaxParams, seed: Seed, cap: int = W.ENUMERATION_CAP
 ) -> Presentation:
-    """Lax model: uniform subset drawn from all lengths in [k-f, k+f]."""
+    """Lax model: uniform subset drawn from all lengths in [k-f, k+f].
+
+    The universe is C(n, k-f), ..., C(n, k+f) concatenated in that order.
+    """
     if n < 2:
         raise InputError("need n >= 2")
-    universe: list[Word] = []
-    total = sum(
-        W.word_count(n, l) for l in range(params.k - params.f, params.k + params.f + 1)
-    )
+    lengths = range(params.k - params.f, params.k + params.f + 1)
+    total = sum(W.word_count(n, l) for l in lengths)
     if total > cap:
         raise ResourceCapError(f"lax universe bound {total} exceeds cap {cap}")
-    for l in range(params.k - params.f, params.k + params.f + 1):
-        universe.extend(W.enumerate_cyclically_reduced(n, l, cap=cap))
+    offsets = np.cumsum([0] + [W.cyclically_reduced_count(n, l) for l in lengths])
     size = strict_model_size(n, params.k, params.d)
-    relators = _uniform_subset(universe, size, seed.rng())
-    return Presentation(n, relators, None)
+    ranks = _uniform_ranks(int(offsets[-1]), size, seed.rng())
+    relators: list[Word] = []
+    for l, lo, hi in zip(lengths, offsets, offsets[1:]):
+        ranks_l = ranks[(lo <= ranks) & (ranks < hi)] - lo
+        relators.extend(W.unrank_cyclically_reduced(n, l, ranks_l))
+    return Presentation(n, tuple(relators), None)

@@ -12,11 +12,16 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import InputError, ResourceCapError
 
 Word = tuple[int, ...]
 
 ENUMERATION_CAP = 10**7
+
+# ranks unranked per pass; bounds the (block, 2n) work arrays of the walk
+_UNRANK_BLOCK = 1 << 14
 
 _TOKEN_RE = re.compile(r"([gG])(\d+)")
 
@@ -105,13 +110,78 @@ def enumerate_reduced(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[Word]:
     return list(iter_reduced(n, l))
 
 
-def enumerate_cyclically_reduced(n: int, k: int, cap: int = ENUMERATION_CAP) -> list[Word]:
-    """All cyclically reduced words of length k, canonical order."""
+def check_cap(n: int, k: int, cap: int) -> None:
+    """Raise ResourceCapError when |W_k|, a bound on |C(n, k)|, exceeds cap."""
     if word_count(n, k) > cap:
         raise ResourceCapError(
             f"|W_{k}| = {word_count(n, k)} exceeds enumeration cap {cap}"
         )
+
+
+def enumerate_cyclically_reduced(n: int, k: int, cap: int = ENUMERATION_CAP) -> list[Word]:
+    """All cyclically reduced words of length k, canonical order."""
+    check_cap(n, k, cap)
     return [w for w in iter_reduced(n, k) if is_cyclically_reduced(w)]
+
+
+def cyclically_reduced_count(n: int, k: int) -> int:
+    """|C(n, k)| = (2n-1)^k + 1 + (n-1)(1 + (-1)^k)."""
+    if n < 1 or k < 1:
+        raise InputError("need n >= 1 and k >= 1")
+    return (2 * n - 1) ** k + 1 + (n - 1) * (1 + (-1) ** k)
+
+
+def _completions(inverse: np.ndarray, k: int, dtype) -> np.ndarray:
+    """table[f, r, c]: reduced r-letter continuations after the letter c whose
+    last letter is not the inverse of the first letter f (0-based codes)."""
+    m = len(inverse)
+    table = np.ones((m, k, m), dtype=dtype)
+    table[np.arange(m), 0, inverse] = 0
+    for r in range(1, k):
+        prev = table[:, r - 1, :]
+        table[:, r, :] = prev.sum(axis=1, keepdims=True) - prev[:, inverse]
+    return table
+
+
+def _pick(counts: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the letter whose rank interval holds the rank, and the rank
+    within that interval; the letters' intervals have widths `counts`."""
+    ends = counts.cumsum(axis=1)
+    letter = (ends <= ranks[:, None]).sum(axis=1)
+    rows = np.arange(len(ranks))
+    return letter, ranks - ends[rows, letter] + counts[rows, letter]
+
+
+def unrank_cyclically_reduced(n: int, k: int, ranks: Iterable[int]) -> list[Word]:
+    """The words at `ranks` in the canonical order of C(n, k).
+
+    Equals `[enumerate_cyclically_reduced(n, k)[i] for i in ranks]` without
+    building C(n, k): each rank is walked digit by digit, the candidate
+    letters (in flattened-code order) owning consecutive rank intervals as
+    wide as the number of cyclically reduced completions after them.
+    """
+    total = cyclically_reduced_count(n, k)
+    dtype = np.int64 if total < 2**63 else object
+    ranks = np.array(ranks, dtype=dtype, ndmin=1)
+    if ranks.size and not (0 <= ranks.min() and ranks.max() < total):
+        raise InputError(f"rank outside [0, {total}) of C({n}, {k})")
+    m = 2 * n
+    inverse = (np.arange(m) + n) % m
+    table = _completions(inverse, k, dtype)
+    first_counts = table[np.arange(m), k - 1, np.arange(m)]
+    letters = np.array([unflatten_letter(c, n) for c in range(1, m + 1)])
+    words: list[Word] = []
+    for lo in range(0, ranks.size, _UNRANK_BLOCK):
+        rest = ranks[lo : lo + _UNRANK_BLOCK]
+        codes = np.empty((rest.size, k), dtype=np.intp)
+        first, rest = _pick(np.tile(first_counts, (rest.size, 1)), rest)
+        codes[:, 0] = first
+        for i in range(1, k):
+            counts = table[first, k - 1 - i]
+            counts[np.arange(rest.size), inverse[codes[:, i - 1]]] = 0
+            codes[:, i], rest = _pick(counts, rest)
+        words.extend(map(tuple, letters[codes].tolist()))
+    return words
 
 
 def class_index(w: Word, n: int) -> int:

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spectralt import cli
+from spectralt import words as W
 from spectralt.cli import main
 
 
@@ -144,6 +151,53 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_range_grid(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "3", "--d-min", "0.3",
+                           "--d-max", "0.5", "--d-step", "0.1", "--jobs", "1")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert [r[2] for r in rows] == ["0.3", "0.4", "0.5"]
+
+    @pytest.mark.parametrize("grid", [
+        ["--d-grid", "0.3", "--trials", str(10**12)],
+        ["--d-grid", "0.3,0.4", "--trials", str(cli.SWEEP_TRIAL_CAP // 2 + 1)],
+        ["--d-min", "0.3", "--d-max", "0.5", "--d-step", "1e-300"],
+        ["--d-min=-1e308", "--d-max", "1e308", "--d-step", "1"],
+    ])
+    def test_trial_cap(self, capsys, grid):
+        # refused before the grid or the task list is built
+        code, out, err = run(capsys, "sweep", "--n", "2", "--k", "3", "--jobs", "1", *grid)
+        assert code == 3 and out == ""
+        assert err.startswith("resource cap: sweep of up to ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs,trials,cpus,workers", [
+        (1000, 3, 8, 3), (1000, 10, 4, 4), (2, 10, 4, 2), (4, 10, None, None),
+    ])
+    def test_pool_size(self, capsys, monkeypatch, jobs, trials, cpus, workers):
+        started = []
+
+        class Pool:
+            """Records its size and runs the tasks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "3", "--d-grid", "0.3",
+                           "--trials", str(trials), "--jobs", str(jobs))
+        assert code == 0 and len(out.splitlines()) == trials + 2
+        assert started == ([workers] if workers else [])
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["spectra", "lemmas", "regularity", "models"])
@@ -184,3 +238,45 @@ class TestConfig:
                            "--k", "3")
         assert code == 0
         assert json.loads(out)["k"] == 3
+
+
+JUNK_TOKENS = ["g1", "G2", "g0", "g4", "G", "x", "1", "g1g2", "#", "n", "k", "3"]
+
+
+@st.composite
+def presentation_texts(draw):
+    """Presentation files on at most 3 generators with relators of length <= 8:
+    mostly well formed, some with a malformed header or line."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    ranks = st.integers(0, W.cyclically_reduced_count(n, k) - 1)
+    relators = W.unrank_cyclically_reduced(n, k, draw(st.lists(ranks, max_size=12)))
+    lines = [
+        draw(st.sampled_from([f"n {n}"] * 6 + ["", "n 0", "n x", "n 2 3"])),
+        draw(st.sampled_from([f"k {k}"] * 3 + ["", "k 0", "k -2", "k y", f"k {k + 1}"])),
+    ] + [W.word_to_text(r) for r in relators]
+    if draw(st.integers(0, 3)) == 0:
+        junk = st.lists(st.sampled_from(JUNK_TOKENS), max_size=8).map(" ".join)
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return "\n".join(lines) + "\n"
+
+
+class TestCertifyFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        presentation_texts(),
+        st.lists(
+            st.sampled_from([["--pipeline"], ["--pipeline"], ["--diagnostics"],
+                             ["--k", "3"], ["--k", "7"], ["--k", "0"], ["--k", "-1"]]),
+            max_size=2,
+        ),
+    )
+    def test_exit_code_and_no_traceback(self, text, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.txt")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["certify", path] + [f for flag in flags for f in flag])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()

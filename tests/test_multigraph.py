@@ -90,6 +90,10 @@ class TestOps:
         assert h == g
         assert h.dump() == g.dump()
 
+    def test_parse_rejects_non_integer_multiplicity(self):
+        with pytest.raises(InputError, match="multiplicity must be an integer"):
+            MultiGraph.parse("v a\nv b\ne a b x\n")
+
     def test_equality_ignores_vertex_order(self):
         g = MultiGraph("ab", [("a", "b")])
         h = MultiGraph("ba", [("a", "b")])

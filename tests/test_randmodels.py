@@ -1,12 +1,16 @@
+import functools
 import math
 
 import pytest
 
 from spectralt import words as W
-from spectralt.errors import InputError
+from spectralt.delta import Presentation
+from spectralt.errors import InputError, ResourceCapError
+from spectralt.multigraph import MultiGraph, edge_key
 from spectralt.randmodels import (
     LaxParams,
     Seed,
+    _uniform_ranks,
     coupled_bred_extension,
     coupled_red_extension,
     sample_bipartite_gnp,
@@ -89,12 +93,14 @@ class TestRed:
 
 class TestBred:
     def test_no_forbidden_pairs(self):
+        # labels recur across seeds, so each one's class is parsed once
+        label_class = functools.cache(
+            lambda label: W.class_index(W.word_from_label(label), 2)
+        )
         for i in range(50):
             g = sample_bred(2, 3, 0.6, Seed(12, i))
             for u, v in g.edges:
-                cu = W.class_index(W.word_from_label(u), 2)
-                cv = W.class_index(W.word_from_label(v), 2)
-                assert cu != cv
+                assert label_class(u) != label_class(v)
 
     def test_bipartite_between_consecutive_lengths(self):
         g = sample_bred(2, 3, 0.5, Seed(13, 0))
@@ -171,3 +177,140 @@ class TestGamma:
             LaxParams(4, 0.3, 2)  # k - f < 3
         with pytest.raises(InputError):
             LaxParams(4, 0.3, -1)
+
+
+# The samplers as they were when they enumerated their universe word by word
+# and drew one number per pair: the new ones must reproduce their streams.
+# The universes are cached only to keep the tests fast.
+old_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
+
+def old_uniform_subset(universe, size, rng):
+    if size > len(universe):
+        raise InputError(
+            f"requested {size} relators but the universe has {len(universe)}"
+        )
+    idx = sorted(rng.choice(len(universe), size=size, replace=False))
+    return tuple(universe[i] for i in idx)
+
+
+def old_gamma_strict(n, k, d, seed, cap=W.ENUMERATION_CAP):
+    universe = old_enumerate(n, k, cap=cap)
+    relators = old_uniform_subset(universe, strict_model_size(n, k, d), seed.rng())
+    return Presentation(n, relators, k)
+
+
+def old_gamma_p(n, k, p, seed, cap=W.ENUMERATION_CAP):
+    universe = old_enumerate(n, k, cap=cap)
+    mask = seed.rng().random(len(universe)) < p
+    return Presentation(n, tuple(w for w, keep in zip(universe, mask) if keep), k)
+
+
+def old_gamma_lax(n, params, seed, cap=W.ENUMERATION_CAP):
+    lengths = range(params.k - params.f, params.k + params.f + 1)
+    total = sum(W.word_count(n, l) for l in lengths)
+    if total > cap:
+        raise ResourceCapError(f"lax universe bound {total} exceeds cap {cap}")
+    universe = [w for l in lengths for w in old_enumerate(n, l, cap=cap)]
+    size = strict_model_size(n, params.k, params.d)
+    return Presentation(n, old_uniform_subset(universe, size, seed.rng()), None)
+
+
+def old_universe(n, l):
+    ws = W.enumerate_reduced(n, l)
+    return [W.word_to_label(w) for w in ws], [W.class_index(w, n) for w in ws]
+
+
+def old_coupled_red(n, l, p, seed):
+    rng = seed.rng()
+    labels, classes = old_universe(n, l)
+    m = len(labels)
+    edges = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if classes[i] == classes[j]:
+                continue
+            mult = int(rng.random() < p) + int(rng.random() < p)
+            if mult:
+                edges[edge_key(labels[i], labels[j])] = mult
+    extended = {key: 1 for key in edges}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if classes[i] == classes[j] and rng.random() < 2 * p - p * p:
+                extended[edge_key(labels[i], labels[j])] = 1
+    return MultiGraph(labels, edges), MultiGraph(labels, extended)
+
+
+def old_coupled_bred(n, l, p, seed):
+    rng = seed.rng()
+    (labels1, classes1), (labels2, classes2) = old_universe(n, l), old_universe(n, l + 1)
+    partition = (labels1, labels2)
+    graphs = []
+    for same in (False, True):
+        edges = dict(graphs[0].edges) if graphs else {}
+        for i, v in enumerate(labels1):
+            for j, w in enumerate(labels2):
+                if (classes1[i] == classes2[j]) == same and rng.random() < p:
+                    edges[edge_key(v, w)] = 1
+        graphs.append(MultiGraph(labels1 + labels2, edges, partition=partition))
+    return tuple(graphs)
+
+
+def same_graph(a, b):
+    return a.dump() == b.dump() and a.partition == b.partition
+
+
+class TestStreamIdentity:
+    @pytest.mark.parametrize("n,k", [(2, 3), (2, 8), (3, 5)])
+    def test_gamma_models(self, n, k):
+        for i in range(4):
+            seed = Seed(30 + i, i)
+            for d in (0.3, 0.55):
+                assert sample_gamma_strict(n, k, d, seed) == old_gamma_strict(n, k, d, seed)
+                lax = LaxParams(k, d, 1 if k > 3 else 0)
+                assert sample_gamma_lax(n, lax, seed) == old_gamma_lax(n, lax, seed)
+            for p in (0.0, 0.2, 1.0):
+                assert sample_gamma_p(n, k, p, seed) == old_gamma_p(n, k, p, seed)
+
+    @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2)])
+    def test_reduced_graphs(self, n, l):
+        for i in range(4):
+            seed = Seed(40 + i, i)
+            for p in (0.0, 0.35, 1.0):
+                old_g, old_gp = old_coupled_red(n, l, p, seed)
+                g, gp = coupled_red_extension(n, l, p, seed)
+                assert same_graph(g, old_g) and same_graph(gp, old_gp)
+                assert same_graph(sample_red(n, l, p, seed), old_g)
+                old_g, old_gp = old_coupled_bred(n, l, p, seed)
+                g, gp = coupled_bred_extension(n, l, p, seed, allow_short=True)
+                assert same_graph(g, old_g) and same_graph(gp, old_gp)
+                assert same_graph(sample_bred(n, l, p, seed, allow_short=True), old_g)
+
+    def test_whole_universe_and_too_large_a_draw(self):
+        universe = W.enumerate_cyclically_reduced(2, 4)
+        total = len(universe)
+        a, b = Seed(50).rng(), Seed(50).rng()
+        ranks = _uniform_ranks(total, total, a)
+        assert tuple(W.unrank_cyclically_reduced(2, 4, ranks)) == old_uniform_subset(
+            universe, total, b
+        )
+        with pytest.raises(InputError) as new:
+            _uniform_ranks(total, total + 1, a)
+        with pytest.raises(InputError) as old:
+            old_uniform_subset(universe, total + 1, b)
+        assert str(new.value) == str(old.value)
+        assert str(new.value) == "requested 85 relators but the universe has 84"
+
+    def test_cap_errors(self):
+        seed = Seed(0)
+        cases = [
+            (sample_gamma_strict, old_gamma_strict, (2, 6, 0.4)),
+            (sample_gamma_p, old_gamma_p, (2, 6, 0.4)),
+            (sample_gamma_lax, old_gamma_lax, (2, LaxParams(6, 0.4, 1))),
+        ]
+        for new_fn, old_fn, args in cases:
+            with pytest.raises(ResourceCapError) as new:
+                new_fn(*args, seed, cap=100)
+            with pytest.raises(ResourceCapError) as old:
+                old_fn(*args, seed, cap=100)
+            assert str(new.value) == str(old.value)
+        assert str(new.value) == "lax universe bound 4212 exceeds cap 100"

@@ -53,6 +53,29 @@ class TestEnumeration:
             W.enumerate_reduced(3, 10, cap=1000)
 
 
+class TestUnrank:
+    @pytest.mark.parametrize(
+        "n,k", [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 7)]
+    )
+    def test_all_ranks_give_the_enumeration(self, n, k):
+        words = W.enumerate_cyclically_reduced(n, k)
+        count = W.cyclically_reduced_count(n, k)
+        assert count == len(words) == (2 * n - 1) ** k + 1 + (n - 1) * (1 + (-1) ** k)
+        assert W.unrank_cyclically_reduced(n, k, range(count)) == words
+
+    def test_ranks_past_int64(self):
+        count = W.cyclically_reduced_count(2, 41)
+        assert count > 2**63
+        first, last = W.unrank_cyclically_reduced(2, 41, [0, count - 1])
+        assert first == (1,) * 41 and last == (-2,) * 41
+
+    def test_rank_range(self):
+        assert W.unrank_cyclically_reduced(2, 3, []) == []
+        for bad in ([-1], [28]):
+            with pytest.raises(InputError, match="rank outside"):
+                W.unrank_cyclically_reduced(2, 3, bad)
+
+
 class TestSplit:
     @pytest.mark.parametrize(
         "k,expect",
