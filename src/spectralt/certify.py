@@ -27,7 +27,7 @@ from .regularity import (
     extract_red_regular_union,
     extract_regular_subgraph,
 )
-from .spectra import CERT_MARGIN, lambda1
+from .spectra import CERT_MARGIN, Lambda1Solve, lambda1
 
 THRESHOLD = 0.5
 SQRT2 = math.sqrt(2.0)
@@ -143,6 +143,13 @@ def _certified(value: float) -> bool:
     return value > THRESHOLD + CERT_MARGIN
 
 
+def _solve_line(solve: Lambda1Solve) -> str:
+    return (
+        f"lambda1 solver={solve.solver} residual={solve.residual:.3e} "
+        f"margin={solve.value - THRESHOLD:.12g}"
+    )
+
+
 def zuk_certificate(
     p: Presentation, k: int, seed_info: Optional[str] = None
 ) -> Certificate:
@@ -151,12 +158,14 @@ def zuk_certificate(
     A true verdict certifies Property (T); a false verdict certifies nothing.
     """
     delta = build_delta_k(p, k)
-    lam = lambda1(delta)
+    solve = lambda1(delta, report=True)
+    lam = solve.value
     audit = double_edge_audit(delta)
     used = len(p.relators_of_length(k))
     prof = delta.degree_profile()
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
+        _solve_line(solve),
         f"relators used={used} ignored={len(p.relators) - used}",
         f"degree min={prof.min} max={prof.max}",
     ]
@@ -284,7 +293,8 @@ def certify_via_decomposition(
     """Full pipeline certificate; certification always uses the direct value."""
     dec = sigma_decomposition(p, k)
     delta = dec.delta()
-    lam = lambda1(delta)
+    solve = lambda1(delta, report=True)
+    lam = solve.value
     audits = [double_edge_audit(s, m_bound) for s in (dec.sigma1, dec.sigma2, dec.sigma3)]
     overall_audit = DoubleEdgeAudit(
         max_multiplicity=max(a.max_multiplicity for a in audits),
@@ -295,6 +305,7 @@ def certify_via_decomposition(
     )
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
+        _solve_line(solve),
         f"relators ignored={dec.ignored_relators}",
         f"sigma audits: max_mult={overall_audit.max_multiplicity} "
         f"doubles_matching={overall_audit.doubles_form_matching} "

@@ -449,22 +449,24 @@ def _verify_regularity(seed: Seed) -> list[Check]:
     return [("ore-ryser-exhaustive", ok, "1024 graph/target combinations on 3+3")]
 
 
+def _edges_cross_classes(g: MultiGraph, n: int) -> bool:
+    """Whether no edge joins two words of the same class (first letter)."""
+    classes = {v: W.class_index(W.word_from_label(v), n) for v in g.vertices}
+    return all(classes[u] != classes[v] for u, v in g.edges)
+
+
 def _verify_models(seed: Seed) -> list[Check]:
     checks: list[Check] = []
     ok = True
     for i in range(50):
         g = sample_red(2, 2, 0.5, Seed(seed.value, 3000 + i))
-        for u, v in g.edges:
-            wu, wv = W.word_from_label(u), W.word_from_label(v)
-            ok = ok and W.class_index(wu, 2) != W.class_index(wv, 2)
+        ok = ok and _edges_cross_classes(g, 2)
     checks.append(("red-forbidden-classes", ok, "50 seeds, n=2 l=2 p=0.5"))
 
     ok = True
     for i in range(50):
         g = sample_bred(2, 3, 0.5, Seed(seed.value, 3100 + i))
-        for u, v in g.edges:
-            wu, wv = W.word_from_label(u), W.word_from_label(v)
-            ok = ok and W.class_index(wu, 2) != W.class_index(wv, 2)
+        ok = ok and _edges_cross_classes(g, 2)
     checks.append(("bred-forbidden-classes", ok, "50 seeds, n=2 l=3 p=0.5"))
 
     ok = True

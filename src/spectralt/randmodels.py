@@ -15,7 +15,7 @@ import numpy as np
 from . import words as W
 from .delta import Presentation
 from .errors import InputError, ResourceCapError
-from .multigraph import EdgeKey, MultiGraph, edge_key
+from .multigraph import MultiGraph
 from .words import Word
 
 
@@ -54,18 +54,16 @@ def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
     """Erdos-Renyi G(m, p): each of the C(m,2) pairs independently, no loops."""
     if m < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m >= 1 and p in [0, 1]")
-    labels = _pair_labels("u", m)
     rng = seed.rng()
-    edges: dict[EdgeKey, int] = {}
+    u = v = np.zeros(0, dtype=np.int64)
     if m > 1:
-        draws = rng.random(m * (m - 1) // 2)
-        idx = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if draws[idx] < p:
-                    edges[edge_key(labels[i], labels[j])] = 1
-                idx += 1
-    return MultiGraph(labels, edges)
+        # the draws run over the pairs i < j row by row; row i starts at `starts[i]`
+        hits = np.flatnonzero(rng.random(m * (m - 1) // 2) < p)
+        rows = np.arange(m)
+        starts = rows * m - rows * (rows + 1) // 2
+        u = np.searchsorted(starts, hits, side="right") - 1
+        v = hits - starts[u] + u + 1
+    return MultiGraph._from_arrays(_pair_labels("u", m), u, v)
 
 
 def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
@@ -75,14 +73,8 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     left = _pair_labels("u", m1)
     right = _pair_labels("v", m2)
     rng = seed.rng()
-    mask = rng.random((m1, m2)) < p
-    edges = {
-        edge_key(left[i], right[j]): 1
-        for i in range(m1)
-        for j in range(m2)
-        if mask[i, j]
-    }
-    return MultiGraph(left + right, edges, partition=(left, right))
+    i, j = np.nonzero(rng.random((m1, m2)) < p)
+    return MultiGraph._from_arrays(left + right, i, m1 + j, partition=(left, right))
 
 
 def _word_universe(n: int, l: int, cap: int) -> tuple[list[str], np.ndarray]:
@@ -105,9 +97,15 @@ def _later_pairs(classes: np.ndarray, same: bool):
         yield i, i + 1 + np.flatnonzero((later == classes[i]) == same)
 
 
-def _hits(rng: np.random.Generator, p: float, js: np.ndarray) -> list[int]:
+def _hits(rng: np.random.Generator, p: float, js: np.ndarray) -> np.ndarray:
     """The j of `js` whose Bernoulli(p) draw, one per j in order, succeeds."""
-    return js[rng.random(len(js)) < p].tolist()
+    return js[rng.random(len(js)) < p]
+
+
+def _row_edges(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) arrays of the edges {i, j} for every j in rows[i]."""
+    u = np.repeat(np.arange(len(rows)), [len(js) for js in rows])
+    return u, np.concatenate([np.zeros(0, dtype=np.int64), *rows])
 
 
 def sample_red(
@@ -129,13 +127,14 @@ def _red_with_rng(
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
     labels, classes = _word_universe(n, l, cap)
-    edges: dict[EdgeKey, int] = {}
+    rows, mults = [], []
     for i, js in _later_pairs(classes, same=False):
         mult = (rng.random((len(js), 2)) < p).sum(axis=1)
         hit = mult > 0
-        for j, c in zip(js[hit].tolist(), mult[hit].tolist()):
-            edges[edge_key(labels[i], labels[j])] = c
-    return MultiGraph(labels, edges), (labels, classes)
+        rows.append(js[hit])
+        mults.append(mult[hit])
+    u, v = _row_edges(rows)
+    return MultiGraph._from_arrays(labels, u, v, np.concatenate(mults)), (labels, classes)
 
 
 def sample_bred(
@@ -170,11 +169,10 @@ def _bred_with_rng(
         raise InputError("the model is declared for l >= 3 (pass allow_short to override)")
     labels1, classes1 = _word_universe(n, l, cap)
     labels2, classes2 = _word_universe(n, l + 1, cap)
-    edges: dict[EdgeKey, int] = {}
-    for i, v in enumerate(labels1):
-        for j in _hits(rng, p, np.flatnonzero(classes2 != classes1[i])):
-            edges[edge_key(v, labels2[j])] = 1
-    graph = MultiGraph(labels1 + labels2, edges, partition=(labels1, labels2))
+    u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 != c)) for c in classes1])
+    graph = MultiGraph._from_arrays(
+        labels1 + labels2, u, len(labels1) + v, partition=(labels1, labels2)
+    )
     return graph, (labels1, classes1, labels2, classes2)
 
 
@@ -189,11 +187,9 @@ def coupled_red_extension(
     rng = seed.rng()
     g, (labels, classes) = _red_with_rng(n, l, p, rng, cap)
     q = 2 * p - p * p
-    edges = {key: 1 for key in g.edges}
-    for i, js in _later_pairs(classes, same=True):
-        for j in _hits(rng, q, js):
-            edges[edge_key(labels[i], labels[j])] = 1
-    return g, MultiGraph(labels, edges)
+    u, v = _row_edges([_hits(rng, q, js) for _, js in _later_pairs(classes, same=True)])
+    gu, gv, _ = g.edge_arrays
+    return g, MultiGraph._from_arrays(labels, np.concatenate([gu, u]), np.concatenate([gv, v]))
 
 
 def coupled_bred_extension(
@@ -210,11 +206,14 @@ def coupled_bred_extension(
     g, (labels1, classes1, labels2, classes2) = _bred_with_rng(
         n, l, p, rng, cap, allow_short
     )
-    edges = g.edges
-    for i, v in enumerate(labels1):
-        for j in _hits(rng, p, np.flatnonzero(classes2 == classes1[i])):
-            edges[edge_key(v, labels2[j])] = 1
-    gp = MultiGraph(labels1 + labels2, edges, partition=(labels1, labels2))
+    u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 == c)) for c in classes1])
+    gu, gv, _ = g.edge_arrays
+    gp = MultiGraph._from_arrays(
+        labels1 + labels2,
+        np.concatenate([gu, u]),
+        np.concatenate([gv, len(labels1) + v]),
+        partition=(labels1, labels2),
+    )
     return g, gp
 
 

@@ -1,7 +1,11 @@
 """Normalized Laplacian spectra, lambda_1, and eigenvalue-ordering utilities.
 
 lambda_1 of a disconnected graph (or one with an isolated vertex) is 0 by
-convention, decided by component search before any solve.
+convention, decided by component search before any solve.  Up to
+DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the normalized
+Laplacian; above that, Lanczos (`scipy.sparse.linalg.eigsh`) on the sparse
+Laplacian, falling back to the dense solve if it does not converge to a
+residual of at most LANCZOS_MAX_RESIDUAL.
 """
 
 from __future__ import annotations
@@ -18,6 +22,14 @@ CERT_MARGIN = 1e-9
 DEFAULT_EIGEN_CAP = 4000
 SYMMETRY_TOL = 1e-9
 
+# largest vertex count whose lambda_1 comes from the dense solve: above it
+# Lanczos is faster (the dense/eigsh crossover measured on Delta_k graphs)
+DENSE_LAMBDA1_MAX = 500
+LANCZOS_MAX_RESIDUAL = 1e-10
+# seed of the fixed standard-normal start vectors; never the all-ones vector,
+# which on a regular graph is orthogonal to the lambda_1 eigenspace
+START_SEED = 0
+
 
 def eigen_cap() -> int:
     raw = os.environ.get("SPECTRAL_T_MAX_VERTICES", str(DEFAULT_EIGEN_CAP))
@@ -27,6 +39,11 @@ def eigen_cap() -> int:
         raise InputError(f"SPECTRAL_T_MAX_VERTICES must be an integer, got {raw!r}")
 
 
+def _check_cap(size: int) -> None:
+    if size > eigen_cap():
+        raise ResourceCapError(f"matrix size {size} exceeds eigensolve cap {eigen_cap()}")
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: tuple[float, ...]
@@ -34,14 +51,26 @@ class SpectralReport:
     degenerate: bool
 
 
+@dataclass(frozen=True)
+class Lambda1Solve:
+    """lambda_1 with the solver that found it ("components" when the graph is
+    disconnected, "dense" or "lanczos") and the residual ||L x - lambda_1 x||
+    of a unit vector x found with it (0 for "components")."""
+
+    value: float
+    solver: str
+    residual: float
+
+
 def normalized_laplacian(g: MultiGraph) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2}; requires min degree >= 1."""
-    a = g.adjacency_matrix().astype(float)
-    deg = a.sum(axis=1)  # a loop counts once, as in MultiGraph.degrees
-    isolated = [v for v, d in zip(g.vertices, deg) if d == 0]
+    deg = g.degree_array()
+    isolated = [v for v, d in zip(g.vertices, deg.tolist()) if d == 0]
     if isolated:
         raise DegenerateGraphError(f"isolated vertices: {isolated}")
+    _check_cap(len(deg))
     scale = 1.0 / np.sqrt(deg)
+    a = g.adjacency_matrix(float)
     return np.eye(len(deg)) - scale[:, None] * a * scale[None, :]
 
 
@@ -50,10 +79,7 @@ def spectrum(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > eigen_cap():
-        raise ResourceCapError(
-            f"matrix size {m.shape[0]} exceeds eigensolve cap {eigen_cap()}"
-        )
+    _check_cap(m.shape[0])
     asym = np.max(np.abs(m - m.T)) if m.size else 0.0
     if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
         raise InputError(f"matrix not symmetric (max asymmetry {asym:.3e})")
@@ -71,13 +97,75 @@ def spectral_report(g: MultiGraph) -> SpectralReport:
     return SpectralReport(tuple(float(x) for x in eigs), lam1, False)
 
 
-def lambda1(g: MultiGraph) -> float:
-    """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected."""
-    if g.num_vertices() < 2:
+def _start_vector(size: int) -> np.ndarray:
+    return np.random.default_rng(START_SEED).standard_normal(size)
+
+
+def _dense_residual(lap: np.ndarray, value: float) -> float:
+    """Residual of the vector two steps of inverse iteration near `value` find;
+    infinite if the shifted matrix is singular."""
+    shifted = lap - (value + 1e-10) * np.eye(len(lap))
+    x = _start_vector(len(lap))
+    try:
+        for _ in range(2):
+            x = np.linalg.solve(shifted, x)
+            x /= np.linalg.norm(x)
+    except np.linalg.LinAlgError:
+        return float("inf")
+    return float(np.linalg.norm(lap @ x - value * x))
+
+
+def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
+    """lambda_1 from `eigsh` on the sparse Laplacian of a connected graph, or
+    None if ARPACK fails (as when it does not converge) or leaves too large a
+    residual."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    u, v, mult = g.edge_arrays
+    size = g.num_vertices()
+    scale = 1.0 / np.sqrt(g.degree_array())
+    off = -mult * scale[u] * scale[v]
+    cross = u != v
+    diag = np.arange(size)
+    lap = csr_array(  # repeated entries add up: a loop's term joins the diagonal
+        (np.concatenate([off, off[cross], np.ones(size)]),
+         (np.concatenate([u, v[cross], diag]), np.concatenate([v, u[cross], diag]))),
+        shape=(size, size),
+    )
+    try:
+        vals, vecs = eigsh(lap, k=2, which="SA", tol=0, v0=_start_vector(size))
+    except ArpackError:  # ArpackNoConvergence included
+        return None
+    i = np.argsort(vals)[1]
+    x = vecs[:, i] / np.linalg.norm(vecs[:, i])
+    residual = float(np.linalg.norm(lap @ x - vals[i] * x))
+    if not residual <= LANCZOS_MAX_RESIDUAL:
+        return None
+    return Lambda1Solve(float(vals[i]), "lanczos", residual)
+
+
+def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
+    """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected.
+
+    With report=True the result is a Lambda1Solve naming the solver and its
+    residual (for the dense solve, two more O(m^3) linear solves).
+    """
+    size = g.num_vertices()
+    if size < 2:
         raise InputError("lambda1 needs at least 2 vertices")
     if g.components() > 1:  # with >= 2 vertices, also true if one is isolated
-        return 0.0
-    return float(spectrum(normalized_laplacian(g))[1])
+        solve = Lambda1Solve(0.0, "components", 0.0)
+    else:
+        _check_cap(size)
+        # ARPACK's k = 2 needs at least 4 vertices
+        solve = _lanczos(g) if size > max(DENSE_LAMBDA1_MAX, 3) else None
+        if solve is None:
+            lap = normalized_laplacian(g)
+            value = float(spectrum(lap)[1])
+            residual = _dense_residual(lap, value) if report else float("nan")
+            solve = Lambda1Solve(value, "dense", residual)
+    return solve if report else solve.value
 
 
 def weyl_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +72,49 @@ def is_cyclically_reduced(w: Word) -> bool:
 
 def invert(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
+
+
+def flatten(words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
+    """The letters of all words end to end, and the offset at which each word
+    starts, followed by the total letter count."""
+    offsets = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, words), np.int64, len(words)), out=offsets[1:])
+    try:
+        letters = np.fromiter(chain.from_iterable(words), np.int64, offsets[-1])
+    except OverflowError:  # a letter past int64 is compared exactly, as an object
+        letters = np.array(list(chain.from_iterable(words)), dtype=object)
+    return letters, offsets
+
+
+def first_unreduced(words: Sequence[Word]) -> int:
+    """Index of the first word that is not freely reduced; len(words) if none."""
+    letters, offsets = flatten(words)
+    cancel = letters[1:] == -letters[:-1]
+    seams = offsets[(offsets > 0) & (offsets < len(letters))]
+    cancel[seams - 1] = False  # a last letter against the next word's first
+    hits = np.flatnonzero(cancel)
+    if not hits.size:
+        return len(words)
+    return int(np.searchsorted(offsets, hits[0], side="right")) - 1
+
+
+def rank_reduced(n: int, words: np.ndarray) -> np.ndarray:
+    """Index of each row of `words`, a freely reduced word of signed letters,
+    in `enumerate_reduced(n, l)`, found without enumerating.
+
+    The first letter's flattened code is the leading digit; each later letter
+    is a base-(2n-1) digit, its code less one if it follows the previous
+    letter's inverse, which cannot come next.
+    """
+    # 0-based flattened code of the letters -n..n (0 is no letter), and of
+    # each code's inverse
+    code = np.concatenate([np.arange(2 * n - 1, n - 1, -1), [0], np.arange(n)])
+    inverse = (np.arange(2 * n) + n) % (2 * n)
+    codes = code[words + n]
+    rank = codes[:, 0].copy()
+    for i in range(1, codes.shape[1]):
+        rank = rank * (2 * n - 1) + codes[:, i] - (codes[:, i] > inverse[codes[:, i - 1]])
+    return rank
 
 
 def word_count(n: int, l: int) -> int:
@@ -237,18 +281,20 @@ def word_to_text(w: Word) -> str:
     return " ".join(f"g{x}" if x > 0 else f"G{-x}" for x in w)
 
 
+def letter_from_token(tok: str) -> int:
+    """The letter of one g<i> / G<i> token."""
+    m = _TOKEN_RE.fullmatch(tok)
+    if m is None:
+        raise InputError(f"malformed word token {tok!r}")
+    i = int(m.group(2))
+    if i < 1:
+        raise InputError(f"generator index must be >= 1, got {tok!r}")
+    return i if m.group(1) == "g" else -i
+
+
 def word_from_text(text: str) -> Word:
     """Parse whitespace-separated tokens g<i> / G<i> into a word."""
-    letters = []
-    for tok in text.split():
-        m = _TOKEN_RE.fullmatch(tok)
-        if m is None:
-            raise InputError(f"malformed word token {tok!r}")
-        i = int(m.group(2))
-        if i < 1:
-            raise InputError(f"generator index must be >= 1, got {tok!r}")
-        letters.append(i if m.group(1) == "g" else -i)
-    w = tuple(letters)
+    w = tuple(map(letter_from_token, text.split()))
     if not is_reduced(w):
         raise InputError(f"word {text!r} is not freely reduced")
     return w

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spectralt import spectra
 from spectralt.certify import (
     certify_via_decomposition,
     union_bound,
@@ -148,3 +149,19 @@ class TestJson:
         assert list(data["audit"]) == ["max_multiplicity", "doubles_form_matching"]
         assert data["pipeline_bound"] is None
         assert data["seed_info"] == "9:0"
+
+
+class TestSolverDiagnostics:
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_lanczos_certificate_matches_dense(self, monkeypatch, k):
+        p = sample_gamma_p(2, k, 0.3, Seed(12, k))
+        dense = zuk_certificate(p, k)
+        monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", 0)
+        for certify in (zuk_certificate, certify_via_decomposition):
+            cert = certify(p, k)
+            assert abs(cert.lambda1 - dense.lambda1) <= 1e-9
+            assert cert.certified == dense.certified
+            line = cert.diagnostics[1]
+            assert line.startswith("lambda1 solver=lanczos residual=")
+            assert line.endswith(f"margin={cert.lambda1 - 0.5:.12g}")
+        assert dense.diagnostics[1].startswith("lambda1 solver=dense residual=")

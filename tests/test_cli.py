@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +200,51 @@ class TestSweep:
                            "--trials", str(trials), "--jobs", str(jobs))
         assert code == 0 and len(out.splitlines()) == trials + 2
         assert started == ([workers] if workers else [])
+
+
+class TestDiagnostics:
+    def test_lambda1_line(self, capsys, aba_file):
+        code, out, err = run(capsys, "certify", aba_file)
+        assert code == 0 and err == ""
+        code, out_diag, err = run(capsys, "certify", aba_file, "--diagnostics")
+        assert out_diag == out  # the JSON does not change
+        line = next(l for l in err.splitlines() if l.startswith("lambda1 "))
+        solver, residual, margin = (part.split("=")[1] for part in line.split()[1:])
+        assert solver == "dense" and float(residual) <= 1e-10
+        assert float(margin) == pytest.approx(json.loads(out)["lambda1"] - 0.5, abs=1e-12)
+
+    def test_pipeline_and_disconnected(self, capsys, tmp_path):
+        path = tmp_path / "loops.txt"
+        path.write_text("n 2\nk 6\ng1 g1 g1 g1 g1 g1\n")
+        for extra in ([], ["--pipeline"]):
+            code, _, err = run(capsys, "certify", str(path), "--diagnostics", *extra)
+            assert code == 0
+            assert "lambda1 solver=components residual=0.000e+00 margin=-0.5" in err.splitlines()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_small_commands_do_not_import_scipy(tmp_path):
+    """The Lanczos path imports scipy; certify and sweep on link graphs below
+    DENSE_LAMBDA1_MAX must not, since importing it costs about 0.4 s."""
+    path = tmp_path / "p.txt"
+    path.write_text("n 2\nk 6\n" + "\n".join(
+        W.word_to_text(w) for w in W.enumerate_cyclically_reduced(2, 6)[::7]) + "\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "import spectralt.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['certify', {str(path)!r}, '--pipeline']) == 0\n"
+        "    assert cli.main(['sweep', '--n', '2', '--k', '12', '--d-grid', '0.45',"
+        " '--jobs', '1', '--seed', '3']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestVerify:

@@ -1,8 +1,13 @@
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectralt import words as W
 from spectralt.delta import (
     Presentation,
+    _header_int,
     build_delta3,
     build_delta_k,
     double_edge_audit,
@@ -10,7 +15,7 @@ from spectralt.delta import (
 )
 from spectralt.errors import InputError
 from spectralt.multigraph import MultiGraph, edge_key, union
-from spectralt.randmodels import Seed, sample_gamma_p
+from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
 
 
 def aba():
@@ -186,3 +191,178 @@ class TestAudit:
         assert not audit.doubles_form_matching
         assert not audit.within_m_bound
         assert double_edge_audit(g, m_bound=4).within_m_bound
+
+
+# ---- the label-keyed implementations the array build replaced, as oracles
+
+def old_labels(n, l):
+    return [W.word_to_label(w) for w in W.enumerate_reduced(n, l)]
+
+
+def old_relator_edges(r, k):
+    rx, ry, rz = W.split_relator(r, k)
+    lab, inv = W.word_to_label, W.invert
+    return (
+        edge_key(lab(rx), lab(inv(rz))),
+        edge_key(lab(ry), lab(inv(rx))),
+        edge_key(lab(rz), lab(inv(ry))),
+    )
+
+
+def old_build_delta_k(p, k):
+    l_k, _, L_k = W.split_lengths(k)
+    vertices = old_labels(p.n, l_k)
+    if L_k != l_k:
+        vertices = vertices + old_labels(p.n, L_k)
+    edges = {}
+    for r in p.relators_of_length(k):
+        for key in old_relator_edges(r, k):
+            edges[key] = edges.get(key, 0) + 1
+    return MultiGraph(vertices, edges)
+
+
+def old_sigma_decomposition(p, k):
+    xy_len, _, z_len = W.split_lengths(k)
+    xy = old_labels(p.n, xy_len)
+    z = old_labels(p.n, z_len) if z_len != xy_len else []
+    es = ({}, {}, {})
+    relators = p.relators_of_length(k)
+    for r in relators:
+        for e, key in zip(es, old_relator_edges(r, k)):
+            e[key] = e.get(key, 0) + 1
+    if k % 3 == 0:
+        sigmas = tuple(MultiGraph(xy, e) for e in es)
+    else:
+        part = (xy, z)
+        sigmas = (MultiGraph(xy + z, es[0], partition=part), MultiGraph(xy, es[1]),
+                  MultiGraph(xy + z, es[2], partition=part))
+    return sigmas, len(p.relators) - len(relators)
+
+
+def old_word_from_text(text):
+    letters = []
+    for tok in text.split():
+        m = re.fullmatch(r"([gG])(\d+)", tok)
+        if m is None:
+            raise InputError(f"malformed word token {tok!r}")
+        i = int(m.group(2))
+        if i < 1:
+            raise InputError(f"generator index must be >= 1, got {tok!r}")
+        letters.append(i if m.group(1) == "g" else -i)
+    w = tuple(letters)
+    if not W.is_reduced(w):
+        raise InputError(f"word {text!r} is not freely reduced")
+    return w
+
+
+def old_parse(text):
+    n = k = None
+    relators = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n" and len(parts) == 2 and n is None:
+            n = _header_int(parts)
+        elif parts[0] == "k" and len(parts) == 2 and k is None and not relators:
+            k = _header_int(parts)
+        else:
+            relators.append(old_word_from_text(line))
+    if n is None:
+        raise InputError("presentation file missing 'n <int>' header")
+    return n, tuple(relators), k
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def same_graph(g, old):
+    return (g.vertices == old.vertices and g.edges == old.edges
+            and g.dump() == old.dump() and g.partition == old.partition)
+
+
+def sample(n, k, seed):
+    # about 500-2500 relators, so the comparison stays fast up to k = 14
+    d = min(0.9, np.log(400 + 150 * k) / (k * np.log(2 * n - 1)))
+    return sample_gamma_strict(n, k, d, Seed(seed, k))
+
+
+CASES = [(2, k) for k in range(3, 15)] + [(3, k) for k in range(3, 9)]
+
+
+class TestAgainstLabelImplementation:
+    @pytest.mark.parametrize("n,k", CASES)
+    def test_delta_and_sigma(self, n, k):
+        for seed in (1, 2):
+            p = sample(n, k, seed)
+            other = sample(n, k - 1 if k > 3 else 4, seed)
+            mixed = Presentation(n, p.relators + other.relators)
+            for pres in (p, mixed):
+                delta = build_delta_k(pres, k)
+                assert same_graph(delta, old_build_delta_k(pres, k))
+                assert delta.degrees() == old_build_delta_k(pres, k).degrees()
+                dec = sigma_decomposition(pres, k)
+                sigmas, ignored = old_sigma_decomposition(pres, k)
+                assert dec.ignored_relators == ignored
+                for new, old in zip((dec.sigma1, dec.sigma2, dec.sigma3), sigmas):
+                    assert same_graph(new, old)
+
+    def test_no_relators_of_length_k(self):
+        p = Presentation(2, ((1, 2, 1),))
+        assert same_graph(build_delta_k(p, 6), old_build_delta_k(p, 6))
+        assert sigma_decomposition(p, 5).ignored_relators == 1
+
+    def test_pieces_that_are_no_vertex(self):
+        # relator a: only r_y = g2 G2 is unreduced (edges 2 and 3 fail);
+        # relator b: only r_x = g1 G1 is (edges 1 and 2 fail); relator c has
+        # the letter 0.  The label build failed on the first bad edge relator
+        # by relator, the Sigma split on the first bad edge of Sigma_1 first.
+        a, b, c = (1, 2, 2, -2, 1, 1), (1, -1, 2, 2, 1, 2), (1, 2, 0, 1, 2, 1)
+        for relators in ((a, b), (b, a), (c,), (a, c), (c, a)):
+            p = Presentation(2, relators)
+            assert outcome(build_delta_k, p, 6) == outcome(old_build_delta_k, p, 6)
+            assert outcome(sigma_decomposition, p, 6) == outcome(old_sigma_decomposition, p, 6)
+        p = Presentation(2, (a, b))
+        assert outcome(build_delta_k, p, 6) != outcome(sigma_decomposition, p, 6)
+
+    def test_audit_on_loops(self):
+        g = MultiGraph("abc", {("a", "a"): 2, ("a", "b"): 2, ("c", "c"): 1})
+        audit = double_edge_audit(g)
+        assert (audit.max_multiplicity, audit.double_edge_count) == (2, 2)
+        assert audit.max_doubles_per_vertex == 2 and not audit.doubles_form_matching
+        empty = double_edge_audit(MultiGraph("ab"))
+        assert (empty.max_multiplicity, empty.max_doubles_per_vertex) == (0, 0)
+
+
+TOKENS = ["g1", "G1", "g2", "G2", "g3", "g0", "G0", "x", "n", "k", "2", "3", "#", "g01",
+          "g99999999999999999999", "G99999999999999999999"]
+
+
+@st.composite
+def texts(draw):
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=6), max_size=8))
+    head = draw(st.sampled_from(["", "n 2\n", "n 3\nk 3\n", "# c\nn 2\nk 4\n"]))
+    return head + "\n".join(" ".join(line) for line in lines)
+
+
+class TestParseAgainstRegexImplementation:
+    @settings(max_examples=300, deadline=None)
+    @given(texts())
+    def test_same_presentation_or_message(self, text):
+        def old(text):
+            return Presentation(*old_parse(text))
+
+        assert outcome(Presentation.parse, text) == outcome(old, text)
+
+    def test_validation_starts_at_the_first_bad_relator(self):
+        good = ((1, 2, 1),) * 50
+        for bad, message in [((1, 2, -1), "not cyclically reduced"),
+                             ((1, 5, 1), "outside alphabet"), ((), "not cyclically reduced"),
+                             ((2, 1, 2, 1), "length 4 != k = 3")]:
+            with pytest.raises(InputError, match=message):
+                Presentation(2, good + (bad,) + good, k=3)

@@ -98,3 +98,135 @@ class TestOps:
         g = MultiGraph("ab", [("a", "b")])
         h = MultiGraph("ba", [("a", "b")])
         assert g == h
+
+
+class OldGraph:
+    """The dict-keyed multigraph the array one replaced, kept as an oracle."""
+
+    def __init__(self, vertices, edges):
+        self.vertices = tuple(dict.fromkeys(vertices))
+        items = edges.items() if isinstance(edges, dict) else ((e, 1) for e in edges)
+        self.edges = {}
+        for (u, v), m in items:
+            key = edge_key(u, v)
+            self.edges[key] = self.edges.get(key, 0) + m
+
+    def degrees(self):
+        deg = {v: 0 for v in self.vertices}
+        for (u, v), m in self.edges.items():
+            deg[u] += m
+            if v != u:
+                deg[v] += m
+        return deg
+
+    def adjacency_matrix(self):
+        index = {v: i for i, v in enumerate(self.vertices)}
+        a = np.zeros((len(index), len(index)), dtype=np.int64)
+        for (u, v), m in self.edges.items():
+            a[index[u], index[v]] += m
+            if u != v:
+                a[index[v], index[u]] += m
+        return a
+
+    def components(self):
+        parent = {v: v for v in self.vertices}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v in self.edges:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+        return len({find(v) for v in self.vertices})
+
+    def dump(self):
+        lines = [f"v {v}" for v in self.vertices]
+        lines += [f"e {u} {v} {m}" for (u, v), m in sorted(self.edges.items())]
+        return "\n".join(lines) + "\n"
+
+
+def random_edges(rng, labels, count):
+    """Random edges with loops and repeats, as a dict or as a pair list."""
+    pairs = [(labels[rng.integers(len(labels))], labels[rng.integers(len(labels))])
+             for _ in range(count)]
+    if rng.random() < 0.5:
+        return pairs
+    return {pair: int(rng.integers(1, 4)) for pair in pairs}
+
+
+def random_labels(rng):
+    # construction order differs from label order, and "a10" < "a9"
+    pool = ["a9", "a10", "b", "B", "g1G2", "g1g2", "G1", "x", "y1", "y10", "y2", "zz", "a1"]
+    m = int(rng.integers(1, len(pool) + 1))
+    return [pool[i] for i in rng.permutation(len(pool))[:m]]
+
+
+class TestAgainstDictImplementation:
+    def assert_same(self, g, old):
+        assert g.vertices == old.vertices
+        assert g.edges == old.edges
+        assert g.num_edges() == sum(old.edges.values())
+        assert g.degrees() == old.degrees()
+        assert g.components() == old.components()
+        assert g.dump() == old.dump()
+        assert np.array_equal(g.adjacency_matrix(), old.adjacency_matrix())
+        u, v, mult = g.edge_arrays
+        assert np.all(u <= v) and np.all(mult >= 1)
+        assert np.all(np.diff(u * len(g.vertices) + v) > 0)  # distinct and sorted
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            labels = random_labels(rng)
+            vertices = labels + labels[: rng.integers(len(labels) + 1)]  # repeats
+            edges = random_edges(rng, labels, int(rng.integers(0, 20)))
+            self.assert_same(MultiGraph(vertices, edges), OldGraph(vertices, edges))
+
+    def test_sparse_graphs_components(self):
+        rng = np.random.default_rng(8)
+        labels = [f"v{i}" for i in range(60)]
+        for count in (0, 5, 20, 40, 60, 120):
+            for _ in range(5):
+                edges = random_edges(rng, labels, count)
+                g, old = MultiGraph(labels, edges), OldGraph(labels, edges)
+                assert g.components() == old.components()
+
+    def test_long_path_components(self):
+        labels = [f"v{i:03d}" for i in range(300)]
+        order = np.random.default_rng(9).permutation(300)
+        path = [(labels[order[i]], labels[order[i + 1]]) for i in range(299)]
+        assert MultiGraph(labels, path).components() == 1
+        assert MultiGraph(labels, path[:150] + path[151:]).components() == 2
+
+    def test_union_and_collapse(self):
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            parts = []
+            for _ in range(int(rng.integers(1, 4))):
+                labels = random_labels(rng)
+                parts.append((labels, random_edges(rng, labels, int(rng.integers(0, 10)))))
+            merged = OldGraph([v for labels, _ in parts for v in labels], {})
+            for labels, edges in parts:
+                for key, m in OldGraph(labels, edges).edges.items():
+                    merged.edges[key] = merged.edges.get(key, 0) + m
+            self.assert_same(union(*(MultiGraph(*part) for part in parts)), merged)
+            g = MultiGraph(*parts[0])
+            collapsed = OldGraph(g.vertices, {key: 1 for key in g.edges})
+            self.assert_same(g.collapse_multi_edges(), collapsed)
+
+    def test_edges_is_a_copy(self):
+        g = MultiGraph("ab", {("a", "b"): 2})
+        g.edges[("a", "b")] = 5
+        assert g.multiplicity("a", "b") == 2
+        with pytest.raises(ValueError):
+            g.edge_arrays[2][0] = 5
+
+    def test_equality_with_other_vertex_order_or_edges(self):
+        g = MultiGraph("abc", {("a", "b"): 2, ("c", "c"): 1})
+        assert g == MultiGraph("cab", {("b", "a"): 2, ("c", "c"): 1})
+        assert g != MultiGraph("abc", {("a", "b"): 1, ("c", "c"): 1})
+        assert g != MultiGraph("abcd", {("a", "b"): 2, ("c", "c"): 1})

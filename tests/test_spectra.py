@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spectralt import spectra
+from spectralt.delta import build_delta_k
 from spectralt.errors import DegenerateGraphError, InputError, ResourceCapError
 from spectralt.multigraph import MultiGraph
-from spectralt.randmodels import Seed, sample_gnp
+from spectralt.randmodels import Seed, sample_gamma_strict, sample_gnp
 
 
 def complete_graph(m):
@@ -93,3 +94,152 @@ class TestBounds:
         g = cycle_graph(5)
         rep = spectra.spectral_report(g)
         assert rep.lambda1 == pytest.approx(rep.eigenvalues[1])
+
+
+def complete_bipartite(a, b):
+    left, right = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
+    return MultiGraph(left + right, [(u, v) for u in left for v in right])
+
+
+def petersen():
+    outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    return MultiGraph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                      outer + inner + spokes)
+
+
+def hypercube(dim):
+    labels = [format(i, f"0{dim}b") for i in range(2**dim)]
+    return MultiGraph(labels, [(labels[i], labels[i ^ (1 << b)])
+                               for i in range(2**dim) for b in range(dim) if i < i ^ (1 << b)])
+
+
+def loops_and_multi_edges():
+    g = complete_graph(7)
+    edges = {key: 1 + (i % 3) for i, key in enumerate(sorted(g.edges))}
+    edges.update({("v0", "v0"): 2, ("v3", "v3"): 1, ("v5", "v5"): 4})
+    return MultiGraph(g.vertices, edges)
+
+
+def random_delta(n, k, d):
+    return build_delta_k(sample_gamma_strict(n, k, d, Seed(k)), k)
+
+
+# connected graphs: regular, a lambda_1 of multiplicity > 1 (K_m: m - 1,
+# C_m: 2, Petersen: 5, Q_4: 4), bipartite (the eigenvalue 2), loops and
+# multi-edges, and random link graphs for n = 2, 3
+CONNECTED = {
+    "K5": lambda: complete_graph(5),
+    "K12": lambda: complete_graph(12),
+    "C4": lambda: cycle_graph(4),
+    "C9": lambda: cycle_graph(9),
+    "C40": lambda: cycle_graph(40),
+    "petersen": petersen,
+    "Q4": lambda: hypercube(4),
+    "K3,5": lambda: complete_bipartite(3, 5),
+    "loops+multi": loops_and_multi_edges,
+    "delta n2k6": lambda: random_delta(2, 6, 0.5),
+    "delta n2k8": lambda: random_delta(2, 8, 0.5),
+    "delta n2k9": lambda: random_delta(2, 9, 0.45),
+    "delta n2k12": lambda: random_delta(2, 12, 0.45),
+    "delta n3k5": lambda: random_delta(3, 5, 0.5),
+    "delta n3k6": lambda: random_delta(3, 6, 0.45),
+}
+
+
+def dense_lambda1(g):
+    return float(np.linalg.eigvalsh(spectra.normalized_laplacian(g))[1])
+
+
+@pytest.fixture
+def lanczos_everywhere(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", 0)
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("name", CONNECTED)
+    def test_agrees_with_dense(self, lanczos_everywhere, name):
+        g = CONNECTED[name]()
+        assert g.components() == 1
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "lanczos"
+        assert solve.residual <= spectra.LANCZOS_MAX_RESIDUAL
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-9
+
+    def test_known_values(self, lanczos_everywhere):
+        assert spectra.lambda1(petersen()) == pytest.approx(2 / 3, abs=1e-9)
+        assert spectra.lambda1(hypercube(4)) == pytest.approx(0.5, abs=1e-9)
+        assert spectra.lambda1(complete_graph(12)) == pytest.approx(12 / 11, abs=1e-9)
+        bipartite = spectra.spectrum(spectra.normalized_laplacian(complete_bipartite(3, 5)))
+        assert bipartite[-1] == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("graph", [
+        MultiGraph("abcdef", [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]),
+        MultiGraph("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")]),
+    ])
+    def test_disconnected_is_zero_without_a_solve(self, lanczos_everywhere, graph):
+        assert spectra.lambda1(graph, report=True) == spectra.Lambda1Solve(0.0, "components", 0.0)
+
+    def test_dense_below_the_threshold_is_unchanged(self):
+        g = CONNECTED["delta n2k12"]()
+        assert g.num_vertices() <= spectra.DENSE_LAMBDA1_MAX
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "dense" and solve.residual <= 1e-10
+        assert solve.value == spectra.lambda1(g) == dense_lambda1(g)
+
+    def test_threshold_keeps_small_link_graphs_dense(self):
+        assert spectra.DENSE_LAMBDA1_MAX >= 500
+
+    def test_no_convergence_falls_back_to_dense(self, lanczos_everywhere, monkeypatch):
+        from scipy.sparse import linalg
+
+        def no_convergence(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        g = petersen()
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "dense" and solve.value == dense_lambda1(g)
+
+    def test_large_residual_falls_back_to_dense(self, lanczos_everywhere, monkeypatch):
+        monkeypatch.setattr(spectra, "LANCZOS_MAX_RESIDUAL", -1.0)
+        g = cycle_graph(9)
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "dense" and solve.value == dense_lambda1(g)
+
+    def test_start_vector_meets_the_lambda1_eigenspace(self, lanczos_everywhere, monkeypatch):
+        # on a regular graph the constant vector spans lambda_0's eigenspace and
+        # is orthogonal to lambda_1's, so it must not start the iteration
+        from scipy.sparse import linalg
+
+        starts = []
+        eigsh = linalg.eigsh
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", recording)
+        g = cycle_graph(12)
+        spectra.lambda1(g)
+        spectra.lambda1(g)
+        assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
+        vals, vecs = np.linalg.eigh(spectra.normalized_laplacian(g))
+        eigenspace = vecs[:, np.isclose(vals, vals[1])]
+        assert np.linalg.norm(eigenspace.T @ starts[0]) > 0.01 * np.linalg.norm(starts[0])
+
+    @pytest.mark.parametrize("dense_max", [0, 10**6])
+    def test_cap_checked_before_any_allocation(self, monkeypatch, dense_max):
+        def allocation(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", dense_max)
+        monkeypatch.setattr(spectra, "_lanczos", allocation)
+        monkeypatch.setattr(MultiGraph, "adjacency_matrix", allocation)
+        monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", "5")
+        with pytest.raises(ResourceCapError, match="matrix size 6 exceeds eigensolve cap 5"):
+            spectra.lambda1(complete_graph(6))
+        with pytest.raises(ResourceCapError):
+            spectra.normalized_laplacian(complete_graph(6))
+        assert spectra.lambda1(MultiGraph("abcdef", [("a", "b")])) == 0.0

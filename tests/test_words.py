@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,3 +127,36 @@ class TestText:
             W.word_from_text("g0")
         with pytest.raises(InputError):
             W.word_from_text("g1 G1")
+
+
+class TestArrays:
+    @pytest.mark.parametrize("n,l", [(1, 1), (1, 4), (2, 1), (2, 5), (3, 4), (4, 3)])
+    def test_rank_is_the_enumeration_index(self, n, l):
+        words = W.enumerate_reduced(n, l)
+        ranks = W.rank_reduced(n, np.array(words))
+        assert ranks.tolist() == list(range(len(words)))
+        shuffled = np.random.default_rng(l).permutation(len(words))
+        assert W.rank_reduced(n, np.array(words)[shuffled]).tolist() == shuffled.tolist()
+
+    def test_flatten(self):
+        letters, offsets = W.flatten([(1, 2), (), (-3,)])
+        assert letters.tolist() == [1, 2, -3] and offsets.tolist() == [0, 2, 2, 3]
+        big, _ = W.flatten([(10**30, 1)])
+        assert big.tolist() == [10**30, 1]
+
+    @given(st.lists(st.lists(letters(2), max_size=5).map(tuple), max_size=8))
+    def test_first_unreduced(self, words):
+        expect = next((i for i, w in enumerate(words) if not W.is_reduced(w)), len(words))
+        assert W.first_unreduced(words) == expect
+
+    def test_first_unreduced_ignores_word_seams(self):
+        assert W.first_unreduced([(1,), (-1,), (2, -1), (1, 2)]) == 4
+        assert W.first_unreduced([(1,), (), (2, -2)]) == 2
+        assert W.first_unreduced([(10**30, -10**30)]) == 0
+
+    def test_letter_from_token(self):
+        assert [W.letter_from_token(t) for t in ("g1", "G2", "g10")] == [1, -2, 10]
+        for tok, message in [("x", "malformed word token 'x'"),
+                             ("G0", "generator index must be >= 1, got 'G0'")]:
+            with pytest.raises(InputError, match=message):
+                W.letter_from_token(tok)
