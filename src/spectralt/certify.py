@@ -24,8 +24,9 @@ from .errors import HypothesisViolation, InputError
 from .multigraph import MultiGraph, union
 from .regularity import (
     RegularityParams,
-    extract_red_regular_union,
     extract_regular_subgraph,
+    layer_factor_union,
+    red_class_layers,
 )
 from .spectra import CERT_MARGIN, Lambda1Solve, lambda1
 
@@ -97,7 +98,7 @@ def union_bound_empirical_check(
         if c >= 1.0:
             raise HypothesisViolation(f"clause iii): c_{i} >= 1 (lambda1(G{i}) <= 0)")
         cs.append(c)
-    g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), g1.edges)
+    g1_full = MultiGraph._from_arrays(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
     combined = union(g1_full, g2, g3)
     lhs = lambda1(combined)
     rhs = union_bound(cs[0], cs[1], cs[2])
@@ -116,7 +117,13 @@ class Certificate:
     audit: DoubleEdgeAudit
     threshold: float = THRESHOLD
     seed_info: Optional[str] = None
-    diagnostics: tuple[str, ...] = field(default=())
+    # diagnostic lines; a Lambda1Solve stands for its solver line, rendered
+    # (and its residual computed) only when `diagnostics` is read
+    notes: tuple[str | Lambda1Solve, ...] = field(default=())
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        return tuple(x if isinstance(x, str) else _solve_line(x) for x in self.notes)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -165,7 +172,7 @@ def zuk_certificate(
     prof = delta.degree_profile()
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
-        _solve_line(solve),
+        solve,
         f"relators used={used} ignored={len(p.relators) - used}",
         f"degree min={prof.min} max={prof.max}",
     ]
@@ -179,16 +186,14 @@ def zuk_certificate(
         edges=delta.num_edges(),
         audit=audit,
         seed_info=seed_info,
-        diagnostics=tuple(diags),
+        notes=tuple(diags),
     )
 
 
-def _layer_target_cap(g: MultiGraph, n: int) -> int:
+def _layer_target_cap(layers: dict[int, MultiGraph], n: int) -> int:
     """Largest per-layer V2-side target consistent with the degree profile."""
-    from .regularity import red_class_layers
-
     cap = None
-    for _, layer in sorted(red_class_layers(g, n).items()):
+    for _, layer in sorted(layers.items()):
         deg = layer.degrees()
         p1, p2 = layer.partition
         d1_cap = min((deg[v] for v in p1), default=0)
@@ -199,16 +204,17 @@ def _layer_target_cap(g: MultiGraph, n: int) -> int:
 
 
 def _pipeline_case0(
-    sigmas: list[MultiGraph], n: int, l: int, delta_shave: float
+    sigmas: list[MultiGraph], n: int, delta_shave: float
 ) -> tuple[Optional[float], list[str]]:
     """Same-vertex-set route: three 2a-regular unions, bound 1 - max c_i."""
     diags: list[str] = []
-    cap = min(_layer_target_cap(g, n) for g in sigmas)
+    layers = [red_class_layers(g, n) for g in sigmas]
+    cap = min(_layer_target_cap(ls, n) for ls in layers)
     t0 = max(int((1 - delta_shave) * cap), 1 if cap >= 1 else 0)
     for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
         pis = []
-        for g in sigmas:
-            pi = extract_red_regular_union(g, n, l, (2 * n - 1) * t, t)
+        for g, ls in zip(sigmas, layers):
+            pi = layer_factor_union(g, ls, (2 * n - 1) * t, t)
             if pi is None:
                 break
             pis.append(pi)
@@ -231,7 +237,6 @@ def _pipeline_bipartite(
     dec_sigma3: MultiGraph,
     n: int,
     case: int,
-    l_k: int,
     delta_shave: float,
 ) -> tuple[Optional[float], list[str]]:
     """k not divisible by 3: bipartite factors from Sigma_1/Sigma_3, a matching
@@ -244,7 +249,8 @@ def _pipeline_bipartite(
         min((deg1[v] for v in p1), default=0),
         min((deg3[v] for v in p1), default=0),
     )
-    sigma2_cap = _layer_target_cap(dec_sigma2, n) * q
+    layers2 = red_class_layers(dec_sigma2, n)
+    sigma2_cap = _layer_target_cap(layers2, n) * q
     if case == 1:
         # d1 = q t, d2 = t; Sigma_2 layer targets (q t, t)
         unit = lambda t: (q * t, t, t)
@@ -266,7 +272,7 @@ def _pipeline_bipartite(
         pi3 = extract_regular_subgraph(dec_sigma3, d1, d2)
         if pi3 is None:
             continue
-        pi2 = extract_red_regular_union(dec_sigma2, n, l_k, q * layer_t, layer_t)
+        pi2 = layer_factor_union(dec_sigma2, layers2, q * layer_t, layer_t)
         if pi2 is None:
             continue
         try:
@@ -305,7 +311,7 @@ def certify_via_decomposition(
     )
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
-        _solve_line(solve),
+        solve,
         f"relators ignored={dec.ignored_relators}",
         f"sigma audits: max_mult={overall_audit.max_multiplicity} "
         f"doubles_matching={overall_audit.doubles_form_matching} "
@@ -315,7 +321,7 @@ def certify_via_decomposition(
     if dec.case == 0:
         # layer splitting reads multiplicities, so pass the raw sigma graphs
         bound, extra = _pipeline_case0(
-            [dec.sigma1, dec.sigma2, dec.sigma3], p.n, k // 3, params.delta
+            [dec.sigma1, dec.sigma2, dec.sigma3], p.n, params.delta
         )
     else:
         bound, extra = _pipeline_bipartite(
@@ -324,7 +330,6 @@ def certify_via_decomposition(
             dec.sigma3.collapse_multi_edges(),
             p.n,
             dec.case,
-            dec.l_k,
             params.delta,
         )
     diags.extend(extra)
@@ -338,5 +343,5 @@ def certify_via_decomposition(
         edges=delta.num_edges(),
         audit=overall_audit,
         seed_info=seed_info,
-        diagnostics=tuple(diags),
+        notes=tuple(diags),
     )

@@ -99,12 +99,16 @@ class Presentation:
                     lines.append(line)
         finally:
             # a word that is not freely reduced fails before any later line
-            bad = W.first_unreduced(relators)
+            flat = W.flatten(relators)
+            bad = W.first_unreduced(*flat)
             if bad < len(relators):
                 raise InputError(f"word {lines[bad]!r} is not freely reduced")
         if n is None:
             raise InputError("presentation file missing 'n <int>' header")
-        return cls(n, tuple(relators), k)
+        p = cls.__new__(cls)
+        p.__dict__["_letters"] = flat  # the cached flattening __post_init__ reads
+        p.__init__(n, tuple(relators), k)
+        return p
 
 
 def _header_int(parts: list[str]) -> int:

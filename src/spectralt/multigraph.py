@@ -198,18 +198,25 @@ class MultiGraph:
                     break
                 root = jumped
 
+    def _label_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, order): the endpoints of each edge as its edge_key orders
+        them (label of a <= label of b), and the edge indices sorted by that
+        key, which is the order of sorted(self.edges)."""
+        lab = self._vertices
+        rank = np.empty(len(lab), dtype=np.int64)
+        rank[sorted(range(len(lab)), key=lab.__getitem__)] = np.arange(len(lab))
+        swap = rank[self._u] > rank[self._v]
+        a = np.where(swap, self._v, self._u)
+        b = np.where(swap, self._u, self._v)
+        return a, b, np.lexsort((rank[b], rank[a]))
+
     def dump(self) -> str:
         """Diff-stable text form: 'v <label>' lines, then sorted 'e' lines."""
         lab = self._vertices
-        by_label = sorted(range(len(lab)), key=lab.__getitem__)
-        rank = np.empty(len(lab), dtype=np.int64)
-        rank[by_label] = np.arange(len(lab))
-        a, b = rank[self._u], rank[self._v]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
+        a, b, order = self._label_keys()
         lines = [f"v {v}" for v in lab]
-        for x, y, m in zip(lo[order].tolist(), hi[order].tolist(), self._mult[order].tolist()):
-            lines.append(f"e {lab[by_label[x]]} {lab[by_label[y]]} {m}")
+        for x, y, m in zip(a[order].tolist(), b[order].tolist(), self._mult[order].tolist()):
+            lines.append(f"e {lab[x]} {lab[y]} {m}")
         return "\n".join(lines) + "\n"
 
     @classmethod

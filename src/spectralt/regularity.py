@@ -7,9 +7,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from . import words as W
 from .errors import InputError
-from .multigraph import EdgeKey, MultiGraph, edge_key, union
+from .multigraph import MultiGraph, union
 
 BRUTE_FORCE_VERTEX_CUTOFF = 16
 
@@ -44,71 +46,117 @@ def is_almost_biregular(g: MultiGraph, d1: float, d2: float, epsilon: float) -> 
     )
 
 
-class _Dinic:
-    """Max flow with unit-capacity-friendly shortest augmenting paths."""
+def _max_flow(
+    size: int,
+    tail: np.ndarray,
+    head: np.ndarray,
+    cap: np.ndarray,
+    flow: np.ndarray,
+    s: int,
+    t: int,
+) -> tuple[int, np.ndarray]:
+    """Dinic's max flow from s to t over arcs tail[j] -> head[j] of capacity
+    cap[j] on nodes 0..size-1, starting from the feasible flow `flow`;
+    returns the flow added and the residual capacities, arc j's at 2j and
+    its reverse arc's at 2j + 1.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
+    Each node scans its arcs in id order from a pointer kept through a phase.
+    A blocking flow is found by depth-first descent along level-increasing
+    arcs with residual capacity, a dead end advancing its parent's pointer.
+    After an augmentation the descent resumes at the tail of the first arc it
+    saturated: a descent from s would retrace the path up to there, since
+    every pointer before it still names an arc with capacity left.  The
+    descent is a loop, so no path length meets the recursion limit.
+    """
+    arc_tail = np.stack([tail, head], axis=1).ravel()
+    # CSR slots: a node's arcs, stably sorted by tail, stay in id order
+    arc_at = np.argsort(arc_tail, kind="stable")
+    slot = np.empty_like(arc_at)
+    slot[arc_at] = np.arange(len(arc_at))
+    to = np.stack([head, tail], axis=1).ravel()[arc_at].tolist()
+    res = np.stack([cap - flow, flow], axis=1).ravel()[arc_at].tolist()
+    rev = slot[arc_at ^ 1].tolist()
+    start = [0] + np.cumsum(np.bincount(arc_tail, minlength=size)).tolist()
+    added = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        queue = [s]
+        for x in queue:
+            for i in range(start[x], start[x + 1]):
+                if res[i] > 0 and level[to[i]] < 0:
+                    level[to[i]] = level[x] + 1
+                    queue.append(to[i])
+        if level[t] < 0:
+            return added, np.array(res, dtype=np.int64)[slot]
+        it = start[:-1]
+        path, arcs = [s], []
+        while path:
+            x = path[-1]
+            if x == t:
+                got = min(map(res.__getitem__, arcs))
+                for i in arcs:
+                    res[i] -= got
+                    res[rev[i]] += got
+                added += got
+                cut = 0
+                while res[arcs[cut]]:
+                    cut += 1
+                del path[cut + 1 :], arcs[cut:]
+                continue
+            i, end, down = it[x], start[x + 1], level[x] + 1
+            while i < end and not (res[i] > 0 and level[to[i]] == down):
+                i += 1
+            it[x] = i
+            if i < end:
+                arcs.append(i)
+                path.append(to[i])
+            else:
+                path.pop()
+                if arcs:
+                    arcs.pop()
+                    it[path[-1]] += 1
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
 
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for idx in self.head[u]:
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
+def _first_phase(
+    left_of: np.ndarray, right_of: np.ndarray, d1: int, d2: int, nl: int, nr: int
+) -> np.ndarray:
+    """Which edges, given in arc order by their V1 and V2 indices, carry flow
+    after the first phase of `_max_flow` on the factor network, from zero.
 
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    idx = self.head[u][it[u]]
-                    v = self.to[idx]
-                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[idx]))
-                        if got:
-                            self.cap[idx] -= got
-                            self.cap[idx ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
+    The levels are then s 0, V1 1, V2 2, t 3.  The descent takes V1 in
+    order; each vertex sends one unit at a time along its edges in arc
+    order, to a V2 vertex whose sink arc (its first arc; its others lead
+    back up a level) has capacity left, until d1 units are sent or its edges
+    run out.
+    """
+    by_left = np.argsort(left_of, kind="stable")
+    rights = right_of[by_left].tolist()
+    room = [d2] * nr
+    taken, j = [], 0
+    for end in np.cumsum(np.bincount(left_of, minlength=nl)).tolist():
+        need = d1
+        while need and j < end:
+            if room[rights[j]]:
+                room[rights[j]] -= 1
+                need -= 1
+                taken.append(j)
+            j += 1
+        j = end
+    used = np.zeros(len(left_of), dtype=bool)
+    used[by_left[taken]] = True
+    return used
 
 
-def _require_bipartite_simple(g: MultiGraph) -> tuple[list[str], list[str]]:
+def _left_mask(g: MultiGraph) -> np.ndarray:
+    """Which vertices, in vertex order, lie on the first side of a simple
+    bipartite graph."""
     if g.partition is None:
         raise InputError("graph carries no bipartition")
-    if any(m > 1 for m in g.edges.values()):
+    if (g.edge_arrays[2] > 1).any():
         raise InputError("graph is not simple; collapse multi-edges first")
-    p1, p2 = g.partition
-    order = {v: i for i, v in enumerate(g.vertices)}
-    return sorted(p1, key=order.get), sorted(p2, key=order.get)
+    p1 = g.partition[0]
+    return np.fromiter((v in p1 for v in g.vertices), bool, g.num_vertices())
 
 
 def extract_regular_subgraph(
@@ -118,9 +166,12 @@ def extract_regular_subgraph(
 
     Degree-constrained flow network: source -> V1 at capacity d1, one unit per
     edge, V2 -> sink at capacity d2; a saturating flow is exactly a factor.
-    The first saturating flow under the deterministic edge order is returned.
+    Arcs are added in a fixed order (source arcs and sink arcs in vertex
+    order, then edges sorted by label key), and the first saturating flow
+    under that order is returned.
     """
-    left, right = _require_bipartite_simple(g)
+    in_left = _left_mask(g)
+    left, right = np.flatnonzero(in_left), np.flatnonzero(~in_left)
     if d1 < 0 or d2 < 0:
         raise InputError("need d1, d2 >= 0")
     if d1 * len(left) != d2 * len(right):
@@ -128,28 +179,35 @@ def extract_regular_subgraph(
             f"balance violation: {d1}*{len(left)} != {d2}*{len(right)}"
         )
     if d1 == 0:
-        return MultiGraph(g.vertices, {}, partition=g.partition)
+        return MultiGraph._from_arrays(g.vertices, [], [], partition=g.partition)
 
-    li = {v: i for i, v in enumerate(left)}
-    ri = {v: i for i, v in enumerate(right)}
-    s, t = 0, 1
-    dinic = _Dinic(2 + len(left) + len(right))
-    for v in left:
-        dinic.add_edge(s, 2 + li[v], d1)
-    for v in right:
-        dinic.add_edge(2 + len(left) + ri[v], t, d2)
-    edge_ids: list[tuple[int, EdgeKey]] = []
-    for key in sorted(g.edges):
-        u, v = key
-        if u in li:
-            a, b = li[u], ri[v]
-        else:
-            a, b = li[v], ri[u]
-        edge_ids.append((dinic.add_edge(2 + a, 2 + len(left) + b, 1), key))
-    if dinic.max_flow(s, t) != d1 * len(left):
+    # nodes: source 0, sink 1, then V1 and V2, each in vertex order
+    nl, nr = len(left), len(right)
+    side = np.empty(g.num_vertices(), dtype=np.int64)
+    side[left], side[right] = np.arange(nl), np.arange(nr)
+    a, b, order = g._label_keys()
+    a, b = a[order], b[order]
+    a, b = np.where(in_left[a], a, b), np.where(in_left[a], b, a)
+    ia, ib = side[a], side[b]
+    # the first phase runs as a greedy pass; the flow search goes on from it
+    used = _first_phase(ia, ib, d1, d2, nl, nr)
+    added, res = _max_flow(
+        2 + nl + nr,
+        np.concatenate([np.zeros(nl, np.int64), 2 + nl + np.arange(nr), 2 + ia]),
+        np.concatenate([2 + np.arange(nl), np.ones(nr, np.int64), 2 + nl + ib]),
+        np.concatenate([np.full(nl, d1), np.full(nr, d2), np.ones(len(ia), np.int64)]),
+        np.concatenate([
+            np.bincount(ia[used], minlength=nl), np.bincount(ib[used], minlength=nr), used
+        ]),
+        0,
+        1,
+    )
+    if np.count_nonzero(used) + added != d1 * nl:
         return None
-    chosen = {key: 1 for idx, key in edge_ids if dinic.cap[idx] == 0}
-    return MultiGraph(g.vertices, chosen, partition=g.partition)
+    chosen = res[2 * (nl + nr) :: 2] == 0
+    return MultiGraph._from_arrays(
+        g.vertices, a[chosen], b[chosen], partition=g.partition
+    )
 
 
 def ore_ryser_feasible(g: MultiGraph, d1: int, d2: int) -> bool:
@@ -158,7 +216,9 @@ def ore_ryser_feasible(g: MultiGraph, d1: int, d2: int) -> bool:
     Brute-force subset check up to 16 vertices; flow feasibility (provably
     equivalent) beyond that.
     """
-    left, right = _require_bipartite_simple(g)
+    in_left = _left_mask(g)
+    left = [v for v, x in zip(g.vertices, in_left.tolist()) if x]
+    right = [v for v, x in zip(g.vertices, in_left.tolist()) if not x]
     if d1 < 0 or d2 < 0:
         raise InputError("need d1, d2 >= 0")
     if d1 * len(left) != d2 * len(right):
@@ -182,34 +242,56 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     """Split a reduced-model graph into 2n class-bipartite layers.
 
     Layer i is bipartite between S_i (words with class index i) and its
-    complement.  A multiplicity-2 (or higher) edge contributes one simple copy
-    to each endpoint's layer; a single edge, whose direction label is
-    forgotten by the undirected type, is assigned to one endpoint's layer by a
-    deterministic parity rule that keeps the layers balanced.
+    complement, with vertex order S_i then the rest, each in g's order.  A
+    multiplicity-2 (or higher) edge contributes one simple copy to each
+    endpoint's layer; a single edge, whose direction label is forgotten by
+    the undirected type, is assigned to one endpoint's layer by a
+    deterministic parity rule that keeps the layers balanced: with an even
+    index sum, the layer of the endpoint whose label sorts first.
     """
-    classes = {v: W.class_index(W.word_from_label(v), n) for v in g.vertices}
-    index = {v: i for i, v in enumerate(g.vertices)}
-    layer_edges: dict[int, dict[EdgeKey, int]] = {i: {} for i in range(1, 2 * n + 1)}
-    for (u, v), m in g.edges.items():
-        cu, cv = classes[u], classes[v]
-        if cu == cv:
-            raise InputError(f"same-class edge {(u, v)}: not a reduced-model graph")
-        key = edge_key(u, v)
-        if m >= 2:
-            layer_edges[cu][key] = 1
-            layer_edges[cv][key] = 1
-        elif (index[u] + index[v]) % 2 == 0:
-            layer_edges[cu][key] = 1
-        else:
-            layer_edges[cv][key] = 1
+    labels = g.vertices
+    cls = np.fromiter(
+        (W.class_index(W.word_from_label(v), n) for v in labels), np.int64, len(labels)
+    )
+    u, v, mult = g.edge_arrays
+    if (cls[u] == cls[v]).any():
+        # name the first such edge in the order of g.edges
+        of = dict(zip(labels, cls.tolist()))
+        key = next(key for key in g.edges if of[key[0]] == of[key[1]])
+        raise InputError(f"same-class edge {key}: not a reduced-model graph")
+    a, b, _ = g._label_keys()
+    single = mult == 1
+    ends = np.where((a + b) % 2 == 0, a, b)[single]
+    eu = np.concatenate([u[single], u[~single], u[~single]])
+    ev = np.concatenate([v[single], v[~single], v[~single]])
+    owner = cls[np.concatenate([ends, u[~single], v[~single]])]
     layers = {}
     for i in range(1, 2 * n + 1):
-        side = [v for v in g.vertices if classes[v] == i]
-        rest = [v for v in g.vertices if classes[v] != i]
-        layers[i] = MultiGraph(
-            side + rest, layer_edges[i], partition=(side, rest)
+        side, rest = np.flatnonzero(cls == i), np.flatnonzero(cls != i)
+        at = np.empty(len(labels), dtype=np.int64)
+        at[side], at[rest] = np.arange(len(side)), len(side) + np.arange(len(rest))
+        side_labels = [labels[x] for x in side.tolist()]
+        rest_labels = [labels[x] for x in rest.tolist()]
+        mine = owner == i
+        layers[i] = MultiGraph._from_arrays(
+            side_labels + rest_labels, at[eu[mine]], at[ev[mine]],
+            partition=(side_labels, rest_labels),
         )
     return layers
+
+
+def layer_factor_union(
+    g: MultiGraph, layers: dict[int, MultiGraph], target_d1: int, target_d2: int
+) -> Optional[MultiGraph]:
+    """Union, on g's vertices, of a (target_d1, target_d2)-regular factor of
+    each of g's class layers; None if any layer has no factor."""
+    factors = []
+    for _, layer in sorted(layers.items()):
+        factor = extract_regular_subgraph(layer, target_d1, target_d2)
+        if factor is None:
+            return None
+        factors.append(factor)
+    return union(MultiGraph(g.vertices), *factors)
 
 
 def extract_red_regular_union(
@@ -227,10 +309,4 @@ def extract_red_regular_union(
         raise InputError(
             f"vertex count {g.num_vertices()} does not match |W_{l}| for n={n}"
         )
-    factors = []
-    for i, layer in sorted(red_class_layers(g, n).items()):
-        factor = extract_regular_subgraph(layer, target_d1, target_d2)
-        if factor is None:
-            return None
-        factors.append(factor)
-    return union(MultiGraph(g.vertices), *factors)
+    return layer_factor_union(g, red_class_layers(g, n), target_d1, target_d2)

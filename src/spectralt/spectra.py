@@ -11,7 +11,9 @@ residual of at most LANCZOS_MAX_RESIDUAL.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -55,11 +57,21 @@ class SpectralReport:
 class Lambda1Solve:
     """lambda_1 with the solver that found it ("components" when the graph is
     disconnected, "dense" or "lanczos") and the residual ||L x - lambda_1 x||
-    of a unit vector x found with it (0 for "components")."""
+    of a unit vector x found with it (0 for "components").
+
+    The residual is given as a number or as a function computing it on first
+    read: the dense solve's costs two more O(m^3) linear solves, which only
+    a printed diagnostics line needs.
+    """
 
     value: float
     solver: str
-    residual: float
+    _residual: float | Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        r = self._residual
+        return r() if callable(r) else r
 
 
 def normalized_laplacian(g: MultiGraph) -> np.ndarray:
@@ -149,7 +161,7 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
     """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected.
 
     With report=True the result is a Lambda1Solve naming the solver and its
-    residual (for the dense solve, two more O(m^3) linear solves).
+    residual.
     """
     size = g.num_vertices()
     if size < 2:
@@ -161,10 +173,10 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         # ARPACK's k = 2 needs at least 4 vertices
         solve = _lanczos(g) if size > max(DENSE_LAMBDA1_MAX, 3) else None
         if solve is None:
-            lap = normalized_laplacian(g)
-            value = float(spectrum(lap)[1])
-            residual = _dense_residual(lap, value) if report else float("nan")
-            solve = Lambda1Solve(value, "dense", residual)
+            value = float(spectrum(normalized_laplacian(g))[1])
+            solve = Lambda1Solve(
+                value, "dense", lambda: _dense_residual(normalized_laplacian(g), value)
+            )
     return solve if report else solve.value
 
 

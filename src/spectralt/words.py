@@ -86,15 +86,15 @@ def flatten(words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
     return letters, offsets
 
 
-def first_unreduced(words: Sequence[Word]) -> int:
-    """Index of the first word that is not freely reduced; len(words) if none."""
-    letters, offsets = flatten(words)
+def first_unreduced(letters: np.ndarray, offsets: np.ndarray) -> int:
+    """Index of the first word, of those `flatten` gave as (letters, offsets),
+    that is not freely reduced; the word count if none."""
     cancel = letters[1:] == -letters[:-1]
     seams = offsets[(offsets > 0) & (offsets < len(letters))]
     cancel[seams - 1] = False  # a last letter against the next word's first
     hits = np.flatnonzero(cancel)
     if not hits.size:
-        return len(words)
+        return len(offsets) - 1
     return int(np.searchsorted(offsets, hits[0], side="right")) - 1
 
 

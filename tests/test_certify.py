@@ -10,7 +10,7 @@ from spectralt.certify import (
     union_bound_empirical_check,
     zuk_certificate,
 )
-from spectralt.delta import Presentation
+from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import HypothesisViolation, InputError
 from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_gamma_p
@@ -165,3 +165,36 @@ class TestSolverDiagnostics:
             assert line.startswith("lambda1 solver=lanczos residual=")
             assert line.endswith(f"margin={cert.lambda1 - 0.5:.12g}")
         assert dense.diagnostics[1].startswith("lambda1 solver=dense residual=")
+
+
+class TestLazyResidual:
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+        real = spectra._dense_residual
+
+        def counted(lap, value):
+            calls.append(value)
+            return real(lap, value)
+
+        monkeypatch.setattr(spectra, "_dense_residual", counted)
+        return calls
+
+    def test_computed_on_first_read(self, residual_calls):
+        g = build_delta_k(sample_gamma_p(2, 6, 0.5, Seed(27, 0)), 6)
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "dense" and residual_calls == []
+        first = solve.residual
+        assert solve.residual == first and residual_calls == [solve.value]
+        lap = spectra.normalized_laplacian(g)
+        assert first == spectra._dense_residual(lap, solve.value) <= 1e-10
+
+    @pytest.mark.parametrize("certify", [zuk_certificate, certify_via_decomposition])
+    def test_only_read_diagnostics_pay_for_it(self, residual_calls, certify):
+        p = sample_gamma_p(2, 6, 0.5, Seed(27, 1))
+        cert = certify(p, 6)
+        assert residual_calls == [] and cert.to_json()
+        line = cert.diagnostics[1]
+        assert residual_calls == [cert.lambda1]
+        assert line.startswith("lambda1 solver=dense residual=")
+        assert cert.diagnostics[1] == line and len(residual_calls) == 1

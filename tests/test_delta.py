@@ -45,6 +45,16 @@ class TestPresentation:
         with pytest.raises(InputError):
             Presentation(2, ((1, 2, 1, 2),), k=3)
 
+    def test_parse_flattens_once(self, monkeypatch):
+        calls = []
+        real = W.flatten
+        monkeypatch.setattr(W, "flatten", lambda words: calls.append(len(words)) or real(words))
+        p = Presentation.parse("n 2\nk 3\ng1 g2 g1\ng2 g2 g1\n")
+        build_delta_k(p, 3)
+        assert calls == [2]
+        assert [a.tolist() for a in p._letters] == [a.tolist() for a in real(p.relators)]
+        assert p == Presentation(2, ((1, 2, 1), (2, 2, 1)), k=3)
+
     def test_parse_comments_and_blank_lines(self):
         q = Presentation.parse("# header\nn 2\n\ng1 g2 g1\n")
         assert q.relators == ((1, 2, 1),)

@@ -1,8 +1,17 @@
+import numpy as np
 import pytest
 
+from spectralt import regularity
+from spectralt import words as W
+from spectralt.delta import sigma_decomposition
 from spectralt.errors import InputError
-from spectralt.multigraph import MultiGraph
-from spectralt.randmodels import Seed, sample_bipartite_gnp, sample_red
+from spectralt.multigraph import MultiGraph, edge_key
+from spectralt.randmodels import (
+    Seed,
+    sample_bipartite_gnp,
+    sample_gamma_strict,
+    sample_red,
+)
 from spectralt.regularity import (
     RegularityParams,
     extract_red_regular_union,
@@ -128,3 +137,242 @@ class TestRedUnion:
     def test_params_validation(self):
         with pytest.raises(InputError):
             RegularityParams(delta=-0.1)
+
+
+# ---- the label-keyed extraction this module replaced, kept as an oracle ----
+
+
+class OldDinic:
+    def __init__(self, n):
+        self.n = n
+        self.head = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+
+    def add_edge(self, u, v, cap):
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for idx in self.head[u]:
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] < 0:
+                        level[v] = level[u] + 1
+                        queue.append(v)
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u, pushed):
+                if u == t:
+                    return pushed
+                while it[u] < len(self.head[u]):
+                    idx = self.head[u][it[u]]
+                    v = self.to[idx]
+                    if self.cap[idx] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, self.cap[idx]))
+                        if got:
+                            self.cap[idx] -= got
+                            self.cap[idx ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 60)
+                if not pushed:
+                    break
+                flow += pushed
+
+
+def old_extract_regular_subgraph(g, d1, d2):
+    if g.partition is None:
+        raise InputError("graph carries no bipartition")
+    if any(m > 1 for m in g.edges.values()):
+        raise InputError("graph is not simple; collapse multi-edges first")
+    p1, p2 = g.partition
+    order = {v: i for i, v in enumerate(g.vertices)}
+    left, right = sorted(p1, key=order.get), sorted(p2, key=order.get)
+    if d1 * len(left) != d2 * len(right):
+        raise InputError(f"balance violation: {d1}*{len(left)} != {d2}*{len(right)}")
+    if d1 == 0:
+        return MultiGraph(g.vertices, {}, partition=g.partition)
+    li = {v: i for i, v in enumerate(left)}
+    ri = {v: i for i, v in enumerate(right)}
+    s, t = 0, 1
+    dinic = OldDinic(2 + len(left) + len(right))
+    for v in left:
+        dinic.add_edge(s, 2 + li[v], d1)
+    for v in right:
+        dinic.add_edge(2 + len(left) + ri[v], t, d2)
+    edge_ids = []
+    for key in sorted(g.edges):
+        u, v = key
+        a, b = (li[u], ri[v]) if u in li else (li[v], ri[u])
+        edge_ids.append((dinic.add_edge(2 + a, 2 + len(left) + b, 1), key))
+    if dinic.max_flow(s, t) != d1 * len(left):
+        return None
+    chosen = {key: 1 for idx, key in edge_ids if dinic.cap[idx] == 0}
+    return MultiGraph(g.vertices, chosen, partition=g.partition)
+
+
+def old_red_class_layers(g, n):
+    classes = {v: W.class_index(W.word_from_label(v), n) for v in g.vertices}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    layer_edges = {i: {} for i in range(1, 2 * n + 1)}
+    for (u, v), m in g.edges.items():
+        cu, cv = classes[u], classes[v]
+        if cu == cv:
+            raise InputError(f"same-class edge {(u, v)}: not a reduced-model graph")
+        key = edge_key(u, v)
+        if m >= 2:
+            layer_edges[cu][key] = 1
+            layer_edges[cv][key] = 1
+        elif (index[u] + index[v]) % 2 == 0:
+            layer_edges[cu][key] = 1
+        else:
+            layer_edges[cv][key] = 1
+    layers = {}
+    for i in range(1, 2 * n + 1):
+        side = [v for v in g.vertices if classes[v] == i]
+        rest = [v for v in g.vertices if classes[v] != i]
+        layers[i] = MultiGraph(side + rest, layer_edges[i], partition=(side, rest))
+    return layers
+
+
+def same_graph(a, b):
+    """Equal vertex order, partition, edge arrays and edge dict."""
+    if a is None or b is None:
+        return a is b
+    return (
+        a.vertices == b.vertices
+        and a.partition == b.partition
+        and all(np.array_equal(x, y) for x, y in zip(a.edge_arrays, b.edge_arrays))
+        and a.edges == b.edges
+    )
+
+
+def assert_same_factors(g, targets):
+    for d1, d2 in targets:
+        assert same_graph(extract_regular_subgraph(g, d1, d2), old_extract_regular_subgraph(g, d1, d2))
+
+
+def assert_same_layers(g, n, ts):
+    new, old = red_class_layers(g, n), old_red_class_layers(g, n)
+    assert sorted(new) == sorted(old) == list(range(1, 2 * n + 1))
+    q = 2 * n - 1
+    for i in new:
+        assert same_graph(new[i], old[i])
+        assert_same_factors(new[i], [(q * t, t) for t in ts])
+
+
+def random_bipartite(seed):
+    """A simple bipartite graph whose labels sort unlike its vertex indices,
+    and balanced degree targets for it."""
+    rng = np.random.default_rng(seed)
+    m1 = int(rng.integers(1, 25))
+    m2 = m1 * int(rng.integers(1, 3))
+    labels = [f"v{x}" for x in rng.permutation(m1 + m2).tolist()]
+    left, right = labels[:m1], labels[m1:]
+    mask = rng.random((m1, m2)) < rng.uniform(0.2, 0.9)
+    pairs = [(left[i], right[j]) for i, j in zip(*np.nonzero(mask))]
+    rng.shuffle(pairs)
+    order = rng.permutation(m1 + m2).tolist()
+    g = MultiGraph([labels[i] for i in order], pairs, partition=(left, right))
+    return g, [(m2 // m1 * t, t) for t in range(0, 5)]
+
+
+# n=2 k=6..15 and n=3 k=6,7, each at three densities
+SIGMA_CASES = [(2, k, d) for k in range(6, 16) for d in (0.45, 0.6, 0.7)] + [
+    (3, k, d) for k in (6, 7) for d in (0.45, 0.6, 0.7)
+]
+
+
+class TestAgainstLabelExtraction:
+    @pytest.mark.parametrize("n,k,d", SIGMA_CASES)
+    def test_sigma_layers_and_factors(self, n, k, d):
+        p = sample_gamma_strict(n, k, d, Seed(k, int(100 * d)), cap=10**8)
+        dec = sigma_decomposition(p, k)
+        for sigma in (dec.sigma1, dec.sigma2, dec.sigma3):
+            assert_same_layers(sigma, n, (1, 2, 3))
+        if dec.case:
+            q = 2 * n - 1
+            d2 = (lambda t: t) if dec.case == 1 else (lambda t: q * q * t)
+            for sigma in (dec.sigma1, dec.sigma3):
+                assert_same_factors(
+                    sigma.collapse_multi_edges(), [(q * t, d2(t)) for t in (1, 2, 3)]
+                )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_red_graphs_in_shuffled_vertex_order(self, seed):
+        # index order differs from label order, so the parity rule's
+        # orientation by label and the label-keyed arc order both show
+        rng = np.random.default_rng(seed)
+        n, l = (2, 3) if seed % 2 else (3, 2)
+        g = sample_red(n, l, 0.3 + 0.05 * (seed % 8), Seed(30, seed))
+        order = rng.permutation(g.num_vertices()).tolist()
+        g = MultiGraph([g.vertices[i] for i in order], g.edges)
+        assert_same_layers(g, n, (1, 2, 3, 4))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_bipartite_graphs(self, seed):
+        g, targets = random_bipartite(seed)
+        assert_same_factors(g, targets)
+
+    def test_greedy_first_phase_is_dinics(self, monkeypatch):
+        cases = [random_bipartite(seed) for seed in range(40)]
+        for n, k, d in [(2, 9, 0.7), (2, 10, 0.7), (2, 11, 0.7), (3, 6, 0.7)]:
+            dec = sigma_decomposition(sample_gamma_strict(n, k, d, Seed(k, 1)), k)
+            q = 2 * n - 1
+            cases += [(x, [(q * t, t) for t in (1, 2, 3)])
+                      for x in red_class_layers(dec.sigma2, n).values()]
+        expect = [extract_regular_subgraph(g, *dd) for g, targets in cases for dd in targets]
+        assert any(f is not None for f in expect) and None in expect
+        # with no flow from the greedy pass, the first phase runs as a search
+        monkeypatch.setattr(
+            regularity, "_first_phase", lambda left_of, *_: np.zeros(len(left_of), bool)
+        )
+        got = [extract_regular_subgraph(g, *dd) for g, targets in cases for dd in targets]
+        assert all(same_graph(a, b) for a, b in zip(got, expect))
+
+    def test_same_class_error_names_the_same_edge(self):
+        # the first in g.edges' order, which here is not the index order
+        g = MultiGraph(
+            ["g1G2", "g1g2", "g2g1", "g2G1", "G1g2"],
+            [("g2g1", "G1g2"), ("g2g1", "g2G1"), ("g1G2", "g1g2")],
+        )
+        with pytest.raises(InputError) as new:
+            red_class_layers(g, 2)
+        with pytest.raises(InputError) as old:
+            old_red_class_layers(g, 2)
+        assert str(new.value) == str(old.value) == (
+            "same-class edge ('g2G1', 'g2g1'): not a reduced-model graph"
+        )
+
+    def test_long_augmenting_path(self):
+        # a path: L_0 meets R_0, and L_i (i > 0) meets R_i and R_{i-1}.
+        # Taking L_1..L_{N-1} first matches each to R_{i-1}, so L_0 needs the
+        # one augmenting path through all 2N vertices, deeper than the
+        # recursion limit of a recursive search
+        n = 600
+        lab = lambda side, i: f"{side}{i:03d}"
+        left = [lab("L", i) for i in [*range(1, n), 0]]
+        right = [lab("R", i) for i in range(n)]
+        pairs = [(lab("L", i), lab("R", i)) for i in range(n)]
+        pairs += [(lab("L", i), lab("R", i - 1)) for i in range(1, n)]
+        g = MultiGraph(left + right, pairs, partition=(left, right))
+        f = extract_regular_subgraph(g, 1, 1)
+        assert f is not None
+        assert sorted(f.edges) == sorted(edge_key(*e) for e in pairs[:n])

@@ -147,12 +147,12 @@ class TestArrays:
     @given(st.lists(st.lists(letters(2), max_size=5).map(tuple), max_size=8))
     def test_first_unreduced(self, words):
         expect = next((i for i, w in enumerate(words) if not W.is_reduced(w)), len(words))
-        assert W.first_unreduced(words) == expect
+        assert W.first_unreduced(*W.flatten(words)) == expect
 
     def test_first_unreduced_ignores_word_seams(self):
-        assert W.first_unreduced([(1,), (-1,), (2, -1), (1, 2)]) == 4
-        assert W.first_unreduced([(1,), (), (2, -2)]) == 2
-        assert W.first_unreduced([(10**30, -10**30)]) == 0
+        assert W.first_unreduced(*W.flatten([(1,), (-1,), (2, -1), (1, 2)])) == 4
+        assert W.first_unreduced(*W.flatten([(1,), (), (2, -2)])) == 2
+        assert W.first_unreduced(*W.flatten([(10**30, -10**30)])) == 0
 
     def test_letter_from_token(self):
         assert [W.letter_from_token(t) for t in ("g1", "G2", "g10")] == [1, -2, 10]
