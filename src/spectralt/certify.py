@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .delta import (
     DoubleEdgeAudit,
     Presentation,
@@ -168,12 +170,12 @@ def zuk_certificate(
     solve = lambda1(delta, report=True)
     lam = solve.value
     audit = double_edge_audit(delta)
-    used = len(p.relators_of_length(k))
+    used = int(np.count_nonzero(p.lengths == k))
     prof = delta.degree_profile()
     diags = [
         f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
         solve,
-        f"relators used={used} ignored={len(p.relators) - used}",
+        f"relators used={used} ignored={p.num_relators - used}",
         f"degree min={prof.min} max={prof.max}",
     ]
     return Certificate(

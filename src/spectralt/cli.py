@@ -61,13 +61,22 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _opt(args: argparse.Namespace, cfg: dict, name: str, default=None):
-    """Resolution order: explicit flag, config file entry, built-in default."""
+    """Resolution order: explicit flag, config file entry, built-in default;
+    a null config entry counts as absent."""
     val = getattr(args, name, None)
     if val is not None:
         return val
-    if name in cfg:
+    if cfg.get(name) is not None:
         return cfg[name]
     return default
+
+
+def _path(args: argparse.Namespace, cfg: dict, name: str) -> Optional[str]:
+    """`_opt` for a file path; a config value that is no string is an input error."""
+    val = _opt(args, cfg, name)
+    if val is not None and not isinstance(val, str):
+        raise InputError(f"{name} must be a path, got {val!r}")
+    return val
 
 
 def _num(args: argparse.Namespace, cfg: dict, name: str, typ: type, default=None):
@@ -84,7 +93,7 @@ def _num(args: argparse.Namespace, cfg: dict, name: str, typ: type, default=None
 # ---------------------------------------------------------------- certify
 
 def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
-    path = _opt(args, cfg, "presentation")
+    path = _path(args, cfg, "presentation")
     if path is None:
         print("error: a presentation file is required", file=sys.stderr)
         return EXIT_INPUT
@@ -154,14 +163,14 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
         raise InputError(f"unknown model {model!r}")
 
     text = out.dump()
-    out_path = _opt(args, cfg, "out")
+    out_path = _path(args, cfg, "out")
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
             fh.write(text)
     if isinstance(out, Presentation):
-        print(f"presentation: n={out.n} relators={len(out.relators)}", file=sys.stderr)
+        print(f"presentation: n={out.n} relators={out.num_relators}", file=sys.stderr)
     else:
         prof = out.degree_profile()
         print(
@@ -182,7 +191,10 @@ def _sweep_trial(task: tuple) -> tuple:
         if model == "strict":
             pres = sample_gamma_strict(n, k, d, seed)
         elif model == "p":
-            p = (2 * n - 1) ** (k * (d - 1.0))
+            try:
+                p = (2 * n - 1) ** (k * (d - 1.0))
+            except OverflowError:  # no float: 0 below d = 1, and no probability above
+                p = 0.0 if d < 1 else math.inf
             pres = sample_gamma_p(n, k, p, seed)
         elif model == "lax":
             pres = sample_gamma_lax(n, LaxParams(k, d, f), seed)
@@ -194,7 +206,7 @@ def _sweep_trial(task: tuple) -> tuple:
             cert = zuk_certificate(pres, k, seed_info=str(seed))
         bound = "" if cert.pipeline_bound is None else _fmt(cert.pipeline_bound)
         return (
-            n, k, _fmt(d), trial, str(seed), len(pres.relators),
+            n, k, _fmt(d), trial, str(seed), pres.num_relators,
             _fmt(cert.lambda1), bound,
             "true" if cert.certified else "false", "ok",
         )
@@ -264,7 +276,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         print("error: empty density grid", file=sys.stderr)
         return EXIT_INPUT
     jobs = _num(args, cfg, "jobs", int, os.cpu_count() or 1)
-    out_path = _opt(args, cfg, "out")
+    out_path = _path(args, cfg, "out")
 
     tasks = [
         (model, n, k, f, d, trial, seed_value, di * trials + trial, pipeline)
@@ -472,7 +484,7 @@ def _verify_models(seed: Seed) -> list[Check]:
     ok = True
     for i in range(20):
         pres = sample_gamma_lax(2, LaxParams(5, 0.3, 1), Seed(seed.value, 3200 + i))
-        ok = ok and all(4 <= len(r) <= 6 for r in pres.relators)
+        ok = ok and bool(np.all((4 <= pres.lengths) & (pres.lengths <= 6)))
     checks.append(("lax-length-window", ok, "20 seeds, k=5 f=1"))
     return checks
 
@@ -487,7 +499,7 @@ _SUITES = {
 
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     suite = _opt(args, cfg, "suite")
-    if suite not in _SUITES:
+    if not isinstance(suite, str) or suite not in _SUITES:
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return EXIT_INPUT
     seed = Seed(_num(args, cfg, "seed", int, 0))
@@ -567,7 +579,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, OSError, json.JSONDecodeError, SpectralTError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError, SpectralTError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

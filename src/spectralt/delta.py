@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,19 @@ from . import words as W
 from .errors import InputError
 from .multigraph import EdgeKey, MultiGraph, edge_key, union
 from .words import Word
+
+
+# bytes `Presentation.parse` scans per pass; a pass ends at a line end
+_PARSE_BLOCK = 1 << 18
+
+# the bytes of relator lines: letters, digits, blanks and line breaks
+_PLAIN = b"gG0123456789 \t\n\r"
+_PRINTABLE = bytes(range(0x20, 0x7F))
+_G, _CAPITAL_G, _ZERO, _BLANK = ord("g"), ord("G"), ord("0"), ord(" ")
+
+# most digits of a g<i> index or a header value the scan reads; longer ones
+# may pass int64
+_INDEX_DIGITS = 18
 
 
 class _Letters(dict):
@@ -28,47 +41,90 @@ class _Letters(dict):
         return letter
 
 
-@dataclass(frozen=True)
 class Presentation:
-    n: int
-    relators: tuple[Word, ...]
-    k: Optional[int] = None
+    """<a_1..a_n | relators>, with k the relator length if one is declared.
 
-    def __post_init__(self):
-        if self.n < 1:
+    The relators are stored end to end: `letters` holds their signed letters
+    (int64, or Python ints past int64), and relator i is
+    `letters[offsets[i]:offsets[i + 1]]`.  The tuple form `relators` is built
+    on first read.  Equality is equality of n, k and relators.
+    """
+
+    def __init__(self, n: int, relators: Sequence[Word], k: Optional[int] = None):
+        relators = tuple(relators)
+        self.__dict__["relators"] = relators
+        self._set(n, *W.flatten(relators), k)
+
+    @classmethod
+    def _from_arrays(
+        cls, n: int, letters: np.ndarray, offsets: np.ndarray, k: Optional[int] = None
+    ) -> "Presentation":
+        """The presentation of the words `letters` split at `offsets`, checked
+        as the constructor checks them, without building the tuples."""
+        p = cls.__new__(cls)
+        p._set(n, letters, offsets, k)
+        return p
+
+    def _set(self, n: int, letters: np.ndarray, offsets: np.ndarray, k: Optional[int]):
+        self.n, self.k, self.letters, self.offsets = n, k, letters, offsets
+        if n < 1:
             raise InputError("generator count must be >= 1")
         # the scalar checks run from the first relator the array scan flags
-        for r in self.relators[self._first_invalid():]:
+        for i in range(self._first_invalid(), self.num_relators):
+            r = self._relator(i)
             if not W.is_cyclically_reduced(r):
                 raise InputError(f"relator {W.word_to_text(r)!r} not cyclically reduced")
             for x in r:
-                if abs(x) > self.n:
-                    raise InputError(f"relator letter outside alphabet of size {self.n}")
-            if self.k is not None and len(r) != self.k:
-                raise InputError(
-                    f"relator {W.word_to_text(r)!r} has length {len(r)} != k = {self.k}"
-                )
+                if abs(x) > n:
+                    raise InputError(f"relator letter outside alphabet of size {n}")
+            if k is not None and len(r) != k:
+                raise InputError(f"relator {W.word_to_text(r)!r} has length {len(r)} != k = {k}")
 
     @cached_property
-    def _letters(self) -> tuple[np.ndarray, np.ndarray]:
-        return W.flatten(self.relators)
+    def relators(self) -> tuple[Word, ...]:
+        flat, bounds = self.letters.tolist(), self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @property
+    def num_relators(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The length of each relator."""
+        return np.diff(self.offsets)
+
+    def _relator(self, i: int) -> Word:
+        return tuple(self.letters[self.offsets[i] : self.offsets[i + 1]].tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.n, self.k) == (other.n, other.k)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.letters, other.letters)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.relators, self.k))
+
+    def __repr__(self) -> str:
+        return f"Presentation(n={self.n!r}, relators={self.relators!r}, k={self.k!r})"
 
     def _first_invalid(self) -> int:
-        """Index of the first relator the checks reject; len(relators) if none."""
-        letters, offsets = self._letters
+        """Index of the first relator the checks reject; the count if none."""
+        letters, offsets = self.letters, self.offsets
         lengths = np.diff(offsets)
         bad = lengths == 0
         if self.k is not None:
             bad |= lengths != self.k
         ends = lengths >= 2
         bad[ends] |= letters[offsets[:-1][ends]] == -letters[offsets[1:][ends] - 1]
-        owner = np.repeat(np.arange(len(lengths)), lengths)
-        bad[owner[np.abs(letters) > self.n]] = True
+        outside = np.flatnonzero(np.abs(letters) > self.n)
+        bad[np.searchsorted(offsets, outside, side="right") - 1] = True
         hits = np.flatnonzero(bad)
         return int(hits[0]) if hits.size else len(lengths)
-
-    def relators_of_length(self, k: int) -> tuple[Word, ...]:
-        return tuple(r for r in self.relators if len(r) == k)
 
     def dump(self) -> str:
         lines = [f"n {self.n}"]
@@ -79,36 +135,48 @@ class Presentation:
 
     @classmethod
     def parse(cls, text: str) -> "Presentation":
-        n: Optional[int] = None
-        k: Optional[int] = None
-        relators: list[Word] = []
-        lines: list[str] = []
-        letters = _Letters()
-        try:
-            for raw in text.splitlines():
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if parts[0] == "n" and len(parts) == 2 and n is None:
-                    n = _header_int(parts)
-                elif parts[0] == "k" and len(parts) == 2 and k is None and not relators:
-                    k = _header_int(parts)
-                else:
-                    relators.append(tuple(map(letters.__getitem__, parts)))
-                    lines.append(line)
-        finally:
-            # a word that is not freely reduced fails before any later line
-            flat = W.flatten(relators)
-            bad = W.first_unreduced(*flat)
-            if bad < len(relators):
-                raise InputError(f"word {lines[bad]!r} is not freely reduced")
-        if n is None:
-            raise InputError("presentation file missing 'n <int>' header")
-        p = cls.__new__(cls)
-        p.__dict__["_letters"] = flat  # the cached flattening __post_init__ reads
-        p.__init__(n, tuple(relators), k)
-        return p
+        """Read the text `dump` writes: header lines `n <int>` and `k <int>`
+        (k before any relator), one relator of g<i> / G<i> tokens per line,
+        blank lines and `#` comments.
+
+        A block-wise array scan reads the text when it can vouch for all of it;
+        any other text, including every malformed one, is read line by line by
+        `_parse_lines`, which makes every parse error message.
+        """
+        scanned = _scan(text)
+        if scanned is None:
+            return _parse_lines(cls, text)
+        return cls._from_arrays(*scanned)
+
+
+def _parse_lines(cls: type[Presentation], text: str) -> Presentation:
+    n: Optional[int] = None
+    k: Optional[int] = None
+    relators: list[Word] = []
+    lines: list[str] = []
+    letters = _Letters()
+    try:
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "n" and len(parts) == 2 and n is None:
+                n = _header_int(parts)
+            elif parts[0] == "k" and len(parts) == 2 and k is None and not relators:
+                k = _header_int(parts)
+            else:
+                relators.append(tuple(map(letters.__getitem__, parts)))
+                lines.append(line)
+    finally:
+        # a word that is not freely reduced fails before any later line
+        flat = W.flatten(relators)
+        bad = W.first_unreduced(*flat)
+        if bad < len(relators):
+            raise InputError(f"word {lines[bad]!r} is not freely reduced")
+    if n is None:
+        raise InputError("presentation file missing 'n <int>' header")
+    return cls._from_arrays(n, *flat, k)
 
 
 def _header_int(parts: list[str]) -> int:
@@ -116,6 +184,152 @@ def _header_int(parts: list[str]) -> int:
         return int(parts[1])
     except ValueError:
         raise InputError(f"'{parts[0]}' header needs an integer, got {parts[1]!r}")
+
+
+def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray, Optional[int]]]:
+    """(n, letters, offsets, k) of a presentation text, read with array
+    operations block by block; None for any text `_parse_lines` must read:
+    one that is not ASCII, holds another control byte, a token that is not
+    g<i> / G<i> with 1 <= i and at most _INDEX_DIGITS digits, a line that is
+    neither a relator nor the first `n` / `k` header (k before any relator),
+    a header value of more than _INDEX_DIGITS digits, no `n` header, or a
+    relator not freely reduced.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    headers: dict[bytes, int] = {}
+    letters: list[np.ndarray] = []  # block by block
+    lengths: list[np.ndarray] = []  # relator lengths, block by block
+    done = lo = 0  # tokens and bytes scanned so far
+    while lo < len(data):
+        hi = _line_end(data, lo + _PARSE_BLOCK - 1)
+        block = _scan_block(data[lo:hi], headers, done)
+        if block is None:
+            return None
+        letters.append(block[0])
+        lengths.append(block[1])
+        done += len(block[0])
+        lo = hi
+    n, k = headers.get(b"n"), headers.get(b"k")
+    if n is None:
+        return None
+    flat = np.concatenate(letters, dtype=np.int64)  # a block holds the n header
+    offsets = np.zeros(sum(map(len, lengths)) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    if W.first_unreduced(flat, offsets) < len(offsets) - 1:
+        return None
+    return n, flat, offsets, k
+
+
+def _line_end(data: bytes, at: int) -> int:
+    """The index just past the first line break at or after `at`, or len(data)."""
+    nl = data.find(b"\n", at)
+    cr = data.find(b"\r", at, len(data) if nl < 0 else nl)
+    end = cr if cr >= 0 else nl
+    return len(data) if end < 0 else end + 1
+
+
+def _scan_block(
+    raw: bytes, headers: dict[bytes, int], done: int
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The letters and the relator lengths of one block of whole lines, with
+    its header values added to `headers`; None where `_scan` gives up.
+
+    `done` counts the tokens before the block, so a `k` header after a
+    relator is seen.  Every temporary as long as the block is of bytes or
+    booleans.
+    """
+    b = np.frombuffer(raw, np.uint8)
+    extra = raw.translate(None, _PLAIN)
+    if extra:
+        b = _blank_extras(b, extra, headers, done)
+        if b is None:
+            return None
+    # of the bytes in _PLAIN, only the letters g and G lie at or above G
+    letter = b >= _CAPITAL_G
+    digit = (b >= _ZERO) ^ letter
+    at = np.flatnonzero(letter)
+    values = _indices(b, letter, digit, at)
+    if values is None or not values.all():  # not g<i> / G<i>, or g0
+        return None
+    sign = (b[at] == _G).view(np.int8)  # +1 for g, -1 for G
+    sign *= 2
+    sign -= 1
+    values *= sign
+    # \n and \r are the only bytes of _PLAIN in 0x0A..0x0D
+    breaks = np.flatnonzero(b - np.uint8(0x0A) < 4)
+    before = np.searchsorted(at, breaks)  # tokens before each line break
+    line_lengths = np.diff(before, prepend=0, append=len(at))
+    return values, line_lengths[line_lengths > 0]
+
+
+def _indices(
+    b: np.ndarray, letter: np.ndarray, digit: np.ndarray, at: np.ndarray
+) -> Optional[np.ndarray]:
+    """The int64 index of every g<i> / G<i> token of a block, the letter
+    bytes at `at`; None unless each letter follows a separator and is followed
+    by 1 to _INDEX_DIGITS digits, and every digit is part of such a token.
+
+    The digits are read one place at a time, each place only for the tokens
+    that reach it.
+    """
+    run = np.zeros_like(letter)  # the letters followed by at least j digits
+    np.logical_and(letter[:-1], digit[1:], out=run[:-1])
+    # a letter after a letter is one with no digit after it
+    if np.count_nonzero(run) < len(at) or (letter[1:] & digit[:-1]).any():
+        return None
+    values = b[at + 1].astype(np.int64)
+    values -= _ZERO
+    read = len(at)  # digits read
+    for j in range(2, _INDEX_DIGITS + 1):
+        run[:-j] &= digit[j:]
+        run[-j:] = False
+        going = np.count_nonzero(run)
+        if not going:
+            break
+        live = run[at]
+        values[live] = values[live] * 10 + (b[at[live] + j] - _ZERO)
+        read += going
+    # a digit left unread follows a separator or lies past _INDEX_DIGITS places
+    return values if read == np.count_nonzero(digit) else None
+
+
+def _blank_extras(
+    b: np.ndarray, extra: bytes, headers: dict[bytes, int], done: int
+) -> Optional[np.ndarray]:
+    """A copy of the block with its comments and header lines blanked and the
+    headers added to `headers`; None if it holds any other byte outside
+    `_PLAIN`, or a header line `_parse_lines` would not take as one."""
+    if extra.translate(None, _PRINTABLE):  # a control byte the format has no use for
+        return None
+    b = b.copy()
+    breaks = np.append(np.flatnonzero((b == 0x0A) | (b == 0x0D)), len(b))
+    if b"#" in extra:  # blank each line from its first '#' on
+        hashes = np.flatnonzero(b == ord("#"))
+        line = np.searchsorted(breaks, hashes)
+        first = np.ones(len(line), dtype=bool)
+        first[1:] = line[1:] != line[:-1]
+        mark = np.zeros(len(b) + 1, dtype=np.int8)
+        mark[hashes[first]] = 1
+        mark[breaks[line[first]]] = -1
+        b[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] = _BLANK
+        extra = b.tobytes().translate(None, _PLAIN)
+    if len(extra) + len(headers) > 2:  # more than the n and k header lines
+        return None
+    for at in sorted(int(i) for c in set(extra) for i in np.flatnonzero(b == c)):
+        line = np.searchsorted(breaks, at)
+        start, end = breaks[line - 1] + 1 if line else 0, breaks[line]
+        fields = b[start:end].tobytes().split()
+        if (
+            len(fields) != 2 or fields[0] not in (b"n", b"k") or fields[0] in headers
+            or not fields[1].isdigit() or len(fields[1]) > _INDEX_DIGITS
+            or (fields[0] == b"k" and done + np.count_nonzero((b[:start] | 0x20) == _G))
+        ):
+            return None
+        headers[fields[0]] = int(fields[1])
+        b[start:end] = _BLANK
+    return b
 
 
 @dataclass(frozen=True)
@@ -138,10 +352,6 @@ def sigma_vertex_lengths(k: int) -> tuple[int, int]:
     return a, c
 
 
-def _labels(n: int, l: int) -> list[str]:
-    return [W.word_to_label(w) for w in W.enumerate_reduced(n, l)]
-
-
 def _relator_edges(r: Word, k: int) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
     rx, ry, rz = W.split_relator(r, k)
     lab = W.word_to_label
@@ -162,7 +372,7 @@ def _link_edges(p: Presentation, k: int, relator_major: bool):
     no reduced word is no vertex; the first such edge, relator by relator
     (or edge slot by edge slot), raises as the label-keyed build did.
     """
-    letters, offsets = p._letters
+    letters, offsets = p.letters, p.offsets
     starts = offsets[:-1][np.diff(offsets) == k]
     rel = letters[starts[:, None] + np.arange(k)]
     a, b, c = W.split_lengths(k)
@@ -199,9 +409,9 @@ def build_delta_k(p: Presentation, k: int) -> MultiGraph:
     if k < 3:
         raise InputError("need k >= 3")
     l_k, L_k = sigma_vertex_lengths(k)
-    vertices = _labels(p.n, l_k)
+    vertices = W.reduced_labels(p.n, l_k)
     if L_k != l_k:
-        vertices = vertices + _labels(p.n, L_k)
+        vertices = vertices + W.reduced_labels(p.n, L_k)
     ends = _link_edges(p, k, relator_major=True)
     u = np.concatenate([e[0] for e in ends])
     v = np.concatenate([e[1] for e in ends])
@@ -210,9 +420,10 @@ def build_delta_k(p: Presentation, k: int) -> MultiGraph:
 
 def build_delta3(p: Presentation) -> MultiGraph:
     """Delta_3 on A_n and inverses; errors if any relator length differs from 3."""
-    for r in p.relators:
-        if len(r) != 3:
-            raise InputError(f"relator {W.word_to_text(r)!r} has length != 3")
+    wrong = np.flatnonzero(p.lengths != 3)
+    if wrong.size:
+        r = p._relator(int(wrong[0]))
+        raise InputError(f"relator {W.word_to_text(r)!r} has length != 3")
     return build_delta_k(p, 3)
 
 
@@ -227,8 +438,8 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
         raise InputError("need k >= 3")
     case = k % 3
     xy_len, _, z_len = W.split_lengths(k)
-    xy_labels = _labels(p.n, xy_len)
-    z_labels = _labels(p.n, z_len) if z_len != xy_len else []
+    xy_labels = W.reduced_labels(p.n, xy_len)
+    z_labels = W.reduced_labels(p.n, z_len) if z_len != xy_len else []
     e1, e2, e3 = _link_edges(p, k, relator_major=False)
 
     if case == 0:
@@ -244,7 +455,7 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
     used = len(e1[0])
     return SigmaDecomposition(
         sigma1, sigma2, sigma3, case, xy_len, z_len,
-        ignored_relators=len(p.relators) - used,
+        ignored_relators=p.num_relators - used,
     )
 
 

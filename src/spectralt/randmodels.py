@@ -16,13 +16,18 @@ from . import words as W
 from .delta import Presentation
 from .errors import InputError, ResourceCapError
 from .multigraph import MultiGraph
-from .words import Word
 
 
 @dataclass(frozen=True)
 class Seed:
     value: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        # None would draw fresh entropy: the stream would not repeat
+        seeds = (self.value, self.stream_id)
+        if not all(isinstance(x, (int, np.integer)) and x >= 0 for x in seeds):
+            raise InputError("seed and stream must be integers >= 0")
 
     def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.value, spawn_key=(self.stream_id,))
@@ -50,6 +55,15 @@ def _pair_labels(prefix: str, m: int) -> list[str]:
     return [f"{prefix}{i:0{width}d}" for i in range(1, m + 1)]
 
 
+def _bernoulli(rng: np.random.Generator, shape, p: float, what: str) -> np.ndarray:
+    """`rng.random(shape) < p`, or a ResourceCapError where numpy cannot
+    allocate the draw: more pairs than an array holds, or than memory."""
+    try:
+        return rng.random(shape) < p
+    except (ValueError, MemoryError):
+        raise ResourceCapError(f"{what}: its vertex pairs are too many to draw")
+
+
 def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
     """Erdos-Renyi G(m, p): each of the C(m,2) pairs independently, no loops."""
     if m < 1 or not 0.0 <= p <= 1.0:
@@ -58,7 +72,7 @@ def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
     u = v = np.zeros(0, dtype=np.int64)
     if m > 1:
         # the draws run over the pairs i < j row by row; row i starts at `starts[i]`
-        hits = np.flatnonzero(rng.random(m * (m - 1) // 2) < p)
+        hits = np.flatnonzero(_bernoulli(rng, m * (m - 1) // 2, p, f"G(m, p) on m = {m}"))
         rows = np.arange(m)
         starts = rows * m - rows * (rows + 1) // 2
         u = np.searchsorted(starts, hits, side="right") - 1
@@ -70,10 +84,10 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     """Erdos-Renyi bipartite G(m1, m2, p), partitioned output."""
     if m1 < 1 or m2 < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m1, m2 >= 1 and p in [0, 1]")
+    rng = seed.rng()
+    i, j = np.nonzero(_bernoulli(rng, (m1, m2), p, f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"))
     left = _pair_labels("u", m1)
     right = _pair_labels("v", m2)
-    rng = seed.rng()
-    i, j = np.nonzero(rng.random((m1, m2)) < p)
     return MultiGraph._from_arrays(left + right, i, m1 + j, partition=(left, right))
 
 
@@ -219,7 +233,10 @@ def coupled_bred_extension(
 
 def strict_model_size(n: int, k: int, d: float) -> int:
     """floor((2n-1)^(kd)), with a tiny guard against float round-down."""
-    return int(math.floor((2 * n - 1) ** (k * d) + 1e-9))
+    try:
+        return int(math.floor((2 * n - 1) ** (k * d) + 1e-9))
+    except (OverflowError, ValueError):  # (2n-1)^(kd) is no finite float
+        raise InputError(f"model size {2 * n - 1}^({k}*{d}) is not a finite count")
 
 
 def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,6 +248,12 @@ def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(total, size=size, replace=False))
 
 
+def _of_length(n: int, k: int, words: np.ndarray) -> Presentation:
+    """The presentation of the rows of `words`, all of length k."""
+    offsets = np.arange(len(words) + 1, dtype=np.int64) * k
+    return Presentation._from_arrays(n, words.reshape(-1), offsets, k)
+
+
 def sample_gamma_strict(
     n: int, k: int, d: float, seed: Seed, cap: int = W.ENUMERATION_CAP
 ) -> Presentation:
@@ -240,7 +263,7 @@ def sample_gamma_strict(
     W.check_cap(n, k, cap)
     total = W.cyclically_reduced_count(n, k)
     ranks = _uniform_ranks(total, strict_model_size(n, k, d), seed.rng())
-    return Presentation(n, tuple(W.unrank_cyclically_reduced(n, k, ranks)), k)
+    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
 def sample_gamma_p(
@@ -251,8 +274,7 @@ def sample_gamma_p(
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
     W.check_cap(n, k, cap)
     keep = seed.rng().random(W.cyclically_reduced_count(n, k)) < p
-    relators = W.unrank_cyclically_reduced(n, k, np.flatnonzero(keep))
-    return Presentation(n, tuple(relators), k)
+    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, np.flatnonzero(keep)))
 
 
 def sample_gamma_lax(
@@ -265,14 +287,19 @@ def sample_gamma_lax(
     if n < 2:
         raise InputError("need n >= 2")
     lengths = range(params.k - params.f, params.k + params.f + 1)
-    total = sum(W.word_count(n, l) for l in lengths)
-    if total > cap:
-        raise ResourceCapError(f"lax universe bound {total} exceeds cap {cap}")
+    # the longest length bounds the others, so the sum is built only under the cap
+    if W.word_count_exceeds(n, lengths[-1], cap) or sum(
+        W.word_count(n, l) for l in lengths
+    ) > cap:
+        bound = W.word_count_text(n, lengths[0], lengths[-1])
+        raise ResourceCapError(f"lax universe bound {bound} exceeds cap {cap}")
     offsets = np.cumsum([0] + [W.cyclically_reduced_count(n, l) for l in lengths])
     size = strict_model_size(n, params.k, params.d)
     ranks = _uniform_ranks(int(offsets[-1]), size, seed.rng())
-    relators: list[Word] = []
+    letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0
     for l, lo, hi in zip(lengths, offsets, offsets[1:]):
-        ranks_l = ranks[(lo <= ranks) & (ranks < hi)] - lo
-        relators.extend(W.unrank_cyclically_reduced(n, l, ranks_l))
-    return Presentation(n, tuple(relators), None)
+        words = W.unrank_cyclically_reduced_letters(n, l, ranks[(lo <= ranks) & (ranks < hi)] - lo)
+        letters.append(words.reshape(-1))
+        starts.append(end + l * np.arange(1, len(words) + 1, dtype=np.int64))
+        end += words.size
+    return Presentation._from_arrays(n, np.concatenate(letters), np.concatenate(starts), None)

@@ -8,6 +8,7 @@ on flattened codes.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from itertools import chain
@@ -23,6 +24,10 @@ ENUMERATION_CAP = 10**7
 
 # ranks unranked per pass; bounds the (block, 2n) work arrays of the walk
 _UNRANK_BLOCK = 1 << 14
+
+# a count of more decimal digits is printed as a power: above Python's default
+# limit of 4300 digits for int -> str, so every count that printed still does
+_PRINT_DIGITS = 4400
 
 _TOKEN_RE = re.compile(r"([gG])(\d+)")
 
@@ -111,6 +116,8 @@ def rank_reduced(n: int, words: np.ndarray) -> np.ndarray:
     code = np.concatenate([np.arange(2 * n - 1, n - 1, -1), [0], np.arange(n)])
     inverse = (np.arange(2 * n) + n) % (2 * n)
     codes = code[words + n]
+    if not len(codes):  # no rows: skip the walk over the columns
+        return np.zeros(0, dtype=np.int64)
     rank = codes[:, 0].copy()
     for i in range(1, codes.shape[1]):
         rank = rank * (2 * n - 1) + codes[:, i] - (codes[:, i] > inverse[codes[:, i - 1]])
@@ -124,42 +131,119 @@ def word_count(n: int, l: int) -> int:
     return 2 * n * (2 * n - 1) ** (l - 1)
 
 
+def _log10_above(n: int, l: int, bound: float) -> bool:
+    """Whether log10 |W_l| surely exceeds `bound`, decided without |W_l|."""
+    q = 2 * n - 1
+    return q > 1 and l - 1 > (bound - math.log10(2 * n)) / math.log10(q)
+
+
+def word_count_exceeds(n: int, l: int, cap: int) -> bool:
+    """|W_l| > cap, without building |W_l| when it is far above the cap."""
+    if n < 1 or l < 1:
+        raise InputError("need n >= 1 and l >= 1")
+    if cap < 1 or _log10_above(n, l, math.log10(cap) + 1):
+        return True
+    return word_count(n, l) > cap
+
+
+def word_count_text(n: int, lo: int, hi: int) -> str:
+    """|W_lo| + ... + |W_hi| in digits or, when it has too many digits to
+    print, as its terms 2n*(2n-1)^(l-1)."""
+    q = 2 * n - 1
+    if not _log10_above(n, hi, _PRINT_DIGITS):
+        # the geometric sum, without a term per length
+        total = 2 * (hi - lo + 1) if q == 1 else 2 * n * (q**hi - q ** (lo - 1)) // (q - 1)
+        try:
+            return str(total)
+        except ValueError:  # above the interpreter's int -> str digit limit
+            pass
+    first, last = (f"{2 * n}*{q}^{l - 1}" for l in (lo, hi))
+    return first if lo == hi else f"{first}+...+{last}"
+
+
+def _check_enumerable(n: int, l: int, cap: int, advice: str = "") -> None:
+    """Raise ResourceCapError before W_l is built if it is too large.
+
+    |W_l| is bounded by `cap`.  For n = 1, |W_l| = 2 whatever l is, so there
+    the letters 2l are bounded by `cap` as well; for n >= 2 the word bound
+    already limits l to about log_3(cap), and this second bound never applies.
+    """
+    if word_count_exceeds(n, l, cap):
+        raise ResourceCapError(
+            f"|W_{l}| = {word_count_text(n, l, l)} exceeds enumeration cap {cap}{advice}"
+        )
+    if n == 1 and 2 * l > cap:
+        raise ResourceCapError(f"W_{l} has {2 * l} letters, above enumeration cap {cap}")
+
+
 def iter_reduced(n: int, l: int) -> Iterator[Word]:
-    """Stream all freely reduced length-l words in canonical order."""
+    """Stream all freely reduced length-l words in canonical order.
+
+    The walk keeps one iterator over the alphabet per letter of the prefix,
+    so the word length is not bounded by the recursion limit.
+    """
     if n < 1 or l < 1:
         raise InputError("need n >= 1 and l >= 1")
     alphabet = [unflatten_letter(c, n) for c in range(1, 2 * n + 1)]
-
-    def rec(prefix: list[int], remaining: int) -> Iterator[Word]:
-        if remaining == 0:
+    prefix: list[int] = []
+    choices = [iter(alphabet)]
+    while choices:
+        for x in choices[-1]:
+            if not prefix or prefix[-1] != -x:
+                prefix.append(x)
+                break
+        else:  # this position is exhausted: back up one letter
+            choices.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        if len(prefix) == l:
             yield tuple(prefix)
-            return
-        for x in alphabet:
-            if prefix and prefix[-1] == -x:
-                continue
-            prefix.append(x)
-            yield from rec(prefix, remaining - 1)
             prefix.pop()
-
-    yield from rec([], l)
+        else:
+            choices.append(iter(alphabet))
 
 
 def enumerate_reduced(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[Word]:
     """All freely reduced words of length l, canonical order."""
-    total = word_count(n, l)
-    if total > cap:
-        raise ResourceCapError(
-            f"|W_{l}| = {total} exceeds enumeration cap {cap}; stream instead"
-        )
+    _check_enumerable(n, l, cap, "; stream instead")
     return list(iter_reduced(n, l))
+
+
+def reduced_labels(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[str]:
+    """`[word_to_label(w) for w in enumerate_reduced(n, l, cap)]`, built from
+    the labels of W_{ceil(l/2)} and W_{floor(l/2)} instead of word by word."""
+    _check_enumerable(n, l, cap, "; stream instead")
+    return _joined_labels(n, l)[0]
+
+
+def _joined_labels(n: int, l: int) -> tuple[list[str], list[int]]:
+    """Labels of W_l in canonical order, and each word's last letter as a
+    0-based flattened code.
+
+    Canonical order is lexicographic, so W_l lists each head of W_{ceil(l/2)}
+    in order, each followed by the tails of W_{floor(l/2)} in order that do
+    not start with the inverse of its last letter.  The tails fall into 2n
+    equal blocks, one per first letter.
+    """
+    m = 2 * n
+    if l == 1:
+        return [word_to_label((unflatten_letter(c + 1, n),)) for c in range(m)], list(range(m))
+    heads, head_last = _joined_labels(n, (l + 1) // 2)
+    tails, tail_last = (heads, head_last) if l % 2 == 0 else _joined_labels(n, l // 2)
+    size = len(tails) // m
+    follow = []  # for a head ending in code c: the tails that may follow it
+    for c in range(m):
+        lo = (c + n) % m * size
+        follow.append((tails[:lo] + tails[lo + size :], tail_last[:lo] + tail_last[lo + size :]))
+    labels = [h + t for h, c in zip(heads, head_last) for t in follow[c][0]]
+    last = [x for c in head_last for x in follow[c][1]]
+    return labels, last
 
 
 def check_cap(n: int, k: int, cap: int) -> None:
     """Raise ResourceCapError when |W_k|, a bound on |C(n, k)|, exceeds cap."""
-    if word_count(n, k) > cap:
-        raise ResourceCapError(
-            f"|W_{k}| = {word_count(n, k)} exceeds enumeration cap {cap}"
-        )
+    _check_enumerable(n, k, cap)
 
 
 def enumerate_cyclically_reduced(n: int, k: int, cap: int = ENUMERATION_CAP) -> list[Word]:
@@ -196,8 +280,9 @@ def _pick(counts: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return letter, ranks - ends[rows, letter] + counts[rows, letter]
 
 
-def unrank_cyclically_reduced(n: int, k: int, ranks: Iterable[int]) -> list[Word]:
-    """The words at `ranks` in the canonical order of C(n, k).
+def unrank_cyclically_reduced_letters(n: int, k: int, ranks: Iterable[int]) -> np.ndarray:
+    """The words at `ranks` in the canonical order of C(n, k), as the rows of
+    an int64 (len(ranks), k) array of signed letters.
 
     Equals `[enumerate_cyclically_reduced(n, k)[i] for i in ranks]` without
     building C(n, k): each rank is walked digit by digit, the candidate
@@ -213,8 +298,8 @@ def unrank_cyclically_reduced(n: int, k: int, ranks: Iterable[int]) -> list[Word
     inverse = (np.arange(m) + n) % m
     table = _completions(inverse, k, dtype)
     first_counts = table[np.arange(m), k - 1, np.arange(m)]
-    letters = np.array([unflatten_letter(c, n) for c in range(1, m + 1)])
-    words: list[Word] = []
+    letters = np.array([unflatten_letter(c, n) for c in range(1, m + 1)], dtype=np.int64)
+    words = np.empty((ranks.size, k), dtype=np.int64)
     for lo in range(0, ranks.size, _UNRANK_BLOCK):
         rest = ranks[lo : lo + _UNRANK_BLOCK]
         codes = np.empty((rest.size, k), dtype=np.intp)
@@ -224,7 +309,7 @@ def unrank_cyclically_reduced(n: int, k: int, ranks: Iterable[int]) -> list[Word
             counts = table[first, k - 1 - i]
             counts[np.arange(rest.size), inverse[codes[:, i - 1]]] = 0
             codes[:, i], rest = _pick(counts, rest)
-        words.extend(map(tuple, letters[codes].tolist()))
+        words[lo : lo + _UNRANK_BLOCK] = letters[codes]
     return words
 
 

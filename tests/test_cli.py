@@ -297,7 +297,7 @@ def presentation_texts(draw):
     mostly well formed, some with a malformed header or line."""
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     ranks = st.integers(0, W.cyclically_reduced_count(n, k) - 1)
-    relators = W.unrank_cyclically_reduced(n, k, draw(st.lists(ranks, max_size=12)))
+    relators = W.unrank_cyclically_reduced_letters(n, k, draw(st.lists(ranks, max_size=12))).tolist()
     lines = [
         draw(st.sampled_from([f"n {n}"] * 6 + ["", "n 0", "n x", "n 2 3"])),
         draw(st.sampled_from([f"k {k}"] * 3 + ["", "k 0", "k -2", "k y", f"k {k + 1}"])),
@@ -328,3 +328,172 @@ class TestCertifyFuzz:
                 code = main(["certify", path] + [f for flag in flags for f in flag])
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+def quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def flags(**values):
+    return [str(x) for name, v in values.items() if v is not None
+            for x in (f"--{name.replace('_', '-')}", v)]
+
+
+HUGE_K = [3003, 10**6, 10**12]
+LENGTHS = st.sampled_from([None, -1, 0, 1, 3, 4, 12] + HUGE_K)
+DENSITIES = st.sampled_from([None, -1.0, 0.0, 0.3, 0.45, 1.5, 1e300, float("nan"), float("inf")])
+
+
+SEEDS = st.sampled_from([None, 0, 7, 7, 7, 7, 7, -1])
+JSON_VALUES = [None, True, False, -1, 0, 1, 2, 3, 10**12, 10**400, 0.3, 1.5, float("nan"),
+               "x", "3", "0.3", "nan", [], [0.3], ["x"], {}, {"a": 1}]
+CONFIG_KEYS = ["k", "n", "l", "m", "f", "p", "d", "d_grid", "d_min", "d_max", "d_step", "seed",
+               "stream", "trials", "out", "pipeline", "diagnostics", "delta", "m_bound", "suite"]
+
+
+class TestSampleSweepConfigFuzz:
+    """Malformed or extreme `sample`, `sweep` and config input exits 0, 2 or 3
+    with no traceback: k up to 10^12, n = 1, densities that overflow, negative
+    seeds, config values of every JSON type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["strict", "p", "lax", "red", "bred", "gnp", "bgnp"]),
+        st.sampled_from([-1, 0, 1, 2, 2, 3]), LENGTHS,
+        # red and bred draw |W_l|^2 pairs one by one: l = 9..15 run for minutes
+        st.sampled_from([-1, 0, 1, 3] + HUGE_K), DENSITIES,
+        st.sampled_from([-0.5, 0.0, 0.01, 0.3, 2.0, float("nan")]),
+        st.sampled_from([-1, 0, 1, 2, 10**12]), SEEDS, SEEDS,
+        st.sampled_from([-1, 0, 1, 5, 10**12]), st.booleans(),
+    )
+    def test_sample(self, model, n, k, l, d, p, f, seed, stream, m, complete):
+        given_flags = {
+            "strict": dict(n=n, k=k, d=d), "p": dict(n=n, k=k, p=min(p, 0.01)),
+            "lax": dict(n=n, k=k, d=d, f=f), "red": dict(n=n, l=l, p=p),
+            "bred": dict(n=n, l=l, p=p), "gnp": dict(m=m, p=p), "bgnp": dict(m1=m, m2=m, p=p),
+        }[model]
+        if not complete:  # drop one required flag, add an unused one
+            given_flags.popitem()
+            given_flags["f" if model != "lax" else "l"] = f
+        argv = ["sample", "--model", model, "--out", os.devnull] + flags(
+            seed=seed, stream=stream, **given_flags)
+        code, err = quiet_main(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([None, "strict", "p", "lax"]), st.sampled_from([-1, 0, 1, 2, 2, 3]),
+        st.sampled_from([-1, 0, 3, 5, 7] + HUGE_K), st.sampled_from([None, 0, 1, 10**12]),
+        st.sampled_from(["0.3", "0.45,1.5", "nan", "1e300", "-1", "0.2,0.4", "0.5"]), SEEDS,
+        st.booleans(),
+    )
+    def test_sweep(self, model, n, k, f, grid, seed, pipeline):
+        argv = ["sweep", "--trials", "2", "--jobs", "1", "--out", os.devnull] + flags(
+            model=model, n=n, k=k, f=f, d_grid=grid, seed=seed)
+        code, err = quiet_main(argv + ["--pipeline"] * pipeline)
+        assert code in (0, 2, 3) and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["certify", "sample", "sweep", "verify"]),
+        st.sampled_from(["aba", "aba", "missing", 1, None, [], 3.5]),
+        st.sampled_from(["strict", "p", "lax", "red", "gnp", "x", 3, None, ["p"]]),
+        st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(JSON_VALUES), max_size=6),
+        st.sampled_from(["json"] * 6 + ["list", "broken", "binary"]),
+    )
+    def test_config(self, command, presentation, model, cfg, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            aba = os.path.join(tmp, "aba.txt")
+            with open(aba, "w") as fh:
+                fh.write("n 2\nk 3\ng1 g2 g1\n")
+            cfg = {"presentation": aba if presentation == "aba" else presentation,
+                   "model": model, "n": 2, "k": 3, "l": 2, "d": 0.3, "p": 0.3, "m": 4,
+                   "d_grid": [0.3], **cfg}
+            if isinstance(cfg["out"] if "out" in cfg else None, str):
+                cfg["out"] = os.path.join(tmp, "out")
+            if cfg.get("trials") in (10**12, 10**400):
+                cfg["trials"] = 2
+            text = {"json": json.dumps(cfg), "list": json.dumps([cfg]),
+                    "broken": json.dumps(cfg)[:-1]}.get(kind)
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "wb") as fh:
+                fh.write(b"\xff\xfe{" if text is None else text.encode())
+            argv = ["--config", path, command]
+            if command == "sweep":
+                argv += ["--jobs", "1"]
+            code, err = quiet_main(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+
+
+class TestHugeK:
+    """|W_k| far above the cap is refused before it is built or printed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--model", "strict", "--n", "2", "--k", "1000000", "--d", "0.4"],
+        ["sample", "--model", "p", "--n", "2", "--k", "1000000000000", "--p", "0.1"],
+        ["sweep", "--n", "2", "--k", "1000000", "--d-grid", "0.4", "--jobs", "1"],
+    ], ids=["strict", "p", "sweep"])
+    def test_sample_and_sweep(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "sweep":
+            assert code == 0 and ",resource-cap" in out
+        else:
+            assert code == 3
+            assert err == f"resource cap: |W_{argv[6]}| = 4*3^{int(argv[6]) - 1} " \
+                          f"exceeds enumeration cap {W.ENUMERATION_CAP}\n"
+
+    @pytest.mark.parametrize("n,k,message", [
+        (2, 10**6, "|W_333333| = 4*3^333332 exceeds enumeration cap 10000000; stream instead"),
+        (2, 10**12, "|W_333333333333| = 4*3^333333333332 exceeds enumeration cap 10000000; "
+                    "stream instead"),
+        (1, 3 * 10**9, "W_1000000000 has 2000000000 letters, above enumeration cap 10000000"),
+    ], ids=["n2-k1e6", "n2-k1e12", "n1-k3e9"])
+    def test_certify(self, capsys, tmp_path, n, k, message):
+        path = tmp_path / "p.txt"
+        path.write_text(f"n {n}\nk {k}\n")
+        for extra in ([], ["--pipeline"]):
+            code, out, err = run(capsys, "certify", str(path), *extra)
+            assert (code, out, err) == (3, "", f"resource cap: {message}\n")
+
+    def test_n1_long_relator(self, capsys, tmp_path):
+        path = tmp_path / "p.txt"
+        for relators in ("", "g1 " * 3003):
+            path.write_text(f"n 1\nk 3003\n{relators}\n")
+            code, out, _ = run(capsys, "certify", str(path))
+            assert code == 0 and json.loads(out)["vertices"] == 2
+
+    def test_printable_counts_keep_their_digits(self, capsys):
+        code, _, err = run(capsys, "sample", "--model", "strict", "--n", "2", "--k", "40",
+                           "--d", "0.4")
+        assert code == 3 and f"|W_40| = {W.word_count(2, 40)} exceeds" in err
+        code, _, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "40",
+                           "--f", "2", "--d", "0.4")
+        total = sum(W.word_count(2, l) for l in range(38, 43))
+        assert code == 3 and err == f"resource cap: lax universe bound {total} exceeds cap " \
+                                    f"{W.ENUMERATION_CAP}\n"
+        code, _, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "1000000",
+                           "--f", "2", "--d", "0.4")
+        assert code == 3 and "bound 4*3^999997+...+4*3^1000001 exceeds" in err
+
+
+class TestCertifyBuildsNoTuples:
+    def test_relators_never_read(self, capsys, monkeypatch, tmp_path):
+        from spectralt.delta import Presentation
+
+        path = tmp_path / "p.txt"
+        pres = cli.sample_gamma_strict(2, 7, 0.5, cli.Seed(3))
+        path.write_text("# sampled\n" + pres.dump())
+
+        def refuse(self):
+            raise AssertionError("relator tuples built")
+
+        monkeypatch.setattr(Presentation, "relators", property(refuse))
+        for extra in ([], ["--pipeline", "--diagnostics"]):
+            code, out, _ = run(capsys, "certify", str(path), *extra)
+            assert code == 0 and json.loads(out)["k"] == 7
+        code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "7", "--d-grid", "0.5",
+                           "--jobs", "1", "--pipeline")
+        assert code == 0 and ",ok" in out

@@ -1,10 +1,11 @@
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectralt import words as W
+from spectralt import delta as D, words as W
 from spectralt.delta import (
     Presentation,
     _header_int,
@@ -22,6 +23,10 @@ def aba():
     return Presentation(2, ((1, 2, 1),))
 
 
+def of_length(p, k):
+    return tuple(r for r in p.relators if len(r) == k)
+
+
 class TestPresentation:
     def test_validation(self):
         with pytest.raises(InputError):
@@ -31,9 +36,10 @@ class TestPresentation:
         with pytest.raises(InputError):
             Presentation(2, ((3,),))  # letter out of range
 
-    def test_relators_of_length(self):
+    def test_relator_lengths(self):
         p = Presentation(2, ((1, 2, 1), (1, 2, 1, 2)))
-        assert p.relators_of_length(3) == ((1, 2, 1),)
+        assert p.lengths.tolist() == [3, 4] and p.num_relators == 2
+        assert of_length(p, 3) == ((1, 2, 1),)
 
     def test_dump_parse_round_trip(self):
         p = Presentation(2, ((1, 2, 1), (2, 2, 2)), k=3)
@@ -45,14 +51,15 @@ class TestPresentation:
         with pytest.raises(InputError):
             Presentation(2, ((1, 2, 1, 2),), k=3)
 
-    def test_parse_flattens_once(self, monkeypatch):
+    def test_parse_builds_no_tuples(self, monkeypatch):
         calls = []
         real = W.flatten
         monkeypatch.setattr(W, "flatten", lambda words: calls.append(len(words)) or real(words))
         p = Presentation.parse("n 2\nk 3\ng1 g2 g1\ng2 g2 g1\n")
         build_delta_k(p, 3)
-        assert calls == [2]
-        assert [a.tolist() for a in p._letters] == [a.tolist() for a in real(p.relators)]
+        assert calls == [] and "relators" not in vars(p)
+        assert [p.letters.tolist(), p.offsets.tolist()] == [[1, 2, 1, 2, 2, 1], [0, 3, 6]]
+        assert p.letters.dtype == p.offsets.dtype == np.int64
         assert p == Presentation(2, ((1, 2, 1), (2, 2, 1)), k=3)
 
     def test_parse_comments_and_blank_lines(self):
@@ -160,7 +167,7 @@ class TestReencoding:
             code[W.invert(w)] = -i
         relators3 = tuple(
             tuple(code[part] for part in W.split_relator(r, k))
-            for r in p.relators_of_length(k)
+            for r in of_length(p, k)
         )
         d3 = build_delta3(Presentation(len(gens), relators3))
         back = {}
@@ -225,7 +232,7 @@ def old_build_delta_k(p, k):
     if L_k != l_k:
         vertices = vertices + old_labels(p.n, L_k)
     edges = {}
-    for r in p.relators_of_length(k):
+    for r in of_length(p, k):
         for key in old_relator_edges(r, k):
             edges[key] = edges.get(key, 0) + 1
     return MultiGraph(vertices, edges)
@@ -236,7 +243,7 @@ def old_sigma_decomposition(p, k):
     xy = old_labels(p.n, xy_len)
     z = old_labels(p.n, z_len) if z_len != xy_len else []
     es = ({}, {}, {})
-    relators = p.relators_of_length(k)
+    relators = of_length(p, k)
     for r in relators:
         for e, key in zip(es, old_relator_edges(r, k)):
             e[key] = e.get(key, 0) + 1
@@ -376,3 +383,130 @@ class TestParseAgainstRegexImplementation:
                              ((2, 1, 2, 1), "length 4 != k = 3")]:
             with pytest.raises(InputError, match=message):
                 Presentation(2, good + (bad,) + good, k=3)
+
+
+# ---- Presentation.parse against the line-by-line parse it replaced
+
+def line_parse(text):
+    """The line-by-line parse and the constructor checks as they were before
+    the array scan: (n, k, relators), or InputError."""
+    n = k = None
+    relators, lines = [], []
+    try:
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if parts[0] == "n" and len(parts) == 2 and n is None:
+                n = _header_int(parts)
+            elif parts[0] == "k" and len(parts) == 2 and k is None and not relators:
+                k = _header_int(parts)
+            else:
+                relators.append(tuple(map(W.letter_from_token, parts)))
+                lines.append(line)
+    finally:
+        bad = next((i for i, r in enumerate(relators) if not W.is_reduced(r)), None)
+        if bad is not None:
+            raise InputError(f"word {lines[bad]!r} is not freely reduced")
+    if n is None:
+        raise InputError("presentation file missing 'n <int>' header")
+    if n < 1:
+        raise InputError("generator count must be >= 1")
+    for r in relators:
+        if not W.is_cyclically_reduced(r):
+            raise InputError(f"relator {W.word_to_text(r)!r} not cyclically reduced")
+        if any(abs(x) > n for x in r):
+            raise InputError(f"relator letter outside alphabet of size {n}")
+        if k is not None and len(r) != k:
+            raise InputError(f"relator {W.word_to_text(r)!r} has length {len(r)} != k = {k}")
+    return n, k, tuple(relators)
+
+
+HEADERS = ["n 2", "n 3", "n 12", "k 3", "k 4", "n 02", "k 003", "\tn  2 ", "n x", "n -1",
+           "n +2", "n 0", "n 2 3", "k", "n", "n 99999999999999999999", "k 99999999999999999999",
+           "n ٢", "n 2_0", "n 0000000000000000002", "n " + "9" * 4301, "k " + "3" * 5000]
+PARSE_TOKENS = ["g1", "G1", "g2", "G2", "g3", "G3", "g12", "G12", "g01", "g0", "G00", "g10",
+                "g999999999999999999", "g9999999999999999999", "G99999999999999999999",
+                "g9223372036854775808", "g000000000000000001",
+                "g١", "gé", "x", "1", "g", "gg1", "g1g2", "G1#c", "g-1", "\x00", "\x7f"]
+LINE_ENDS = ["\n"] * 30 + ["\r\n"] * 6 + ["\r", "\r", "\v", "\f", "\x1c", "\x1f", "\x85", " "]
+COMMENTS = [""] * 16 + ["# c", "#", " # n 2 g1 \t", "##", "#é", "#\x0b g1"]
+
+
+@st.composite
+def presentation_files(draw):
+    """Mostly well-formed files, with headers in every order and position,
+    comments, every kind of line end, tabs and leading zeros; one in two gets
+    up to three defects: g0, 20-digit indices, header values past the
+    4300-digit int conversion limit, unicode digits, non-ASCII and
+    control bytes, malformed or duplicate headers, unreduced lines."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(3, 5))
+    ranks = st.integers(0, W.cyclically_reduced_count(n, k) - 1)
+    words = W.unrank_cyclically_reduced_letters(n, k, draw(st.lists(ranks, max_size=8))).tolist()
+    lines = [draw(st.sampled_from([" ", "\t"])).join(
+        draw(st.sampled_from([f"g{x}", f"g0{x}"])) if x > 0 else f"G{-x}" for x in w
+    ) for w in words]
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([f"n {n}", f" n\t0{n}"])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, 1)), f"k {k}")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        defect = draw(st.one_of(
+            st.sampled_from(HEADERS + ["", "g1 G1", "g2 g1 G1", "g1 g2 G1"]),
+            st.lists(st.sampled_from(PARSE_TOKENS), min_size=1, max_size=4).map(" ".join),
+        ))
+        lines.insert(draw(st.integers(0, len(lines))), defect)
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(COMMENTS)) + draw(st.sampled_from(LINE_ENDS))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parsed(text):
+    try:
+        p = Presentation.parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    assert p.offsets.dtype == np.int64 and p.offsets[0] == 0
+    flat = [x for r in p.relators for x in r]
+    return p.n, p.k, p.relators, p.letters.tolist() == flat, np.diff(p.offsets).tolist()
+
+
+def line_parsed(text):
+    try:
+        n, k, relators = line_parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return n, k, relators, True, [len(r) for r in relators]
+
+
+class TestParseAgainstLineParse:
+    @settings(max_examples=600, deadline=None)
+    @given(presentation_files(), st.sampled_from([1, 5, 24, D._PARSE_BLOCK]))
+    def test_same_presentation_or_message(self, text, block):
+        with patch.object(D, "_PARSE_BLOCK", block):
+            assert parsed(text) == line_parsed(text)
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 5), (12, 4), (2, 9)])
+    def test_sampled_dumps(self, n, k):
+        p = sample_gamma_p(n, k, 0.02 if n == 12 else 0.4, Seed(11, k))
+        text = p.dump()
+        for block in (1, 64, D._PARSE_BLOCK):
+            with patch.object(D, "_PARSE_BLOCK", block):
+                q = Presentation.parse(text)
+            assert q == p and "relators" not in vars(q)
+            assert q.letters.tolist() == p.letters.tolist()
+        crlf = "# sampled\r\n" + text.replace("\n", "\r\n").replace(" ", "\t")
+        assert Presentation.parse(crlf) == p
+
+    def test_the_scan_reads_what_dump_writes(self):
+        texts = ["n 2\nk 3\ng1 g2 g1\n", "k 3\n# c\nn 2\n\n\tg1 g2\tg1 # x\r\ng2 g2 g1",
+                 "n 12\ng12 G11 g10\n", "n 3\n", "n 2\ng000000000000000001\n"]
+        for text in texts:
+            assert D._scan(text) is not None, text
+        for text in ["n 2\ng1 g0\n", "n 2\ng1 G1\n", "n 2\ng1\nk 1\n", "n 2\nn 2\n",
+                     "n 2\ng1é\n", "n 2\x0bg1\n", "g1\n", "n 2\ng1g2\n",
+                     "n 2\ng99999999999999999999\n", "n 2\ng9223372036854775808\n",
+                     "n 2\ng 1\n", "n 2\n1 g1\n", "n 2\ngg1\n", "n 2\ng1 g\n", "n 2\nG1 G\n",
+                     "n 0000000000000000002\ng1\n", "n " + "2" * 4301 + "\n"]:
+            assert D._scan(text) is None, text

@@ -10,6 +10,7 @@ from spectralt.multigraph import MultiGraph, edge_key
 from spectralt.randmodels import (
     LaxParams,
     Seed,
+    _bernoulli,
     _uniform_ranks,
     coupled_bred_extension,
     coupled_red_extension,
@@ -53,6 +54,24 @@ class TestGnp:
         g = sample_bipartite_gnp(3, 4, 1.0, Seed(0))
         assert g.num_edges() == 12
         assert g.partition is not None
+
+    def test_more_pairs_than_the_enumeration_cap(self):
+        # 4500 vertices: 10,122,750 pairs, above ENUMERATION_CAP
+        assert sample_gnp(4500, 0.0, Seed(0)).num_vertices() == 4500
+        assert sample_bipartite_gnp(3200, 3200, 0.0, Seed(0)).num_vertices() == 6400
+
+    def test_a_draw_numpy_cannot_allocate_is_a_resource_cap(self):
+        with pytest.raises(ResourceCapError, match="m = 1000000000000: its vertex pairs"):
+            sample_gnp(10**12, 0.3, Seed(0))
+        with pytest.raises(ResourceCapError, match="m2 = 1000000000000: its vertex pairs"):
+            sample_bipartite_gnp(2, 10**12, 0.3, Seed(0))
+
+        class OutOfMemory:
+            def random(self, shape):
+                raise MemoryError
+
+        with pytest.raises(ResourceCapError, match="too many to draw"):
+            _bernoulli(OutOfMemory(), 10, 0.5, "G(m, p) on m = 5")
 
     def test_marginals(self):
         trials = 400
@@ -290,9 +309,8 @@ class TestStreamIdentity:
         total = len(universe)
         a, b = Seed(50).rng(), Seed(50).rng()
         ranks = _uniform_ranks(total, total, a)
-        assert tuple(W.unrank_cyclically_reduced(2, 4, ranks)) == old_uniform_subset(
-            universe, total, b
-        )
+        words = W.unrank_cyclically_reduced_letters(2, 4, ranks).tolist()
+        assert tuple(map(tuple, words)) == old_uniform_subset(universe, total, b)
         with pytest.raises(InputError) as new:
             _uniform_ranks(total, total + 1, a)
         with pytest.raises(InputError) as old:

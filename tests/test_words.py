@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -62,19 +64,21 @@ class TestUnrank:
         words = W.enumerate_cyclically_reduced(n, k)
         count = W.cyclically_reduced_count(n, k)
         assert count == len(words) == (2 * n - 1) ** k + 1 + (n - 1) * (1 + (-1) ** k)
-        assert W.unrank_cyclically_reduced(n, k, range(count)) == words
+        rows = W.unrank_cyclically_reduced_letters(n, k, range(count))
+        assert rows.dtype == np.int64 and rows.shape == (count, k)
+        assert list(map(tuple, rows.tolist())) == words
 
     def test_ranks_past_int64(self):
         count = W.cyclically_reduced_count(2, 41)
         assert count > 2**63
-        first, last = W.unrank_cyclically_reduced(2, 41, [0, count - 1])
-        assert first == (1,) * 41 and last == (-2,) * 41
+        first, last = W.unrank_cyclically_reduced_letters(2, 41, [0, count - 1]).tolist()
+        assert first == [1] * 41 and last == [-2] * 41
 
     def test_rank_range(self):
-        assert W.unrank_cyclically_reduced(2, 3, []) == []
+        assert W.unrank_cyclically_reduced_letters(2, 3, []).shape == (0, 3)
         for bad in ([-1], [28]):
             with pytest.raises(InputError, match="rank outside"):
-                W.unrank_cyclically_reduced(2, 3, bad)
+                W.unrank_cyclically_reduced_letters(2, 3, bad)
 
 
 class TestSplit:
@@ -160,3 +164,75 @@ class TestArrays:
                              ("G0", "generator index must be >= 1, got 'G0'")]:
             with pytest.raises(InputError, match=message):
                 W.letter_from_token(tok)
+
+
+def recursive_reduced(n, l):
+    """The recursive enumeration `iter_reduced` replaced, as an oracle."""
+    alphabet = [W.unflatten_letter(c, n) for c in range(1, 2 * n + 1)]
+
+    def rec(prefix, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for x in alphabet:
+            if prefix and prefix[-1] == -x:
+                continue
+            yield from rec(prefix + [x], remaining - 1)
+
+    return list(rec([], l))
+
+
+class TestIterativeEnumeration:
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (1, 2, 3) for l in range(1, 7)])
+    def test_same_order_as_the_recursion(self, n, l):
+        assert list(W.iter_reduced(n, l)) == recursive_reduced(n, l)
+
+    def test_longer_than_the_recursion_limit(self):
+        assert W.enumerate_reduced(1, 5000) == [(1,) * 5000, (-1,) * 5000]
+
+    @pytest.mark.parametrize("n,l", [(n, l) for n in (1, 2, 3) for l in range(1, 9)])
+    def test_labels(self, n, l):
+        expect = [W.word_to_label(w) for w in W.enumerate_reduced(n, l)]
+        assert W.reduced_labels(n, l) == expect
+
+    def test_labels_of_long_words_and_many_generators(self):
+        assert W.reduced_labels(1, 100001) == ["g1" * 100001, "G1" * 100001]
+        expect = [W.word_to_label(w) for w in W.enumerate_reduced(12, 3)]
+        assert W.reduced_labels(12, 3) == expect
+        with pytest.raises(ResourceCapError, match=r"\|W_10\| = 78732 exceeds .* stream instead"):
+            W.reduced_labels(2, 10, cap=1000)
+
+
+class TestCountCaps:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_exceeds_is_exact(self, n):
+        for l in range(1, 40):
+            count = W.word_count(n, l)
+            for cap in (0, 1, count - 1, count, count + 1, 10**7):
+                assert W.word_count_exceeds(n, l, cap) == (count > cap)
+
+    def test_huge_lengths_are_decided_without_the_count(self):
+        assert W.word_count_exceeds(2, 10**100, 10**7)
+        assert not W.word_count_exceeds(1, 10**100, 10**7)
+        assert W.word_count_exceeds(10**400, 1, 10**7)
+        assert W.word_count_text(2, 10**12, 10**12) == "4*3^999999999999"
+        assert W.word_count_text(2, 10**6, 10**6 + 4) == "4*3^999999+...+4*3^1000003"
+
+    def test_printable_counts_keep_their_digits(self):
+        for n, lo, hi in [(2, 5, 5), (3, 4, 9), (2, 9000, 9000), (2, 3000, 3004)]:
+            total = sum(W.word_count(n, l) for l in range(lo, hi + 1))
+            assert W.word_count_text(n, lo, hi) == str(total)
+        assert W.word_count_text(1, 10**12, 10**12 + 2) == "6"
+        # 4343 digits: past the interpreter's int -> str limit
+        assert W.word_count_text(2, 9100, 9100) == "4*3^9099"
+
+    def test_enumeration_caps(self):
+        message = f"|W_50| = {W.word_count(2, 50)} exceeds enumeration cap 10000000"
+        with pytest.raises(ResourceCapError, match=re.escape(message)):
+            W.enumerate_reduced(2, 50)
+        with pytest.raises(ResourceCapError, match="W_6000000 has 12000000 letters"):
+            W.enumerate_reduced(1, 6 * 10**6)
+        with pytest.raises(ResourceCapError, match="W_6000000 has 12000000 letters"):
+            W.reduced_labels(1, 6 * 10**6)
+        with pytest.raises(InputError):
+            W.word_count_exceeds(0, 3, 10)
