@@ -100,7 +100,7 @@ def union_bound_empirical_check(
         if c >= 1.0:
             raise HypothesisViolation(f"clause iii): c_{i} >= 1 (lambda1(G{i}) <= 0)")
         cs.append(c)
-    g1_full = MultiGraph._from_arrays(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
+    g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
     combined = union(g1_full, g2, g3)
     lhs = lambda1(combined)
     rhs = union_bound(cs[0], cs[1], cs[2])

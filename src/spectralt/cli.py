@@ -18,7 +18,7 @@ from . import words as W
 from .certify import certify_via_decomposition, union_bound_empirical_check, zuk_certificate
 from .delta import Presentation, build_delta_k, double_edge_audit
 from .errors import HypothesisViolation, InputError, ResourceCapError, SpectralTError
-from .multigraph import MultiGraph, edge_key
+from .multigraph import MultiGraph
 from .randmodels import (
     LaxParams,
     Seed,
@@ -54,7 +54,13 @@ def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (ValueError, RecursionError) as exc:
+            # an integer past Python's digit limit, or arrays nested too deep
+            raise InputError(f"config file cannot be read: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError("config file must contain a JSON object")
     return cfg
@@ -365,29 +371,23 @@ def _hexagon_triple() -> tuple[MultiGraph, MultiGraph, MultiGraph]:
     (2,2)-regular bipartite graphs.
     """
     v1, v2 = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
-    g1 = MultiGraph(v1, {("x1", "x2"): 2, ("x2", "x3"): 2, ("x1", "x3"): 2})
-    cyc1 = [("x1", "y1"), ("y1", "x2"), ("x2", "y2"),
-            ("y2", "x3"), ("x3", "y3"), ("y3", "x1")]
-    cyc2 = [("x1", "y2"), ("y2", "x2"), ("x2", "y3"),
-            ("y3", "x3"), ("x3", "y1"), ("y1", "x1")]
-    g2 = MultiGraph(v1 + v2, cyc1, partition=(v1, v2))
-    g3 = MultiGraph(v1 + v2, cyc2, partition=(v1, v2))
+    g1 = MultiGraph(v1, [0, 1, 0], [1, 2, 2], [2, 2, 2])
+    # G2: x_i y_i and x_{i+1} y_i; G3: x_i y_{i+1} and x_i y_i (indices mod 3)
+    g2 = MultiGraph(v1 + v2, [0, 1, 2, 1, 2, 0], [3, 4, 5, 3, 4, 5], partition=(v1, v2))
+    g3 = MultiGraph(v1 + v2, [0, 1, 2, 0, 1, 2], [4, 5, 3, 3, 4, 5], partition=(v1, v2))
     return g1, g2, g3
 
 
 def _six_regular(labels: list[str]) -> MultiGraph:
     """K6 plus a doubled perfect matching: 6-regular on six vertices."""
-    edges: dict[tuple[str, str], int] = {}
-    for i in range(6):
-        for j in range(i + 1, 6):
-            edges[edge_key(labels[i], labels[j])] = 2 if j == i + 3 else 1
-    return MultiGraph(labels, edges)
+    u, v = np.triu_indices(6, 1)
+    return MultiGraph(labels, u, v, np.where(v == u + 3, 2, 1))
 
 
 def _brute_audit(g: MultiGraph) -> tuple[int, int, bool]:
-    mults = list(g.edges.values())
-    max_mult = max(mults, default=0)
-    doubles = [e for e, m in g.edges.items() if m >= 2]
+    edges = g.edges
+    max_mult = max(edges.values(), default=0)
+    doubles = [e for e, m in edges.items() if m >= 2]
     per_vertex: dict[str, int] = {}
     for u, v in doubles:
         per_vertex[u] = per_vertex.get(u, 0) + 1
@@ -445,12 +445,12 @@ def _verify_lemmas(seed: Seed) -> list[Check]:
 def _verify_regularity(seed: Seed) -> list[Check]:
     v1 = ["x1", "x2", "x3"]
     v2 = ["y1", "y2", "y3"]
-    all_pairs = [(u, v) for u in v1 for v in v2]
+    all_u, all_v = np.repeat([0, 1, 2], 3), np.tile([3, 4, 5], 3)
     ok = True
     for targets in [(1, 1), (2, 2)]:
         for bits in range(512):
-            edges = [e for j, e in enumerate(all_pairs) if bits >> j & 1]
-            g = MultiGraph(v1 + v2, edges, partition=(v1, v2))
+            pick = ((bits >> np.arange(9)) & 1) == 1
+            g = MultiGraph(v1 + v2, all_u[pick], all_v[pick], partition=(v1, v2))
             feas = ore_ryser_feasible(g, *targets)
             got = extract_regular_subgraph(g, *targets)
             ok = ok and feas == (got is not None)

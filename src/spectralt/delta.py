@@ -415,7 +415,7 @@ def build_delta_k(p: Presentation, k: int) -> MultiGraph:
     ends = _link_edges(p, k, relator_major=True)
     u = np.concatenate([e[0] for e in ends])
     v = np.concatenate([e[1] for e in ends])
-    return MultiGraph._from_arrays(vertices, u, v)
+    return MultiGraph(vertices, u, v)
 
 
 def build_delta3(p: Presentation) -> MultiGraph:
@@ -443,15 +443,15 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
     e1, e2, e3 = _link_edges(p, k, relator_major=False)
 
     if case == 0:
-        sigma1 = MultiGraph._from_arrays(xy_labels, *e1)
-        sigma2 = MultiGraph._from_arrays(xy_labels, *e2)
-        sigma3 = MultiGraph._from_arrays(xy_labels, *e3)
+        sigma1 = MultiGraph(xy_labels, *e1)
+        sigma2 = MultiGraph(xy_labels, *e2)
+        sigma3 = MultiGraph(xy_labels, *e3)
     else:
         both = xy_labels + z_labels
         part = (xy_labels, z_labels)
-        sigma1 = MultiGraph._from_arrays(both, *e1, partition=part)
-        sigma2 = MultiGraph._from_arrays(xy_labels, *e2)
-        sigma3 = MultiGraph._from_arrays(both, *e3, partition=part)
+        sigma1 = MultiGraph(both, *e1, partition=part)
+        sigma2 = MultiGraph(xy_labels, *e2)
+        sigma3 = MultiGraph(both, *e3, partition=part)
     used = len(e1[0])
     return SigmaDecomposition(
         sigma1, sigma2, sigma3, case, xy_len, z_len,

@@ -5,16 +5,17 @@ multiplicity once, not twice.
 
 A graph stores its vertex labels and three int arrays (u, v, mult) of vertex
 indices: one entry per distinct edge, u <= v, sorted by (u, v).  Every walk
-over the graph is a numpy pass over these arrays; the label-keyed edge dict
-is built from them on first use.
+over the graph is a numpy pass over these arrays; the label-keyed `edges`
+view is built from them on each read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import InputError
 
@@ -42,79 +43,51 @@ def _frozen(a) -> np.ndarray:
 class MultiGraph:
     """Immutable multigraph on string-labelled vertices.
 
-    Vertex order is the construction order (first occurrence wins); adjacency
-    matrices and the edge arrays index vertices in that order.
+    Vertex order is the order of the labels given; adjacency matrices and the
+    edge arrays index vertices in that order.
     """
 
     def __init__(
         self,
-        vertices: Iterable[str],
-        edges: Mapping[EdgeKey, int] | Iterable[tuple[str, str]] = (),
+        vertices: Sequence[str],
+        u: ArrayLike,
+        v: ArrayLike,
+        mult: Optional[ArrayLike] = None,
         partition: Optional[tuple[Iterable[str], Iterable[str]]] = None,
     ):
-        seen: dict[str, int] = {}
-        for v in vertices:
-            if v not in seen:
-                seen[v] = len(seen)
-
-        mult: dict[EdgeKey, int] = {}
-        if isinstance(edges, Mapping):
-            items = [(edge_key(u, v), m) for (u, v), m in edges.items()]
-        else:
-            items = [(edge_key(u, v), 1) for (u, v) in edges]
-        for key, m in items:
-            if m < 1:
-                raise InputError(f"multiplicity {m} < 1 for edge {key}")
-            mult[key] = mult.get(key, 0) + m
-        for u, v in mult:
-            if u not in seen or v not in seen:
-                raise InputError(f"edge endpoint not a vertex: {(u, v)}")
-
+        """The graph on the distinct labels `vertices` with an edge
+        {vertices[u[i]], vertices[v[i]]} of multiplicity mult[i] (default 1)
+        for each i; repeated pairs add up.  A partition, if given, must split
+        the labels in two sides that every edge crosses."""
+        vertices = tuple(vertices)
+        labels = set(vertices)
+        if len(labels) != len(vertices):
+            raise InputError("vertex labels repeat")
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        if len(u) != len(v) or (mult is not None and len(mult) != len(u)):
+            raise InputError("edge arrays differ in length")
+        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= len(vertices)):
+            raise InputError(f"edge endpoint not a vertex index in [0, {len(vertices)})")
+        if mult is not None:
+            mult = np.asarray(mult, dtype=np.int64)
+            if (mult < 1).any():
+                raise InputError(f"multiplicity {mult.min()} < 1")
+        self._vertices: tuple[str, ...] = vertices
+        self._u, self._v, self._mult = map(_frozen, _canonical(len(vertices), u, v, mult))
+        self.partition: Optional[tuple[frozenset[str], frozenset[str]]] = None
         if partition is not None:
             p1, p2 = frozenset(partition[0]), frozenset(partition[1])
             if p1 & p2:
                 raise InputError("bipartition parts overlap")
-            if p1 | p2 != set(seen):
+            if p1 | p2 != labels:
                 raise InputError("bipartition does not cover the vertex set")
-            for u, v in mult:
-                if (u in p1) == (v in p1):
-                    raise InputError(f"edge {(u, v)} does not cross the bipartition")
-            partition = (p1, p2)
-
-        u = np.fromiter((seen[a] for a, _ in mult), np.int64, len(mult))
-        v = np.fromiter((seen[b] for _, b in mult), np.int64, len(mult))
-        m = np.fromiter(mult.values(), np.int64, len(mult))
-        self._set(tuple(seen), *_canonical(len(seen), u, v, m), partition)
-        self._edge_dict = mult
-
-    def _set(self, vertices, u, v, mult, partition) -> None:
-        self._vertices: tuple[str, ...] = vertices
-        self._u, self._v, self._mult = _frozen(u), _frozen(v), _frozen(mult)
-        self.partition: Optional[tuple[frozenset[str], frozenset[str]]] = partition
-        self._edge_dict: Optional[dict[EdgeKey, int]] = None
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        vertices: Sequence[str],
-        u: np.ndarray,
-        v: np.ndarray,
-        mult: Optional[np.ndarray] = None,
-        partition: Optional[tuple[Iterable[str], Iterable[str]]] = None,
-    ) -> "MultiGraph":
-        """The graph on the distinct labels `vertices` with an edge
-        {vertices[u[i]], vertices[v[i]]} of multiplicity mult[i] (default 1)
-        for each i; repeated pairs add up.
-
-        The caller guarantees what the public constructor checks: indices in
-        range, multiplicities >= 1, and a partition of the labels that every
-        edge crosses.
-        """
-        g = cls.__new__(cls)
-        if partition is not None:
-            partition = (frozenset(partition[0]), frozenset(partition[1]))
-        g._set(tuple(vertices), *_canonical(len(vertices), u, v, mult), partition)
-        return g
+            side = np.fromiter((x in p1 for x in vertices), bool, len(vertices))
+            same = np.flatnonzero(side[self._u] == side[self._v])
+            if len(same):
+                i = same[0]
+                key = edge_key(vertices[self._u[i]], vertices[self._v[i]])
+                raise InputError(f"edge {key} does not cross the bipartition")
+            self.partition = (p1, p2)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -125,21 +98,14 @@ class MultiGraph:
         """Read-only (u, v, mult): distinct edges as vertex indices, u <= v."""
         return self._u, self._v, self._mult
 
-    def _edge_map(self) -> dict[EdgeKey, int]:
-        if self._edge_dict is None:
-            lab = self._vertices
-            self._edge_dict = {
-                edge_key(lab[a], lab[b]): m
-                for a, b, m in zip(self._u.tolist(), self._v.tolist(), self._mult.tolist())
-            }
-        return self._edge_dict
-
     @property
     def edges(self) -> dict[EdgeKey, int]:
-        return dict(self._edge_map())
-
-    def multiplicity(self, u: str, v: str) -> int:
-        return self._edge_map().get(edge_key(u, v), 0)
+        """Label-keyed multiplicities in (u, v) order, built on each read."""
+        lab = self._vertices
+        return {
+            edge_key(lab[a], lab[b]): m
+            for a, b, m in zip(self._u.tolist(), self._v.tolist(), self._mult.tolist())
+        }
 
     def num_vertices(self) -> int:
         return len(self._vertices)
@@ -174,7 +140,7 @@ class MultiGraph:
         return a
 
     def collapse_multi_edges(self) -> "MultiGraph":
-        return MultiGraph._from_arrays(self._vertices, self._u, self._v, partition=self.partition)
+        return MultiGraph(self._vertices, self._u, self._v, partition=self.partition)
 
     def components(self) -> int:
         """Connected component count (loops ignored).
@@ -219,28 +185,6 @@ class MultiGraph:
             lines.append(f"e {lab[x]} {lab[y]} {m}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def parse(cls, text: str) -> "MultiGraph":
-        vertices: list[str] = []
-        edges: dict[EdgeKey, int] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v" and len(parts) == 2:
-                vertices.append(parts[1])
-            elif parts[0] == "e" and len(parts) == 4:
-                try:
-                    m = int(parts[3])
-                except ValueError:
-                    raise InputError(f"edge multiplicity must be an integer: {line!r}")
-                key = edge_key(parts[1], parts[2])
-                edges[key] = edges.get(key, 0) + m
-            else:
-                raise InputError(f"bad graph dump line: {line!r}")
-        return cls(vertices, edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
             return NotImplemented
@@ -250,7 +194,7 @@ class MultiGraph:
             )
         return (
             set(self._vertices) == set(other._vertices)
-            and self._edge_map() == other._edge_map()
+            and self.edges == other.edges
         )
 
     def __repr__(self) -> str:
@@ -264,7 +208,6 @@ def _canonical(
     m: int, u: np.ndarray, v: np.ndarray, mult: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (u, v) pairs with u <= v, sorted, multiplicities summed."""
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     keys = np.minimum(u, v) * m + np.maximum(u, v)
     if mult is None:
         keys, total = np.unique(keys, return_counts=True)
@@ -303,7 +246,7 @@ def union(*graphs: MultiGraph) -> MultiGraph:
         if side1 & side2:
             raise InputError("conflicting bipartitions on shared vertices")
         partition = (side1, side2)
-    return MultiGraph._from_arrays(
+    return MultiGraph(
         list(index), np.concatenate(us), np.concatenate(vs), np.concatenate(mults),
         partition=partition,
     )

@@ -77,7 +77,7 @@ def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
         starts = rows * m - rows * (rows + 1) // 2
         u = np.searchsorted(starts, hits, side="right") - 1
         v = hits - starts[u] + u + 1
-    return MultiGraph._from_arrays(_pair_labels("u", m), u, v)
+    return MultiGraph(_pair_labels("u", m), u, v)
 
 
 def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
@@ -88,7 +88,7 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     i, j = np.nonzero(_bernoulli(rng, (m1, m2), p, f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"))
     left = _pair_labels("u", m1)
     right = _pair_labels("v", m2)
-    return MultiGraph._from_arrays(left + right, i, m1 + j, partition=(left, right))
+    return MultiGraph(left + right, i, m1 + j, partition=(left, right))
 
 
 def _word_universe(n: int, l: int, cap: int) -> tuple[list[str], np.ndarray]:
@@ -148,7 +148,7 @@ def _red_with_rng(
         rows.append(js[hit])
         mults.append(mult[hit])
     u, v = _row_edges(rows)
-    return MultiGraph._from_arrays(labels, u, v, np.concatenate(mults)), (labels, classes)
+    return MultiGraph(labels, u, v, np.concatenate(mults)), (labels, classes)
 
 
 def sample_bred(
@@ -184,7 +184,7 @@ def _bred_with_rng(
     labels1, classes1 = _word_universe(n, l, cap)
     labels2, classes2 = _word_universe(n, l + 1, cap)
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 != c)) for c in classes1])
-    graph = MultiGraph._from_arrays(
+    graph = MultiGraph(
         labels1 + labels2, u, len(labels1) + v, partition=(labels1, labels2)
     )
     return graph, (labels1, classes1, labels2, classes2)
@@ -203,7 +203,7 @@ def coupled_red_extension(
     q = 2 * p - p * p
     u, v = _row_edges([_hits(rng, q, js) for _, js in _later_pairs(classes, same=True)])
     gu, gv, _ = g.edge_arrays
-    return g, MultiGraph._from_arrays(labels, np.concatenate([gu, u]), np.concatenate([gv, v]))
+    return g, MultiGraph(labels, np.concatenate([gu, u]), np.concatenate([gv, v]))
 
 
 def coupled_bred_extension(
@@ -222,7 +222,7 @@ def coupled_bred_extension(
     )
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 == c)) for c in classes1])
     gu, gv, _ = g.edge_arrays
-    gp = MultiGraph._from_arrays(
+    gp = MultiGraph(
         labels1 + labels2,
         np.concatenate([gu, u]),
         np.concatenate([gv, len(labels1) + v]),

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import words as W
 from .errors import InputError
-from .multigraph import MultiGraph, union
+from .multigraph import MultiGraph, edge_key, union
 
 BRUTE_FORCE_VERTEX_CUTOFF = 16
 
@@ -179,7 +179,7 @@ def extract_regular_subgraph(
             f"balance violation: {d1}*{len(left)} != {d2}*{len(right)}"
         )
     if d1 == 0:
-        return MultiGraph._from_arrays(g.vertices, [], [], partition=g.partition)
+        return MultiGraph(g.vertices, [], [], partition=g.partition)
 
     # nodes: source 0, sink 1, then V1 and V2, each in vertex order
     nl, nr = len(left), len(right)
@@ -205,7 +205,7 @@ def extract_regular_subgraph(
     if np.count_nonzero(used) + added != d1 * nl:
         return None
     chosen = res[2 * (nl + nr) :: 2] == 0
-    return MultiGraph._from_arrays(
+    return MultiGraph(
         g.vertices, a[chosen], b[chosen], partition=g.partition
     )
 
@@ -217,17 +217,17 @@ def ore_ryser_feasible(g: MultiGraph, d1: int, d2: int) -> bool:
     equivalent) beyond that.
     """
     in_left = _left_mask(g)
-    left = [v for v, x in zip(g.vertices, in_left.tolist()) if x]
-    right = [v for v, x in zip(g.vertices, in_left.tolist()) if not x]
+    left, right = np.flatnonzero(in_left).tolist(), np.flatnonzero(~in_left).tolist()
     if d1 < 0 or d2 < 0:
         raise InputError("need d1, d2 >= 0")
     if d1 * len(left) != d2 * len(right):
         return False
     if len(left) + len(right) > BRUTE_FORCE_VERTEX_CUTOFF:
         return extract_regular_subgraph(g, d1, d2) is not None
+    adj = g.adjacency_matrix().tolist()
 
-    def e_between(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        return sum(1 for u in a for v in b if g.multiplicity(u, v) > 0)
+    def e_between(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+        return sum(1 for x in a for y in b if adj[x][y] > 0)
 
     for ra in range(len(left) + 1):
         for a in combinations(left, ra):
@@ -254,10 +254,10 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
         (W.class_index(W.word_from_label(v), n) for v in labels), np.int64, len(labels)
     )
     u, v, mult = g.edge_arrays
-    if (cls[u] == cls[v]).any():
-        # name the first such edge in the order of g.edges
-        of = dict(zip(labels, cls.tolist()))
-        key = next(key for key in g.edges if of[key[0]] == of[key[1]])
+    same = np.flatnonzero(cls[u] == cls[v])
+    if len(same):
+        # name the first such edge in (u, v) order
+        key = edge_key(labels[u[same[0]]], labels[v[same[0]]])
         raise InputError(f"same-class edge {key}: not a reduced-model graph")
     a, b, _ = g._label_keys()
     single = mult == 1
@@ -273,7 +273,7 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
         side_labels = [labels[x] for x in side.tolist()]
         rest_labels = [labels[x] for x in rest.tolist()]
         mine = owner == i
-        layers[i] = MultiGraph._from_arrays(
+        layers[i] = MultiGraph(
             side_labels + rest_labels, at[eu[mine]], at[ev[mine]],
             partition=(side_labels, rest_labels),
         )
@@ -291,7 +291,7 @@ def layer_factor_union(
         if factor is None:
             return None
         factors.append(factor)
-    return union(MultiGraph(g.vertices), *factors)
+    return union(MultiGraph(g.vertices, [], []), *factors)
 
 
 def extract_red_regular_union(

@@ -1,0 +1,25 @@
+"""Labelled test graphs: labels and label-keyed edges mapped to index arrays."""
+
+from spectralt.errors import InputError
+from spectralt.multigraph import MultiGraph, edge_key
+
+
+def graph(vertices, edges=(), partition=None):
+    """The MultiGraph on `vertices` (repeats dropped, first occurrence wins)
+    with `edges`, a dict {(a, b): multiplicity} or an iterable of (a, b)
+    pairs; keys are normalised with edge_key and repeated keys add up."""
+    index = {}
+    for x in vertices:
+        index.setdefault(x, len(index))
+    items = edges.items() if isinstance(edges, dict) else ((e, 1) for e in edges)
+    mult = {}
+    for (a, b), m in items:
+        key = edge_key(a, b)
+        mult[key] = mult.get(key, 0) + m
+    for a, b in mult:
+        if a not in index or b not in index:
+            raise InputError(f"edge endpoint not a vertex: {(a, b)}")
+    return MultiGraph(
+        list(index), [index[a] for a, _ in mult], [index[b] for _, b in mult],
+        list(mult.values()), partition=partition,
+    )

@@ -12,22 +12,23 @@ from spectralt.certify import (
 )
 from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import HypothesisViolation, InputError
-from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_gamma_p
 from spectralt.words import enumerate_cyclically_reduced
+
+from graphs import graph
 
 SQRT2 = math.sqrt(2.0)
 
 
 def hexagon_triple():
     v1, v2 = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
-    g1 = MultiGraph(v1, {("x1", "x2"): 2, ("x2", "x3"): 2, ("x1", "x3"): 2})
+    g1 = graph(v1, {("x1", "x2"): 2, ("x2", "x3"): 2, ("x1", "x3"): 2})
     cyc1 = [("x1", "y1"), ("y1", "x2"), ("x2", "y2"),
             ("y2", "x3"), ("x3", "y3"), ("y3", "x1")]
     cyc2 = [("x1", "y2"), ("y2", "x2"), ("x2", "y3"),
             ("y3", "x3"), ("x3", "y1"), ("y1", "x1")]
-    g2 = MultiGraph(v1 + v2, cyc1, partition=(v1, v2))
-    g3 = MultiGraph(v1 + v2, cyc2, partition=(v1, v2))
+    g2 = graph(v1 + v2, cyc1, partition=(v1, v2))
+    g3 = graph(v1 + v2, cyc2, partition=(v1, v2))
     return g1, g2, g3
 
 
@@ -61,9 +62,9 @@ class TestEmpiricalCheck:
 
     def test_disconnected_bipartite_rejected(self):
         v1, v2 = ["x1", "x2"], ["y1", "y2"]
-        g1 = MultiGraph(v1, {("x1", "x2"): 2})
-        g2 = MultiGraph(v1 + v2, [("x1", "y1"), ("x2", "y2")], partition=(v1, v2))
-        g3 = MultiGraph(v1 + v2, [("x1", "y2"), ("x2", "y1")], partition=(v1, v2))
+        g1 = graph(v1, {("x1", "x2"): 2})
+        g2 = graph(v1 + v2, [("x1", "y1"), ("x2", "y2")], partition=(v1, v2))
+        g3 = graph(v1 + v2, [("x1", "y2"), ("x2", "y1")], partition=(v1, v2))
         # perfect matchings are disconnected, so c >= 1 trips the guard
         with pytest.raises(HypothesisViolation, match="c_2"):
             union_bound_empirical_check(g1, g2, g3, 1, 1)
@@ -75,7 +76,7 @@ class TestEmpiricalCheck:
 
     def test_missing_partition_rejected(self):
         g1, g2, g3 = hexagon_triple()
-        bare = MultiGraph(g2.vertices, g2.edges)
+        bare = graph(g2.vertices, g2.edges)
         with pytest.raises(HypothesisViolation, match="bipartite"):
             union_bound_empirical_check(g1, bare, g3, 2, 2)
 

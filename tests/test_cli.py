@@ -279,6 +279,18 @@ class TestConfig:
         assert code == 2 and out == ""
         assert err == "error: n must be int, got 'abc'\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    ], ids=["huge-int", "deep-nesting"])
+    def test_unreadable_json(self, capsys, tmp_path, aba_file, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "certify", aba_file)
+        assert code == 2 and out == ""
+        assert err.startswith("error: config file cannot be read: ") and message in err
+        assert err.count("\n") == 1
+
     def test_flags_override_config(self, capsys, tmp_path, aba_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": 4}))

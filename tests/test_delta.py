@@ -15,8 +15,10 @@ from spectralt.delta import (
     sigma_decomposition,
 )
 from spectralt.errors import InputError
-from spectralt.multigraph import MultiGraph, edge_key, union
+from spectralt.multigraph import edge_key, union
 from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
+
+from graphs import graph
 
 
 def aba():
@@ -70,7 +72,7 @@ class TestPresentation:
 class TestDelta:
     def test_aba_is_the_expected_path(self):
         g = build_delta3(aba())
-        expect = MultiGraph(
+        expect = graph(
             ["g1", "g2", "G1", "G2"],
             [("g1", "G1"), ("g2", "G1"), ("g1", "G2")],
         )
@@ -139,7 +141,7 @@ class TestSigma:
 
 
 def relabel(g, mapping):
-    return MultiGraph(
+    return graph(
         [mapping[v] for v in g.vertices],
         {edge_key(mapping[u], mapping[v]): m for (u, v), m in g.edges.items()},
     )
@@ -199,7 +201,7 @@ class TestAudit:
 
     def test_m_bound_flag(self):
         # hub with four doubled edges: max doubles per vertex is 4 > M = 3
-        g = MultiGraph(
+        g = graph(
             "habcd", {("h", x): 2 for x in "abcd"}
         )
         audit = double_edge_audit(g, m_bound=3)
@@ -235,7 +237,7 @@ def old_build_delta_k(p, k):
     for r in of_length(p, k):
         for key in old_relator_edges(r, k):
             edges[key] = edges.get(key, 0) + 1
-    return MultiGraph(vertices, edges)
+    return graph(vertices, edges)
 
 
 def old_sigma_decomposition(p, k):
@@ -248,11 +250,11 @@ def old_sigma_decomposition(p, k):
         for e, key in zip(es, old_relator_edges(r, k)):
             e[key] = e.get(key, 0) + 1
     if k % 3 == 0:
-        sigmas = tuple(MultiGraph(xy, e) for e in es)
+        sigmas = tuple(graph(xy, e) for e in es)
     else:
         part = (xy, z)
-        sigmas = (MultiGraph(xy + z, es[0], partition=part), MultiGraph(xy, es[1]),
-                  MultiGraph(xy + z, es[2], partition=part))
+        sigmas = (graph(xy + z, es[0], partition=part), graph(xy, es[1]),
+                  graph(xy + z, es[2], partition=part))
     return sigmas, len(p.relators) - len(relators)
 
 
@@ -348,11 +350,11 @@ class TestAgainstLabelImplementation:
         assert outcome(build_delta_k, p, 6) != outcome(sigma_decomposition, p, 6)
 
     def test_audit_on_loops(self):
-        g = MultiGraph("abc", {("a", "a"): 2, ("a", "b"): 2, ("c", "c"): 1})
+        g = graph("abc", {("a", "a"): 2, ("a", "b"): 2, ("c", "c"): 1})
         audit = double_edge_audit(g)
         assert (audit.max_multiplicity, audit.double_edge_count) == (2, 2)
         assert audit.max_doubles_per_vertex == 2 and not audit.doubles_form_matching
-        empty = double_edge_audit(MultiGraph("ab"))
+        empty = double_edge_audit(graph("ab"))
         assert (empty.max_multiplicity, empty.max_doubles_per_vertex) == (0, 0)
 
 

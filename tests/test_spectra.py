@@ -7,16 +7,18 @@ from spectralt.errors import DegenerateGraphError, InputError, ResourceCapError
 from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_gamma_strict, sample_gnp
 
+from graphs import graph
+
 
 def complete_graph(m):
     labels = [f"v{i}" for i in range(m)]
-    return MultiGraph(labels, [(a, b) for i, a in enumerate(labels)
+    return graph(labels, [(a, b) for i, a in enumerate(labels)
                                for b in labels[i + 1:]])
 
 
 def cycle_graph(m):
     labels = [f"v{i}" for i in range(m)]
-    return MultiGraph(labels, [(labels[i], labels[(i + 1) % m]) for i in range(m)])
+    return graph(labels, [(labels[i], labels[(i + 1) % m]) for i in range(m)])
 
 
 class TestLaplacian:
@@ -31,7 +33,7 @@ class TestLaplacian:
         assert np.allclose(eigs, [0, 1, 1, 2], atol=1e-9)
 
     def test_path4_gap(self):
-        g = MultiGraph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        g = graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
         assert spectra.lambda1(g) == pytest.approx(0.5, abs=1e-9)
 
     def test_range(self):
@@ -43,25 +45,25 @@ class TestLaplacian:
             assert eigs[0] >= -1e-9 and eigs[-1] <= 2 + 1e-9
 
     def test_isolated_vertex_degenerate(self):
-        g = MultiGraph("abc", [("a", "b")])
+        g = graph("abc", [("a", "b")])
         with pytest.raises(DegenerateGraphError):
             spectra.normalized_laplacian(g)
         assert spectra.lambda1(g) == 0.0
         assert spectra.spectral_report(g) == spectra.SpectralReport((), 0.0, True)
-        assert spectra.spectral_report(MultiGraph("")).degenerate
+        assert spectra.spectral_report(graph("")).degenerate
 
     def test_loop_counts_once_in_degree(self):
-        g = MultiGraph("ab", {("a", "a"): 1, ("a", "b"): 1})
+        g = graph("ab", {("a", "a"): 1, ("a", "b"): 1})
         lap = spectra.normalized_laplacian(g)
         assert np.allclose(lap, [[0.5, -1 / np.sqrt(2)], [-1 / np.sqrt(2), 1.0]])
 
     def test_disconnected_lambda1_zero(self):
-        g = MultiGraph("abcd", [("a", "b"), ("c", "d")])
+        g = graph("abcd", [("a", "b"), ("c", "d")])
         assert spectra.lambda1(g) == 0.0
 
     def test_single_vertex_rejected(self):
         with pytest.raises(InputError):
-            spectra.lambda1(MultiGraph("a"))
+            spectra.lambda1(graph("a"))
 
     def test_eigen_cap(self, monkeypatch):
         monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", "3")
@@ -82,7 +84,7 @@ class TestWeyl:
 
 class TestBounds:
     def test_bipartite_adjacency_bound(self):
-        g = MultiGraph(
+        g = graph(
             "abcd", [("a", "c"), ("a", "d"), ("b", "c")],
             partition=("ab", "cd"),
         )
@@ -98,20 +100,20 @@ class TestBounds:
 
 def complete_bipartite(a, b):
     left, right = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
-    return MultiGraph(left + right, [(u, v) for u in left for v in right])
+    return graph(left + right, [(u, v) for u in left for v in right])
 
 
 def petersen():
     outer = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
     inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
     spokes = [(f"o{i}", f"i{i}") for i in range(5)]
-    return MultiGraph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+    return graph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
                       outer + inner + spokes)
 
 
 def hypercube(dim):
     labels = [format(i, f"0{dim}b") for i in range(2**dim)]
-    return MultiGraph(labels, [(labels[i], labels[i ^ (1 << b)])
+    return graph(labels, [(labels[i], labels[i ^ (1 << b)])
                                for i in range(2**dim) for b in range(dim) if i < i ^ (1 << b)])
 
 
@@ -119,7 +121,7 @@ def loops_and_multi_edges():
     g = complete_graph(7)
     edges = {key: 1 + (i % 3) for i, key in enumerate(sorted(g.edges))}
     edges.update({("v0", "v0"): 2, ("v3", "v3"): 1, ("v5", "v5"): 4})
-    return MultiGraph(g.vertices, edges)
+    return graph(g.vertices, edges)
 
 
 def random_delta(n, k, d):
@@ -175,8 +177,8 @@ class TestLanczos:
         assert bipartite[-1] == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("graph", [
-        MultiGraph("abcdef", [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]),
-        MultiGraph("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")]),
+        graph("abcdef", [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f")]),
+        graph("abcde", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "d")]),
     ])
     def test_disconnected_is_zero_without_a_solve(self, lanczos_everywhere, graph):
         assert spectra.lambda1(graph, report=True) == spectra.Lambda1Solve(0.0, "components", 0.0)
@@ -242,4 +244,4 @@ class TestLanczos:
             spectra.lambda1(complete_graph(6))
         with pytest.raises(ResourceCapError):
             spectra.normalized_laplacian(complete_graph(6))
-        assert spectra.lambda1(MultiGraph("abcdef", [("a", "b")])) == 0.0
+        assert spectra.lambda1(graph("abcdef", [("a", "b")])) == 0.0
