@@ -7,7 +7,6 @@ spanning subgraphs, and assembles certificates.
 
 from .certify import (
     Certificate,
-    UnionBoundInput,
     certify_via_decomposition,
     union_bound,
     union_bound_empirical_check,

@@ -38,25 +38,15 @@ SQRT2 = math.sqrt(2.0)
 MAX_TARGET_ATTEMPTS = 10
 
 
-@dataclass(frozen=True)
-class UnionBoundInput:
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
-        for c in (self.c1, self.c2, self.c3):
-            if not 0.0 <= c < 1.0:
-                raise InputError(f"eigenvalue deficit {c} outside [0, 1)")
-
-
 def union_bound(c1: float, c2: float, c3: float) -> float:
     """1 - (sqrt(2) c1 + c2 + c3) / (2 sqrt(2)).
 
     c1 belongs to the shared-vertex-set graph, c2 and c3 to the bipartite
     ones; all deficits in [0, 1).
     """
-    UnionBoundInput(c1, c2, c3)
+    for c in (c1, c2, c3):
+        if not 0.0 <= c < 1.0:
+            raise InputError(f"eigenvalue deficit {c} outside [0, 1)")
     return 1.0 - (SQRT2 * c1 + c2 + c3) / (2.0 * SQRT2)
 
 
@@ -81,7 +71,7 @@ def union_bound_empirical_check(
     holds must be true (a falsification is a solver or construction bug).
     """
     for i, g in ((2, g2), (3, g3)):
-        if g.partition is None:
+        if g.side is None:
             raise HypothesisViolation(f"clause i): G{i} is not bipartite")
     v1a, v2a = g2.partition
     v1b, v2b = g3.partition
@@ -89,10 +79,8 @@ def union_bound_empirical_check(
         raise HypothesisViolation("clause i): vertex sets do not align")
     if _regular_degree(g1) != 2 * d1:
         raise HypothesisViolation(f"clause ii): G1 is not {2 * d1}-regular")
-    deg2, deg3 = g2.degrees(), g3.degrees()
-    for i, (g, deg) in ((2, (g2, deg2)), (3, (g3, deg3))):
-        p1, p2 = g.partition
-        if any(deg[v] != d1 for v in p1) or any(deg[v] != d2 for v in p2):
+    for i, g in ((2, g2), (3, g3)):
+        if (g.degree_array() != np.where(g.side, d1, d2)).any():
             raise HypothesisViolation(f"clause ii): G{i} is not ({d1},{d2})-regular")
     cs = []
     for i, g in ((1, g1), (2, g2), (3, g3)):
@@ -192,15 +180,18 @@ def zuk_certificate(
     )
 
 
+def _side_min(deg: np.ndarray, side: np.ndarray) -> int:
+    """The least of deg[side], or 0 if no vertex is on that side."""
+    on = deg[side]
+    return int(on.min()) if len(on) else 0
+
+
 def _layer_target_cap(layers: dict[int, MultiGraph], n: int) -> int:
     """Largest per-layer V2-side target consistent with the degree profile."""
     cap = None
     for _, layer in sorted(layers.items()):
-        deg = layer.degrees()
-        p1, p2 = layer.partition
-        d1_cap = min((deg[v] for v in p1), default=0)
-        d2_cap = min((deg[v] for v in p2), default=0)
-        t = min(d1_cap // (2 * n - 1), d2_cap)
+        deg = layer.degree_array()
+        t = min(_side_min(deg, layer.side) // (2 * n - 1), _side_min(deg, ~layer.side))
         cap = t if cap is None else min(cap, t)
     return cap or 0
 
@@ -245,36 +236,24 @@ def _pipeline_bipartite(
     2d1-regular union from Sigma_2, then the union-of-three-graphs bound."""
     diags: list[str] = []
     q = 2 * n - 1
-    deg1, deg3 = dec_sigma1.degrees(), dec_sigma3.degrees()
-    p1, p2 = dec_sigma1.partition
-    cross_cap = min(
-        min((deg1[v] for v in p1), default=0),
-        min((deg3[v] for v in p1), default=0),
-    )
+    # both Sigma graphs list W_{l_k} then W_{L_k}, the first side first
+    low = np.minimum(dec_sigma1.degree_array(), dec_sigma3.degree_array())
+    side = dec_sigma1.side
     layers2 = red_class_layers(dec_sigma2, n)
     sigma2_cap = _layer_target_cap(layers2, n) * q
-    if case == 1:
-        # d1 = q t, d2 = t; Sigma_2 layer targets (q t, t)
-        unit = lambda t: (q * t, t, t)
-    else:
-        # d1 = q t, d2 = q^2 t; Sigma_2 layer targets (q t, t)
-        unit = lambda t: (q * t, q * q * t, t)
-    d2_cap_s = min(
-        min((deg1[v] for v in p2), default=0),
-        min((deg3[v] for v in p2), default=0),
-    )
+    # d1 = q t and d2 = t (case 1) or q^2 t (case 2); Sigma_2 layer targets (q t, t)
     d2_unit = 1 if case == 1 else q * q
-    t_cap = min(cross_cap // q, sigma2_cap // q, d2_cap_s // d2_unit)
+    t_cap = min(_side_min(low, side) // q, sigma2_cap // q, _side_min(low, ~side) // d2_unit)
     t0 = max(int((1 - delta_shave) * t_cap), 1 if t_cap >= 1 else 0)
     for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
-        d1, d2, layer_t = unit(t)
+        d1, d2 = q * t, d2_unit * t
         pi1 = extract_regular_subgraph(dec_sigma1, d1, d2)
         if pi1 is None:
             continue
         pi3 = extract_regular_subgraph(dec_sigma3, d1, d2)
         if pi3 is None:
             continue
-        pi2 = layer_factor_union(dec_sigma2, layers2, q * layer_t, layer_t)
+        pi2 = layer_factor_union(dec_sigma2, layers2, q * t, t)
         if pi2 is None:
             continue
         try:

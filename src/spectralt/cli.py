@@ -125,48 +125,43 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
 
 # ----------------------------------------------------------------- sample
 
+def _sample_lax(n: int, k: int, d: float, f: int, seed: Seed) -> Presentation:
+    return sample_gamma_lax(n, LaxParams(k, d, f), seed)
+
+
+def _samplers() -> dict:
+    """model -> (the options it requires, its sampler taking them in that
+    order and then the seed).  Built on each call from this module's current
+    names, so a sampler rebound here (by a tracer, say) is the one called."""
+    return {
+        "gnp": (("m", "p"), sample_gnp),
+        "bgnp": (("m1", "m2", "p"), sample_bipartite_gnp),
+        "red": (("n", "l", "p"), sample_red),
+        "bred": (("n", "l", "p"), sample_bred),
+        "strict": (("n", "k", "d"), sample_gamma_strict),
+        "p": (("n", "k", "p"), sample_gamma_p),
+        "lax": (("n", "k", "d", "f"), _sample_lax),
+    }
+
+
 def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     model = _opt(args, cfg, "model")
     if model is None:
         print("error: --model is required", file=sys.stderr)
         return EXIT_INPUT
     seed = Seed(_num(args, cfg, "seed", int, 0), _num(args, cfg, "stream", int, 0))
-    n, k, l, m, m1, m2, f = (
-        _num(args, cfg, name, int) for name in ("n", "k", "l", "m", "m1", "m2", "f")
-    )
-    p = _num(args, cfg, "p", float)
-    d = _num(args, cfg, "d", float)
-
-    if model == "gnp":
-        if m is None or p is None:
-            raise InputError("model gnp requires --m and --p")
-        out = sample_gnp(m, p, seed)
-    elif model == "bgnp":
-        if m1 is None or m2 is None or p is None:
-            raise InputError("model bgnp requires --m1, --m2 and --p")
-        out = sample_bipartite_gnp(m1, m2, p, seed)
-    elif model == "red":
-        if n is None or l is None or p is None:
-            raise InputError("model red requires --n, --l and --p")
-        out = sample_red(n, l, p, seed)
-    elif model == "bred":
-        if n is None or l is None or p is None:
-            raise InputError("model bred requires --n, --l and --p")
-        out = sample_bred(n, l, p, seed)
-    elif model == "strict":
-        if n is None or k is None or d is None:
-            raise InputError("model strict requires --n, --k and --d")
-        out = sample_gamma_strict(n, k, d, seed)
-    elif model == "p":
-        if n is None or k is None or p is None:
-            raise InputError("model p requires --n, --k and --p")
-        out = sample_gamma_p(n, k, p, seed)
-    elif model == "lax":
-        if n is None or k is None or d is None or f is None:
-            raise InputError("model lax requires --n, --k, --d and --f")
-        out = sample_gamma_lax(n, LaxParams(k, d, f), seed)
-    else:
+    opts = {name: _num(args, cfg, name, int) for name in ("n", "k", "l", "m", "m1", "m2", "f")}
+    opts.update(p=_num(args, cfg, "p", float), d=_num(args, cfg, "d", float))
+    samplers = _samplers()
+    if not isinstance(model, str) or model not in samplers:
         raise InputError(f"unknown model {model!r}")
+    names, sampler = samplers[model]
+    if any(opts[name] is None for name in names):
+        flags = [f"--{name}" for name in names]
+        raise InputError(
+            f"model {model} requires {', '.join(flags[:-1])} and {flags[-1]}"
+        )
+    out = sampler(*(opts[name] for name in names), seed)
 
     text = out.dump()
     out_path = _path(args, cfg, "out")
@@ -373,8 +368,9 @@ def _hexagon_triple() -> tuple[MultiGraph, MultiGraph, MultiGraph]:
     v1, v2 = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
     g1 = MultiGraph(v1, [0, 1, 0], [1, 2, 2], [2, 2, 2])
     # G2: x_i y_i and x_{i+1} y_i; G3: x_i y_{i+1} and x_i y_i (indices mod 3)
-    g2 = MultiGraph(v1 + v2, [0, 1, 2, 1, 2, 0], [3, 4, 5, 3, 4, 5], partition=(v1, v2))
-    g3 = MultiGraph(v1 + v2, [0, 1, 2, 0, 1, 2], [4, 5, 3, 3, 4, 5], partition=(v1, v2))
+    side = np.arange(6) < 3
+    g2 = MultiGraph(v1 + v2, [0, 1, 2, 1, 2, 0], [3, 4, 5, 3, 4, 5], side=side)
+    g3 = MultiGraph(v1 + v2, [0, 1, 2, 0, 1, 2], [4, 5, 3, 3, 4, 5], side=side)
     return g1, g2, g3
 
 
@@ -415,8 +411,7 @@ def _verify_lemmas(seed: Seed) -> list[Check]:
         f3 = extract_regular_subgraph(h2, 3, 3)
         if f2 is None or f3 is None:
             continue
-        v1 = sorted(f2.partition[0], key=list(f2.vertices).index)
-        c1 = _six_regular(v1)
+        c1 = _six_regular([f2.vertices[i] for i in np.flatnonzero(f2.side)])
         try:
             res = union_bound_empirical_check(c1, f2, f3, 3, 3)
         except HypothesisViolation:
@@ -443,21 +438,18 @@ def _verify_lemmas(seed: Seed) -> list[Check]:
 
 
 def _verify_regularity(seed: Seed) -> list[Check]:
-    v1 = ["x1", "x2", "x3"]
-    v2 = ["y1", "y2", "y3"]
+    labels = ["x1", "x2", "x3", "y1", "y2", "y3"]
     all_u, all_v = np.repeat([0, 1, 2], 3), np.tile([3, 4, 5], 3)
     ok = True
     for targets in [(1, 1), (2, 2)]:
         for bits in range(512):
             pick = ((bits >> np.arange(9)) & 1) == 1
-            g = MultiGraph(v1 + v2, all_u[pick], all_v[pick], partition=(v1, v2))
+            g = MultiGraph(labels, all_u[pick], all_v[pick], side=np.arange(6) < 3)
             feas = ore_ryser_feasible(g, *targets)
             got = extract_regular_subgraph(g, *targets)
             ok = ok and feas == (got is not None)
             if got is not None:
-                deg = got.degrees()
-                ok = ok and all(deg[u] == targets[0] for u in v1)
-                ok = ok and all(deg[v] == targets[1] for v in v2)
+                ok = ok and np.array_equal(got.degree_array(), np.repeat(targets, 3))
     return [("ore-ryser-exhaustive", ok, "1024 graph/target combinations on 3+3")]
 
 

@@ -448,10 +448,10 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
         sigma3 = MultiGraph(xy_labels, *e3)
     else:
         both = xy_labels + z_labels
-        part = (xy_labels, z_labels)
-        sigma1 = MultiGraph(both, *e1, partition=part)
+        side = np.arange(len(both)) < len(xy_labels)
+        sigma1 = MultiGraph(both, *e1, side=side)
         sigma2 = MultiGraph(xy_labels, *e2)
-        sigma3 = MultiGraph(both, *e3, partition=part)
+        sigma3 = MultiGraph(both, *e3, side=side)
     used = len(e1[0])
     return SigmaDecomposition(
         sigma1, sigma2, sigma3, case, xy_len, z_len,

@@ -4,15 +4,17 @@ Degree follows deg(v) = sum_w mult({v, w}): a loop {v, v} contributes its
 multiplicity once, not twice.
 
 A graph stores its vertex labels and three int arrays (u, v, mult) of vertex
-indices: one entry per distinct edge, u <= v, sorted by (u, v).  Every walk
-over the graph is a numpy pass over these arrays; the label-keyed `edges`
-view is built from them on each read.
+indices: one entry per distinct edge, u <= v, sorted by (u, v).  A
+bipartition is a bool mask `side` in vertex order, True on the first side.
+Every walk over the graph is a numpy pass over these arrays; the label-keyed
+`edges` and `partition` views are built from them on each read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import compress
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -49,19 +51,18 @@ class MultiGraph:
 
     def __init__(
         self,
-        vertices: Sequence[str],
+        labels: Sequence[str],
         u: ArrayLike,
         v: ArrayLike,
         mult: Optional[ArrayLike] = None,
-        partition: Optional[tuple[Iterable[str], Iterable[str]]] = None,
+        side: Optional[ArrayLike] = None,
     ):
-        """The graph on the distinct labels `vertices` with an edge
-        {vertices[u[i]], vertices[v[i]]} of multiplicity mult[i] (default 1)
-        for each i; repeated pairs add up.  A partition, if given, must split
-        the labels in two sides that every edge crosses."""
-        vertices = tuple(vertices)
-        labels = set(vertices)
-        if len(labels) != len(vertices):
+        """The graph on the distinct `labels` with an edge {labels[u[i]],
+        labels[v[i]]} of multiplicity mult[i] (default 1) for each i; repeated
+        pairs add up.  A bipartition, if given, is a bool mask `side` in vertex
+        order, True on the first side; every edge must cross it."""
+        vertices = tuple(labels)
+        if len(set(vertices)) != len(vertices):
             raise InputError("vertex labels repeat")
         u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
         if len(u) != len(v) or (mult is not None and len(mult) != len(u)):
@@ -74,20 +75,20 @@ class MultiGraph:
                 raise InputError(f"multiplicity {mult.min()} < 1")
         self._vertices: tuple[str, ...] = vertices
         self._u, self._v, self._mult = map(_frozen, _canonical(len(vertices), u, v, mult))
-        self.partition: Optional[tuple[frozenset[str], frozenset[str]]] = None
-        if partition is not None:
-            p1, p2 = frozenset(partition[0]), frozenset(partition[1])
-            if p1 & p2:
-                raise InputError("bipartition parts overlap")
-            if p1 | p2 != labels:
-                raise InputError("bipartition does not cover the vertex set")
-            side = np.fromiter((x in p1 for x in vertices), bool, len(vertices))
+        self._side: Optional[np.ndarray] = None
+        if side is not None:
+            side = np.array(side, dtype=bool)
+            side.flags.writeable = False
+            if side.shape != (len(vertices),):
+                raise InputError(
+                    f"side mask of shape {side.shape} does not match {len(vertices)} vertices"
+                )
             same = np.flatnonzero(side[self._u] == side[self._v])
             if len(same):
                 i = same[0]
                 key = edge_key(vertices[self._u[i]], vertices[self._v[i]])
                 raise InputError(f"edge {key} does not cross the bipartition")
-            self.partition = (p1, p2)
+            self._side = side
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -97,6 +98,21 @@ class MultiGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (u, v, mult): distinct edges as vertex indices, u <= v."""
         return self._u, self._v, self._mult
+
+    @property
+    def side(self) -> Optional[np.ndarray]:
+        """Read-only bool mask in vertex order, True on the first side of the
+        bipartition; None if the graph carries none."""
+        return self._side
+
+    @property
+    def partition(self) -> Optional[tuple[frozenset[str], frozenset[str]]]:
+        """The label sets of the two sides, built on each read; None if the
+        graph carries no bipartition."""
+        if self._side is None:
+            return None
+        lab = self._vertices
+        return frozenset(compress(lab, self._side)), frozenset(compress(lab, ~self._side))
 
     @property
     def edges(self) -> dict[EdgeKey, int]:
@@ -140,7 +156,7 @@ class MultiGraph:
         return a
 
     def collapse_multi_edges(self) -> "MultiGraph":
-        return MultiGraph(self._vertices, self._u, self._v, partition=self.partition)
+        return MultiGraph(self._vertices, self._u, self._v, side=self._side)
 
     def components(self) -> int:
         """Connected component count (loops ignored).
@@ -223,7 +239,7 @@ def union(*graphs: MultiGraph) -> MultiGraph:
     """Graph union: vertex labels in first-seen order, edge multiset sum.
 
     The result carries a bipartition only if every input does and the merged
-    partition is consistent; conflicting side assignments on a shared vertex
+    sides are consistent; conflicting side assignments on a shared vertex
     raise.
     """
     index: dict[str, int] = {}
@@ -231,22 +247,24 @@ def union(*graphs: MultiGraph) -> MultiGraph:
         for v in g.vertices:
             index.setdefault(v, len(index))
     none = np.zeros(0, dtype=np.int64)
-    us, vs, mults = [none], [none], [none]
+    us, vs, mults, ats = [none], [none], [none], []
     for g in graphs:
         at = np.fromiter(map(index.__getitem__, g.vertices), np.int64, len(g.vertices))
         u, v, mult = g.edge_arrays
         us.append(at[u])
         vs.append(at[v])
         mults.append(mult)
+        ats.append(at)
 
-    partition = None
-    if all(g.partition is not None for g in graphs):
-        side1 = frozenset().union(*(g.partition[0] for g in graphs))
-        side2 = frozenset().union(*(g.partition[1] for g in graphs))
-        if side1 & side2:
+    side = None
+    if all(g.side is not None for g in graphs):
+        side, second = np.zeros(len(index), dtype=bool), np.zeros(len(index), dtype=bool)
+        for g, at in zip(graphs, ats):
+            side[at[g.side]] = True
+            second[at[~g.side]] = True
+        if (side & second).any():
             raise InputError("conflicting bipartitions on shared vertices")
-        partition = (side1, side2)
     return MultiGraph(
         list(index), np.concatenate(us), np.concatenate(vs), np.concatenate(mults),
-        partition=partition,
+        side=side,
     )

@@ -17,6 +17,9 @@ from .delta import Presentation
 from .errors import InputError, ResourceCapError
 from .multigraph import MultiGraph
 
+# most vertex pairs the red and bred models, and their couplings, may draw
+PAIR_CAP = 10**8
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -86,17 +89,27 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
         raise InputError("need m1, m2 >= 1 and p in [0, 1]")
     rng = seed.rng()
     i, j = np.nonzero(_bernoulli(rng, (m1, m2), p, f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"))
-    left = _pair_labels("u", m1)
-    right = _pair_labels("v", m2)
-    return MultiGraph(left + right, i, m1 + j, partition=(left, right))
+    labels = _pair_labels("u", m1) + _pair_labels("v", m2)
+    return MultiGraph(labels, i, m1 + j, side=np.arange(m1 + m2) < m1)
+
+
+def _universe_size(n: int, l: int, cap: int) -> int:
+    """|W_l|, or the ResourceCapError that enumerating W_l would raise."""
+    W.check_enumerable(n, l, cap, "; stream instead")
+    return W.word_count(n, l)
+
+
+def _check_pairs(pairs: int, what: str) -> None:
+    """Refuse a model that would draw more than PAIR_CAP vertex pairs."""
+    if pairs > PAIR_CAP:
+        raise ResourceCapError(f"{what} = {pairs} vertex pairs exceed pair cap {PAIR_CAP}")
 
 
 def _word_universe(n: int, l: int, cap: int) -> tuple[list[str], np.ndarray]:
-    """Labels and classes (first-letter codes) of W_l in canonical order."""
-    ws = W.enumerate_reduced(n, l, cap=cap)
-    labels = [W.word_to_label(w) for w in ws]
-    classes = np.array([W.class_index(w, n) for w in ws])
-    return labels, classes
+    """Labels and classes (first-letter codes) of W_l in canonical order: the
+    words of each first letter fill one block of (2n-1)^(l-1)."""
+    labels = W.reduced_labels(n, l, cap)
+    return labels, np.arange(len(labels)) // (2 * n - 1) ** (l - 1) + 1
 
 
 def _later_pairs(classes: np.ndarray, same: bool):
@@ -140,6 +153,8 @@ def _red_with_rng(
 ) -> tuple[MultiGraph, tuple[list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
+    size = _universe_size(n, l, cap)
+    _check_pairs(size * (size - 1) // 2, f"C(|W_{l}|, 2)")
     labels, classes = _word_universe(n, l, cap)
     rows, mults = [], []
     for i, js in _later_pairs(classes, same=False):
@@ -181,12 +196,13 @@ def _bred_with_rng(
         raise InputError("need p in [0, 1]")
     if l < 3 and not allow_short:
         raise InputError("the model is declared for l >= 3 (pass allow_short to override)")
+    pairs = _universe_size(n, l, cap) * _universe_size(n, l + 1, cap)
+    _check_pairs(pairs, f"|W_{l}| * |W_{l + 1}|")
     labels1, classes1 = _word_universe(n, l, cap)
     labels2, classes2 = _word_universe(n, l + 1, cap)
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 != c)) for c in classes1])
-    graph = MultiGraph(
-        labels1 + labels2, u, len(labels1) + v, partition=(labels1, labels2)
-    )
+    side = np.arange(len(labels1) + len(labels2)) < len(labels1)
+    graph = MultiGraph(labels1 + labels2, u, len(labels1) + v, side=side)
     return graph, (labels1, classes1, labels2, classes2)
 
 
@@ -223,10 +239,10 @@ def coupled_bred_extension(
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 == c)) for c in classes1])
     gu, gv, _ = g.edge_arrays
     gp = MultiGraph(
-        labels1 + labels2,
+        g.vertices,
         np.concatenate([gu, u]),
         np.concatenate([gv, len(labels1) + v]),
-        partition=(labels1, labels2),
+        side=g.side,
     )
     return g, gp
 

@@ -25,25 +25,25 @@ class RegularityParams:
             raise InputError("need 0 <= delta < 1")
 
 
+def _within(deg: np.ndarray, d, epsilon: float) -> bool:
+    """Whether each degree lies in [(1-eps)d, (1+eps)d], d one target or one
+    per vertex."""
+    return bool(np.all(((1 - epsilon) * d <= deg) & (deg <= (1 + epsilon) * d)))
+
+
 def is_almost_regular(g: MultiGraph, d: float, epsilon: float) -> bool:
     """True iff every degree lies in [(1-eps)d, (1+eps)d]."""
     if d <= 0:
         raise InputError("need d > 0")
-    deg = g.degrees().values()
-    return all((1 - epsilon) * d <= x <= (1 + epsilon) * d for x in deg)
+    return _within(g.degree_array(), d, epsilon)
 
 
 def is_almost_biregular(g: MultiGraph, d1: float, d2: float, epsilon: float) -> bool:
-    """Per-side variant for partitioned graphs."""
-    if g.partition is None:
+    """Per-side variant for partitioned graphs: d1 on the first side, d2 on
+    the second."""
+    if g.side is None:
         raise InputError("graph carries no bipartition")
-    deg = g.degrees()
-    p1, p2 = g.partition
-    return all(
-        (1 - epsilon) * d <= deg[v] <= (1 + epsilon) * d
-        for side, d in ((p1, d1), (p2, d2))
-        for v in side
-    )
+    return _within(g.degree_array(), np.where(g.side, d1, d2), epsilon)
 
 
 def _max_flow(
@@ -151,12 +151,11 @@ def _first_phase(
 def _left_mask(g: MultiGraph) -> np.ndarray:
     """Which vertices, in vertex order, lie on the first side of a simple
     bipartite graph."""
-    if g.partition is None:
+    if g.side is None:
         raise InputError("graph carries no bipartition")
     if (g.edge_arrays[2] > 1).any():
         raise InputError("graph is not simple; collapse multi-edges first")
-    p1 = g.partition[0]
-    return np.fromiter((v in p1 for v in g.vertices), bool, g.num_vertices())
+    return g.side
 
 
 def extract_regular_subgraph(
@@ -179,7 +178,7 @@ def extract_regular_subgraph(
             f"balance violation: {d1}*{len(left)} != {d2}*{len(right)}"
         )
     if d1 == 0:
-        return MultiGraph(g.vertices, [], [], partition=g.partition)
+        return MultiGraph(g.vertices, [], [], side=in_left)
 
     # nodes: source 0, sink 1, then V1 and V2, each in vertex order
     nl, nr = len(left), len(right)
@@ -205,9 +204,7 @@ def extract_regular_subgraph(
     if np.count_nonzero(used) + added != d1 * nl:
         return None
     chosen = res[2 * (nl + nr) :: 2] == 0
-    return MultiGraph(
-        g.vertices, a[chosen], b[chosen], partition=g.partition
-    )
+    return MultiGraph(g.vertices, a[chosen], b[chosen], side=in_left)
 
 
 def ore_ryser_feasible(g: MultiGraph, d1: int, d2: int) -> bool:
@@ -267,15 +264,14 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     owner = cls[np.concatenate([ends, u[~single], v[~single]])]
     layers = {}
     for i in range(1, 2 * n + 1):
-        side, rest = np.flatnonzero(cls == i), np.flatnonzero(cls != i)
+        # S_i first, then the rest, each in g's order
+        order = np.argsort(cls != i, kind="stable")
         at = np.empty(len(labels), dtype=np.int64)
-        at[side], at[rest] = np.arange(len(side)), len(side) + np.arange(len(rest))
-        side_labels = [labels[x] for x in side.tolist()]
-        rest_labels = [labels[x] for x in rest.tolist()]
+        at[order] = np.arange(len(labels))
         mine = owner == i
         layers[i] = MultiGraph(
-            side_labels + rest_labels, at[eu[mine]], at[ev[mine]],
-            partition=(side_labels, rest_labels),
+            [labels[x] for x in order.tolist()], at[eu[mine]], at[ev[mine]],
+            side=np.arange(len(labels)) < np.count_nonzero(cls == i),
         )
     return layers
 

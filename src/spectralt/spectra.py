@@ -200,12 +200,9 @@ def adjacency_spectral_bound(g: MultiGraph) -> float:
     Max degree in general; for bipartite graphs the refinement
     max sqrt(deg(v) deg(w)) over cross pairs.
     """
-    deg = g.degrees()
-    if not deg:
+    deg = g.degree_array()
+    if not len(deg):
         return 0.0
-    if g.partition is not None:
-        p1, p2 = g.partition
-        d1 = max((deg[v] for v in p1), default=0)
-        d2 = max((deg[v] for v in p2), default=0)
-        return float(np.sqrt(d1 * d2))
-    return float(max(deg.values()))
+    if g.side is not None:
+        return float(np.sqrt(deg[g.side].max(initial=0) * deg[~g.side].max(initial=0)))
+    return float(deg.max())

@@ -161,7 +161,7 @@ def word_count_text(n: int, lo: int, hi: int) -> str:
     return first if lo == hi else f"{first}+...+{last}"
 
 
-def _check_enumerable(n: int, l: int, cap: int, advice: str = "") -> None:
+def check_enumerable(n: int, l: int, cap: int, advice: str = "") -> None:
     """Raise ResourceCapError before W_l is built if it is too large.
 
     |W_l| is bounded by `cap`.  For n = 1, |W_l| = 2 whatever l is, so there
@@ -206,14 +206,14 @@ def iter_reduced(n: int, l: int) -> Iterator[Word]:
 
 def enumerate_reduced(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[Word]:
     """All freely reduced words of length l, canonical order."""
-    _check_enumerable(n, l, cap, "; stream instead")
+    check_enumerable(n, l, cap, "; stream instead")
     return list(iter_reduced(n, l))
 
 
 def reduced_labels(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[str]:
     """`[word_to_label(w) for w in enumerate_reduced(n, l, cap)]`, built from
     the labels of W_{ceil(l/2)} and W_{floor(l/2)} instead of word by word."""
-    _check_enumerable(n, l, cap, "; stream instead")
+    check_enumerable(n, l, cap, "; stream instead")
     return _joined_labels(n, l)[0]
 
 
@@ -243,7 +243,7 @@ def _joined_labels(n: int, l: int) -> tuple[list[str], list[int]]:
 
 def check_cap(n: int, k: int, cap: int) -> None:
     """Raise ResourceCapError when |W_k|, a bound on |C(n, k)|, exceeds cap."""
-    _check_enumerable(n, k, cap)
+    check_enumerable(n, k, cap)
 
 
 def enumerate_cyclically_reduced(n: int, k: int, cap: int = ENUMERATION_CAP) -> list[Word]:

@@ -7,7 +7,9 @@ from spectralt.multigraph import MultiGraph, edge_key
 def graph(vertices, edges=(), partition=None):
     """The MultiGraph on `vertices` (repeats dropped, first occurrence wins)
     with `edges`, a dict {(a, b): multiplicity} or an iterable of (a, b)
-    pairs; keys are normalised with edge_key and repeated keys add up."""
+    pairs; keys are normalised with edge_key and repeated keys add up.  A
+    `partition` (first side, second side) of labels becomes the side mask
+    that is True on the labels of the first side."""
     index = {}
     for x in vertices:
         index.setdefault(x, len(index))
@@ -19,7 +21,11 @@ def graph(vertices, edges=(), partition=None):
     for a, b in mult:
         if a not in index or b not in index:
             raise InputError(f"edge endpoint not a vertex: {(a, b)}")
+    side = None
+    if partition is not None:
+        first = set(partition[0])
+        side = [x in first for x in index]
     return MultiGraph(
         list(index), [index[a] for a, _ in mult], [index[b] for _, b in mult],
-        list(mult.values()), partition=partition,
+        list(mult.values()), side=side,
     )

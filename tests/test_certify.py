@@ -48,10 +48,12 @@ class TestUnionBound:
         assert union_bound(0, c, c) == pytest.approx(1 - c / SQRT2, abs=1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(InputError):
-            union_bound(1.0, 0, 0)
-        with pytest.raises(InputError):
-            union_bound(0, -0.1, 0)
+        for at in range(3):
+            for c in (-0.1, 1.0, 2.5, math.nan, math.inf):
+                cs = [0.1, 0.2, 0.3]
+                cs[at] = c
+                with pytest.raises(InputError, match=rf"eigenvalue deficit {c} outside \[0, 1\)"):
+                    union_bound(*cs)
 
 
 class TestEmpiricalCheck:

@@ -100,6 +100,45 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--model", "red", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("model,required", [
+        ("gnp", ["m", "p"]),
+        ("bgnp", ["m1", "m2", "p"]),
+        ("red", ["n", "l", "p"]),
+        ("bred", ["n", "l", "p"]),
+        ("strict", ["n", "k", "d"]),
+        ("p", ["n", "k", "p"]),
+        ("lax", ["n", "k", "d", "f"]),
+    ])
+    def test_missing_option_message(self, capsys, model, required):
+        given = {"m": "4", "m1": "3", "m2": "3", "n": "2", "l": "2", "k": "4",
+                 "p": "0.5", "d": "0.3", "f": "1"}
+        flags = [f"--{name}" for name in required]
+        message = f"error: model {model} requires {', '.join(flags[:-1])} and {flags[-1]}\n"
+        for missing in required:
+            argv = ["sample", "--model", model, "--out", os.devnull]
+            for name in required:
+                if name != missing:
+                    argv += [f"--{name}", given[name]]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("model", [["p"], {"p": 1}, 3, True, "x"])
+    def test_unknown_model_from_config(self, capsys, tmp_path, model):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model, "n": 2, "k": 4, "p": 0.5}))
+        code, out, err = run(capsys, "--config", str(path), "sample")
+        assert (code, out, err) == (2, "", f"error: unknown model {model!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "red", "--n", "2", "--l", "9", "--p", "0.5"],
+        ["--model", "red", "--n", "2", "--l", "12", "--p", "0.5"],
+        ["--model", "bred", "--n", "2", "--l", "8", "--p", "0.5"],
+    ])
+    def test_pair_cap(self, capsys, argv):
+        code, out, err = run(capsys, "sample", *argv)
+        assert code == 3 and not out
+        assert err.startswith("resource cap: ") and "exceed pair cap 100000000" in err
+
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for path in (a, b):
@@ -375,8 +414,9 @@ class TestSampleSweepConfigFuzz:
     @given(
         st.sampled_from(["strict", "p", "lax", "red", "bred", "gnp", "bgnp"]),
         st.sampled_from([-1, 0, 1, 2, 2, 3]), LENGTHS,
-        # red and bred draw |W_l|^2 pairs one by one: l = 9..15 run for minutes
-        st.sampled_from([-1, 0, 1, 3] + HUGE_K), DENSITIES,
+        # at n = 2, red and bred pass the pair cap up to l = 8, which takes
+        # seconds, and from l = 9 on exit 3 before enumerating a word
+        st.sampled_from([-1, 0, 1, 3, 9, 12] + HUGE_K), DENSITIES,
         st.sampled_from([-0.5, 0.0, 0.01, 0.3, 2.0, float("nan")]),
         st.sampled_from([-1, 0, 1, 2, 10**12]), SEEDS, SEEDS,
         st.sampled_from([-1, 0, 1, 5, 10**12]), st.booleans(),

@@ -32,15 +32,25 @@ class TestConstruction:
         with pytest.raises(InputError, match=r"edge endpoint not a vertex: \('a', 'c'\)"):
             graph("ab", [("a", "c")])
 
-    def test_partition_must_cover_and_cross(self):
-        with pytest.raises(InputError, match="does not cover"):
-            MultiGraph("abc", [], [], partition=(["a"], ["b"]))
-        with pytest.raises(InputError, match=r"edge \('a', 'b'\) does not cross"):
-            MultiGraph("ab", [0], [1], partition=(["a", "b"], []))
+    def test_side_mask_must_match_vertex_count(self):
+        with pytest.raises(InputError, match=r"shape \(2,\) does not match 3 vertices"):
+            MultiGraph("abc", [], [], side=[True, False])
+        with pytest.raises(InputError, match=r"shape \(\) does not match 1 vertices"):
+            MultiGraph("a", [], [], side=True)
 
-    def test_partition_sides_must_not_overlap(self):
-        with pytest.raises(InputError, match="overlap"):
-            MultiGraph("ab", [0], [1], partition=(["a", "b"], ["b"]))
+    def test_edges_must_cross_the_sides(self):
+        with pytest.raises(InputError, match=r"edge \('a', 'b'\) does not cross"):
+            MultiGraph("ab", [0], [1], side=[True, True])
+        with pytest.raises(InputError, match=r"edge \('b', 'c'\) does not cross"):
+            MultiGraph("abc", [0, 1], [1, 2], side=[True, False, False])
+
+    def test_side_mask_is_a_read_only_copy(self):
+        mask = np.array([True, False])
+        g = MultiGraph("ab", [0], [1], side=mask)
+        mask[0] = False
+        assert g.side.tolist() == [True, False] and not g.side.flags.writeable
+        assert g.partition == (frozenset("a"), frozenset("b"))
+        assert MultiGraph("ab", [0], [1]).partition is None
 
     def test_edge_arrays_must_match_in_length(self):
         with pytest.raises(InputError, match="differ in length"):

@@ -7,11 +7,14 @@ from spectralt import words as W
 from spectralt.delta import Presentation
 from spectralt.errors import InputError, ResourceCapError
 from spectralt.multigraph import edge_key
+from spectralt import randmodels
 from spectralt.randmodels import (
+    PAIR_CAP,
     LaxParams,
     Seed,
     _bernoulli,
     _uniform_ranks,
+    _word_universe,
     coupled_bred_extension,
     coupled_red_extension,
     sample_bipartite_gnp,
@@ -336,3 +339,53 @@ class TestStreamIdentity:
                 old_fn(*args, seed, cap=100)
             assert str(new.value) == str(old.value)
         assert str(new.value) == "lax universe bound 4212 exceeds cap 100"
+
+    @pytest.mark.parametrize("n,l", [(1, 1), (1, 6), (2, 1), (2, 3), (2, 5), (3, 1), (3, 4), (3, 5)])
+    def test_word_universe(self, n, l):
+        labels, classes = _word_universe(n, l, W.ENUMERATION_CAP)
+        old_labels, old_classes = old_universe(n, l)
+        assert labels == old_labels and classes.tolist() == old_classes
+
+
+class TestPairCap:
+    """red and bred refuse more than PAIR_CAP vertex pairs before they
+    enumerate a word."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("W_l enumerated before the pair cap")
+        monkeypatch.setattr(W, "reduced_labels", refuse)
+
+    @pytest.mark.parametrize("sampler", [sample_red, coupled_red_extension])
+    @pytest.mark.parametrize("l", [9, 12])
+    def test_red(self, sampler, l):
+        size = W.word_count(2, l)
+        with pytest.raises(ResourceCapError) as err:
+            sampler(2, l, 0.5, Seed(0))
+        assert str(err.value) == (
+            f"C(|W_{l}|, 2) = {size * (size - 1) // 2} vertex pairs exceed pair cap {PAIR_CAP}"
+        )
+
+    @pytest.mark.parametrize("sampler", [sample_bred, coupled_bred_extension])
+    def test_bred(self, sampler):
+        with pytest.raises(ResourceCapError) as err:
+            sampler(2, 8, 0.5, Seed(0))
+        pairs = W.word_count(2, 8) * W.word_count(2, 9)
+        assert str(err.value) == f"|W_8| * |W_9| = {pairs} vertex pairs exceed pair cap {PAIR_CAP}"
+
+    def test_enumeration_cap_comes_first(self):
+        message = r"\|W_9\| = 26244 exceeds enumeration cap 100; stream instead"
+        with pytest.raises(ResourceCapError, match=message):
+            sample_red(2, 9, 0.5, Seed(0), cap=100)
+        with pytest.raises(ResourceCapError, match=r"\|W_4\| = 108 exceeds enumeration cap 100"):
+            sample_bred(2, 3, 0.5, Seed(0), cap=100)
+
+    def test_at_the_cap(self, monkeypatch):
+        # C(|W_3|, 2) = 36 * 35 / 2 = 630 pairs
+        monkeypatch.setattr(randmodels, "PAIR_CAP", 630)
+        with pytest.raises(AssertionError, match="enumerated"):
+            sample_red(2, 3, 0.5, Seed(0))
+        monkeypatch.setattr(randmodels, "PAIR_CAP", 629)
+        with pytest.raises(ResourceCapError, match="630 vertex pairs exceed pair cap 629"):
+            sample_red(2, 3, 0.5, Seed(0))
