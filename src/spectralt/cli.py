@@ -40,6 +40,8 @@ EXIT_RESOURCE = 3
 # most trials (densities x trials per density) one sweep may queue
 SWEEP_TRIAL_CAP = 10**6
 
+SWEEP_MODELS = ("strict", "p", "lax")
+
 CSV_HEADER = [
     "n", "k", "d", "trial", "seed", "num_relators",
     "lambda1", "pipeline_bound", "certified", "status",
@@ -101,14 +103,12 @@ def _num(args: argparse.Namespace, cfg: dict, name: str, typ: type, default=None
 def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     path = _path(args, cfg, "presentation")
     if path is None:
-        print("error: a presentation file is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("a presentation file is required")
     with open(path) as fh:
         pres = Presentation.parse(fh.read())
     k = _num(args, cfg, "k", int, pres.k)
     if k is None:
-        print("error: k not given and not recorded in the file", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("k not given and not recorded in the file")
     if _opt(args, cfg, "pipeline", False):
         params = RegularityParams(delta=_num(args, cfg, "delta", float, 0.2))
         cert = certify_via_decomposition(
@@ -147,8 +147,7 @@ def _samplers() -> dict:
 def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
     model = _opt(args, cfg, "model")
     if model is None:
-        print("error: --model is required", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--model is required")
     seed = Seed(_num(args, cfg, "seed", int, 0), _num(args, cfg, "stream", int, 0))
     opts = {name: _num(args, cfg, name, int) for name in ("n", "k", "l", "m", "m1", "m2", "f")}
     opts.update(p=_num(args, cfg, "p", float), d=_num(args, cfg, "d", float))
@@ -197,10 +196,8 @@ def _sweep_trial(task: tuple) -> tuple:
             except OverflowError:  # no float: 0 below d = 1, and no probability above
                 p = 0.0 if d < 1 else math.inf
             pres = sample_gamma_p(n, k, p, seed)
-        elif model == "lax":
-            pres = sample_gamma_lax(n, LaxParams(k, d, f), seed)
         else:
-            raise InputError(f"unknown sweep model {model!r}")
+            pres = sample_gamma_lax(n, LaxParams(k, d, f), seed)
         if pipeline:
             cert = certify_via_decomposition(pres, k, seed_info=str(seed))
         else:
@@ -262,22 +259,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     model = _opt(args, cfg, "model", "strict")
     n, k = _num(args, cfg, "n", int), _num(args, cfg, "k", int)
     if n is None or k is None:
-        print("error: sweep requires --n and --k", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("sweep requires --n and --k")
     f = _num(args, cfg, "f", int, 0)
     trials = _num(args, cfg, "trials", int, 1)
     if trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--trials must be >= 1")
     seed_value = _num(args, cfg, "seed", int, 0)
     SP.eigen_cap()  # a malformed cap fails the sweep, not each of its trials
     pipeline = bool(_opt(args, cfg, "pipeline", False))
     grid = _parse_grid(args, cfg, trials)
     if not grid:
-        print("error: empty density grid", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("empty density grid")
     jobs = _num(args, cfg, "jobs", int, os.cpu_count() or 1)
     out_path = _path(args, cfg, "out")
+    if model not in SWEEP_MODELS:
+        raise InputError(f"unknown sweep model {model!r}")
 
     tasks = [
         (model, n, k, f, d, trial, seed_value, di * trials + trial, pipeline)
@@ -492,8 +488,7 @@ _SUITES = {
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     suite = _opt(args, cfg, "suite")
     if not isinstance(suite, str) or suite not in _SUITES:
-        print(f"error: unknown suite {suite!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"unknown suite {suite!r}")
     seed = Seed(_num(args, cfg, "seed", int, 0))
     checks = _SUITES[suite](seed)
     failed = False
@@ -535,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out")
 
     pw = sub.add_parser("sweep", help="seeded density sweep to CSV")
-    pw.add_argument("--model", choices=["strict", "p", "lax"])
+    pw.add_argument("--model", choices=SWEEP_MODELS)
     pw.add_argument("--n", type=int)
     pw.add_argument("--k", type=int)
     pw.add_argument("--f", type=int)

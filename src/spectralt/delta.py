@@ -16,7 +16,7 @@ import numpy as np
 
 from . import words as W
 from .errors import InputError
-from .multigraph import EdgeKey, MultiGraph, edge_key, union
+from .multigraph import MultiGraph
 from .words import Word
 
 
@@ -47,7 +47,8 @@ class Presentation:
     The relators are stored end to end: `letters` holds their signed letters
     (int64, or Python ints past int64), and relator i is
     `letters[offsets[i]:offsets[i + 1]]`.  The tuple form `relators` is built
-    on first read.  Equality is equality of n, k and relators.
+    on first read.  Equality is equality of n, k and relators.  Relators are
+    cyclically reduced over +-1..+-n: no later stage checks them again.
     """
 
     def __init__(self, n: int, relators: Sequence[Word], k: Optional[int] = None):
@@ -75,7 +76,7 @@ class Presentation:
             if not W.is_cyclically_reduced(r):
                 raise InputError(f"relator {W.word_to_text(r)!r} not cyclically reduced")
             for x in r:
-                if abs(x) > n:
+                if not 0 < abs(x) <= n:
                     raise InputError(f"relator letter outside alphabet of size {n}")
             if k is not None and len(r) != k:
                 raise InputError(f"relator {W.word_to_text(r)!r} has length {len(r)} != k = {k}")
@@ -121,8 +122,10 @@ class Presentation:
             bad |= lengths != self.k
         ends = lengths >= 2
         bad[ends] |= letters[offsets[:-1][ends]] == -letters[offsets[1:][ends] - 1]
-        outside = np.flatnonzero(np.abs(letters) > self.n)
+        outside = np.flatnonzero((np.abs(letters) > self.n) | (letters == 0))
         bad[np.searchsorted(offsets, outside, side="right") - 1] = True
+        first = W.first_unreduced(letters, offsets)
+        bad[first : first + 1] = True  # empty when every relator is reduced
         hits = np.flatnonzero(bad)
         return int(hits[0]) if hits.size else len(lengths)
 
@@ -343,7 +346,11 @@ class SigmaDecomposition:
     ignored_relators: int = 0
 
     def delta(self) -> MultiGraph:
-        return union(self.sigma1, self.sigma2, self.sigma3)
+        """Delta_k: the three edge multisets on Sigma_1's vertices, of which
+        Sigma_2's are a prefix."""
+        sigmas = (self.sigma1, self.sigma2, self.sigma3)
+        u, v, mult = (np.concatenate(a) for a in zip(*(g.edge_arrays for g in sigmas)))
+        return MultiGraph(self.sigma1.vertices, u, v, mult)
 
 
 def sigma_vertex_lengths(k: int) -> tuple[int, int]:
@@ -352,43 +359,19 @@ def sigma_vertex_lengths(k: int) -> tuple[int, int]:
     return a, c
 
 
-def _relator_edges(r: Word, k: int) -> tuple[EdgeKey, EdgeKey, EdgeKey]:
-    rx, ry, rz = W.split_relator(r, k)
-    lab = W.word_to_label
-    inv = W.invert
-    return (
-        edge_key(lab(rx), lab(inv(rz))),
-        edge_key(lab(ry), lab(inv(rx))),
-        edge_key(lab(rz), lab(inv(ry))),
-    )
-
-
-def _link_edges(p: Presentation, k: int, relator_major: bool):
+def _link_edges(p: Presentation, k: int):
     """The edges (r_x, r_z^-1), (r_y, r_x^-1), (r_z, r_y^-1) of every length-k
     relator, as three (u, v) pairs of vertex-index arrays.
 
     Vertices are W_{l_k} followed, when L_k != l_k, by W_{L_k}, each in
-    canonical order, so a piece's index is its rank there.  A piece that is
-    no reduced word is no vertex; the first such edge, relator by relator
-    (or edge slot by edge slot), raises as the label-keyed build did.
+    canonical order, so a piece's index is its rank there.  Every relator is
+    cyclically reduced, so each piece is a reduced word: a vertex.
     """
     letters, offsets = p.letters, p.offsets
     starts = offsets[:-1][np.diff(offsets) == k]
     rel = letters[starts[:, None] + np.arange(k)]
     a, b, c = W.split_lengths(k)
     x, y, z = rel[:, :a], rel[:, a : a + b], rel[:, a + b :]
-    ok_x, ok_y, ok_z = (
-        (w != 0).all(axis=1) & (w[:, 1:] != -w[:, :-1]).all(axis=1) for w in (x, y, z)
-    )
-    edge_ok = np.stack([ok_x & ok_z, ok_y & ok_x, ok_z & ok_y])
-    if not edge_ok.all():
-        if relator_major:
-            i, slot = np.argwhere(~edge_ok.T)[0]
-        else:
-            slot, i = np.argwhere(~edge_ok)[0]
-        r = tuple(rel[i].tolist())
-        raise InputError(f"edge endpoint not a vertex: {_relator_edges(r, k)[slot]}")
-
     z_at = W.word_count(p.n, a) if c != a else 0
 
     def rank(w: np.ndarray, at: int = 0) -> np.ndarray:
@@ -412,7 +395,7 @@ def build_delta_k(p: Presentation, k: int) -> MultiGraph:
     vertices = W.reduced_labels(p.n, l_k)
     if L_k != l_k:
         vertices = vertices + W.reduced_labels(p.n, L_k)
-    ends = _link_edges(p, k, relator_major=True)
+    ends = _link_edges(p, k)
     u = np.concatenate([e[0] for e in ends])
     v = np.concatenate([e[1] for e in ends])
     return MultiGraph(vertices, u, v)
@@ -440,7 +423,7 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
     xy_len, _, z_len = W.split_lengths(k)
     xy_labels = W.reduced_labels(p.n, xy_len)
     z_labels = W.reduced_labels(p.n, z_len) if z_len != xy_len else []
-    e1, e2, e3 = _link_edges(p, k, relator_major=False)
+    e1, e2, e3 = _link_edges(p, k)
 
     if case == 0:
         sigma1 = MultiGraph(xy_labels, *e1)

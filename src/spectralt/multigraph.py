@@ -30,7 +30,6 @@ def edge_key(u: str, v: str) -> EdgeKey:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    degrees: dict[str, int]
     min: int
     max: int
     mean: float
@@ -144,9 +143,8 @@ class MultiGraph:
         return dict(zip(self._vertices, self.degree_array().tolist()))
 
     def degree_profile(self) -> DegreeProfile:
-        deg = self.degrees()
-        vals = list(deg.values())
-        return DegreeProfile(deg, min(vals), max(vals), sum(vals) / len(vals))
+        deg = self.degree_array()
+        return DegreeProfile(int(deg.min()), int(deg.max()), int(deg.sum()) / len(deg))
 
     def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
         m = len(self._vertices)

@@ -93,9 +93,9 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     return MultiGraph(labels, i, m1 + j, side=np.arange(m1 + m2) < m1)
 
 
-def _universe_size(n: int, l: int, cap: int) -> int:
+def _universe_size(n: int, l: int) -> int:
     """|W_l|, or the ResourceCapError that enumerating W_l would raise."""
-    W.check_enumerable(n, l, cap, "; stream instead")
+    W.check_enumerable(n, l, "; stream instead")
     return W.word_count(n, l)
 
 
@@ -105,10 +105,10 @@ def _check_pairs(pairs: int, what: str) -> None:
         raise ResourceCapError(f"{what} = {pairs} vertex pairs exceed pair cap {PAIR_CAP}")
 
 
-def _word_universe(n: int, l: int, cap: int) -> tuple[list[str], np.ndarray]:
+def _word_universe(n: int, l: int) -> tuple[list[str], np.ndarray]:
     """Labels and classes (first-letter codes) of W_l in canonical order: the
     words of each first letter fill one block of (2n-1)^(l-1)."""
-    labels = W.reduced_labels(n, l, cap)
+    labels = W.reduced_labels(n, l)
     return labels, np.arange(len(labels)) // (2 * n - 1) ** (l - 1) + 1
 
 
@@ -135,27 +135,25 @@ def _row_edges(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return u, np.concatenate([np.zeros(0, dtype=np.int64), *rows])
 
 
-def sample_red(
-    n: int, l: int, p: float, seed: Seed, cap: int = W.ENUMERATION_CAP
-) -> MultiGraph:
+def sample_red(n: int, l: int, p: float, seed: Seed) -> MultiGraph:
     """Reduced random graph on W_l.
 
     Each unordered cross-class pair gets two independent Bernoulli(p) draws
     (one per direction), each success adding 1 to the multiplicity; same-class
     pairs are forbidden.  Max multiplicity 2.
     """
-    g, _ = _red_with_rng(n, l, p, seed.rng(), cap)
+    g, _ = _red_with_rng(n, l, p, seed.rng())
     return g
 
 
 def _red_with_rng(
-    n: int, l: int, p: float, rng: np.random.Generator, cap: int
+    n: int, l: int, p: float, rng: np.random.Generator
 ) -> tuple[MultiGraph, tuple[list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
-    size = _universe_size(n, l, cap)
+    size = _universe_size(n, l)
     _check_pairs(size * (size - 1) // 2, f"C(|W_{l}|, 2)")
-    labels, classes = _word_universe(n, l, cap)
+    labels, classes = _word_universe(n, l)
     rows, mults = [], []
     for i, js in _later_pairs(classes, same=False):
         mult = (rng.random((len(js), 2)) < p).sum(axis=1)
@@ -166,40 +164,28 @@ def _red_with_rng(
     return MultiGraph(labels, u, v, np.concatenate(mults)), (labels, classes)
 
 
-def sample_bred(
-    n: int,
-    l: int,
-    p: float,
-    seed: Seed,
-    cap: int = W.ENUMERATION_CAP,
-    allow_short: bool = False,
-) -> MultiGraph:
+def sample_bred(n: int, l: int, p: float, seed: Seed) -> MultiGraph:
     """Reduced random bipartite graph, V1 = W_l, V2 = W_{l+1}.
 
     The pair (v, w) is forbidden when w lies in the class-index block of v's
     class (the concatenation constraint inherited from cyclic reduction);
     all other cross pairs appear independently with probability p.
     """
-    g, _ = _bred_with_rng(n, l, p, seed.rng(), cap, allow_short)
+    g, _ = _bred_with_rng(n, l, p, seed.rng())
     return g
 
 
 def _bred_with_rng(
-    n: int,
-    l: int,
-    p: float,
-    rng: np.random.Generator,
-    cap: int,
-    allow_short: bool,
+    n: int, l: int, p: float, rng: np.random.Generator
 ) -> tuple[MultiGraph, tuple[list[str], np.ndarray, list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
-    if l < 3 and not allow_short:
-        raise InputError("the model is declared for l >= 3 (pass allow_short to override)")
-    pairs = _universe_size(n, l, cap) * _universe_size(n, l + 1, cap)
+    if l < 3:
+        raise InputError("the model is declared for l >= 3")
+    pairs = _universe_size(n, l) * _universe_size(n, l + 1)
     _check_pairs(pairs, f"|W_{l}| * |W_{l + 1}|")
-    labels1, classes1 = _word_universe(n, l, cap)
-    labels2, classes2 = _word_universe(n, l + 1, cap)
+    labels1, classes1 = _word_universe(n, l)
+    labels2, classes2 = _word_universe(n, l + 1)
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 != c)) for c in classes1])
     side = np.arange(len(labels1) + len(labels2)) < len(labels1)
     graph = MultiGraph(labels1 + labels2, u, len(labels1) + v, side=side)
@@ -207,7 +193,7 @@ def _bred_with_rng(
 
 
 def coupled_red_extension(
-    n: int, l: int, p: float, seed: Seed, cap: int = W.ENUMERATION_CAP
+    n: int, l: int, p: float, seed: Seed
 ) -> tuple[MultiGraph, MultiGraph]:
     """(G, G') with G ~ the reduced model and G' ~ G(|W_l|, 2p - p^2), G <= G'.
 
@@ -215,7 +201,7 @@ def coupled_red_extension(
     2p - p^2 are added, then duplicate edges are collapsed.
     """
     rng = seed.rng()
-    g, (labels, classes) = _red_with_rng(n, l, p, rng, cap)
+    g, (labels, classes) = _red_with_rng(n, l, p, rng)
     q = 2 * p - p * p
     u, v = _row_edges([_hits(rng, q, js) for _, js in _later_pairs(classes, same=True)])
     gu, gv, _ = g.edge_arrays
@@ -223,19 +209,12 @@ def coupled_red_extension(
 
 
 def coupled_bred_extension(
-    n: int,
-    l: int,
-    p: float,
-    seed: Seed,
-    cap: int = W.ENUMERATION_CAP,
-    allow_short: bool = False,
+    n: int, l: int, p: float, seed: Seed
 ) -> tuple[MultiGraph, MultiGraph]:
     """(G, G') with G ~ the bipartite reduced model, G' the full bipartite
     Erdos-Renyi extension obtained by filling the forbidden blocks."""
     rng = seed.rng()
-    g, (labels1, classes1, labels2, classes2) = _bred_with_rng(
-        n, l, p, rng, cap, allow_short
-    )
+    g, (labels1, classes1, labels2, classes2) = _bred_with_rng(n, l, p, rng)
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 == c)) for c in classes1])
     gu, gv, _ = g.edge_arrays
     gp = MultiGraph(
@@ -270,38 +249,33 @@ def _of_length(n: int, k: int, words: np.ndarray) -> Presentation:
     return Presentation._from_arrays(n, words.reshape(-1), offsets, k)
 
 
-def sample_gamma_strict(
-    n: int, k: int, d: float, seed: Seed, cap: int = W.ENUMERATION_CAP
-) -> Presentation:
+def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
     """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
     if n < 2 or k < 3 or not 0.0 < d < 1.0:
         raise InputError("need n >= 2, k >= 3, d in (0, 1)")
-    W.check_cap(n, k, cap)
+    W.check_enumerable(n, k)  # |W_k| bounds |C(n, k)|
     total = W.cyclically_reduced_count(n, k)
     ranks = _uniform_ranks(total, strict_model_size(n, k, d), seed.rng())
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
-def sample_gamma_p(
-    n: int, k: int, p: float, seed: Seed, cap: int = W.ENUMERATION_CAP
-) -> Presentation:
+def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
     """Bernoulli model: each word of C(n, k) kept independently with prob p."""
     if n < 2 or k < 3 or not 0.0 <= p <= 1.0:
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
-    W.check_cap(n, k, cap)
+    W.check_enumerable(n, k)
     keep = seed.rng().random(W.cyclically_reduced_count(n, k)) < p
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, np.flatnonzero(keep)))
 
 
-def sample_gamma_lax(
-    n: int, params: LaxParams, seed: Seed, cap: int = W.ENUMERATION_CAP
-) -> Presentation:
+def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
     """Lax model: uniform subset drawn from all lengths in [k-f, k+f].
 
     The universe is C(n, k-f), ..., C(n, k+f) concatenated in that order.
     """
     if n < 2:
         raise InputError("need n >= 2")
+    cap = W.ENUMERATION_CAP
     lengths = range(params.k - params.f, params.k + params.f + 1)
     # the longest length bounds the others, so the sum is built only under the cap
     if W.word_count_exceeds(n, lengths[-1], cap) or sum(

@@ -20,6 +20,7 @@ from .errors import InputError, ResourceCapError
 
 Word = tuple[int, ...]
 
+# most words |W_l| one enumeration or sampler may cover; read on each check
 ENUMERATION_CAP = 10**7
 
 # ranks unranked per pass; bounds the (block, 2n) work arrays of the walk
@@ -72,7 +73,8 @@ def cyclic_reduce(w: Word) -> Word:
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    return len(w) >= 1 and cyclic_reduce(w) == w
+    """Nonempty, freely reduced, and the last letter is not the inverse of the first."""
+    return len(w) >= 1 and is_reduced(w) and w[-1] != -w[0]
 
 
 def invert(w: Word) -> Word:
@@ -161,13 +163,15 @@ def word_count_text(n: int, lo: int, hi: int) -> str:
     return first if lo == hi else f"{first}+...+{last}"
 
 
-def check_enumerable(n: int, l: int, cap: int, advice: str = "") -> None:
+def check_enumerable(n: int, l: int, advice: str = "") -> None:
     """Raise ResourceCapError before W_l is built if it is too large.
 
-    |W_l| is bounded by `cap`.  For n = 1, |W_l| = 2 whatever l is, so there
-    the letters 2l are bounded by `cap` as well; for n >= 2 the word bound
-    already limits l to about log_3(cap), and this second bound never applies.
+    |W_l| is bounded by ENUMERATION_CAP, read on each call.  For n = 1,
+    |W_l| = 2 whatever l is, so there the letters 2l are bounded by the cap as
+    well; for n >= 2 the word bound already limits l to about log_3(cap), and
+    this second bound never applies.
     """
+    cap = ENUMERATION_CAP
     if word_count_exceeds(n, l, cap):
         raise ResourceCapError(
             f"|W_{l}| = {word_count_text(n, l, l)} exceeds enumeration cap {cap}{advice}"
@@ -204,16 +208,16 @@ def iter_reduced(n: int, l: int) -> Iterator[Word]:
             choices.append(iter(alphabet))
 
 
-def enumerate_reduced(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[Word]:
+def enumerate_reduced(n: int, l: int) -> list[Word]:
     """All freely reduced words of length l, canonical order."""
-    check_enumerable(n, l, cap, "; stream instead")
+    check_enumerable(n, l, "; stream instead")
     return list(iter_reduced(n, l))
 
 
-def reduced_labels(n: int, l: int, cap: int = ENUMERATION_CAP) -> list[str]:
-    """`[word_to_label(w) for w in enumerate_reduced(n, l, cap)]`, built from
-    the labels of W_{ceil(l/2)} and W_{floor(l/2)} instead of word by word."""
-    check_enumerable(n, l, cap, "; stream instead")
+def reduced_labels(n: int, l: int) -> list[str]:
+    """`[word_to_label(w) for w in enumerate_reduced(n, l)]`, built from the
+    labels of W_{ceil(l/2)} and W_{floor(l/2)} instead of word by word."""
+    check_enumerable(n, l, "; stream instead")
     return _joined_labels(n, l)[0]
 
 
@@ -241,14 +245,9 @@ def _joined_labels(n: int, l: int) -> tuple[list[str], list[int]]:
     return labels, last
 
 
-def check_cap(n: int, k: int, cap: int) -> None:
-    """Raise ResourceCapError when |W_k|, a bound on |C(n, k)|, exceeds cap."""
-    check_enumerable(n, k, cap)
-
-
-def enumerate_cyclically_reduced(n: int, k: int, cap: int = ENUMERATION_CAP) -> list[Word]:
+def enumerate_cyclically_reduced(n: int, k: int) -> list[Word]:
     """All cyclically reduced words of length k, canonical order."""
-    check_cap(n, k, cap)
+    check_enumerable(n, k)  # |W_k| bounds |C(n, k)|
     return [w for w in iter_reduced(n, k) if is_cyclically_reduced(w)]
 
 

@@ -193,6 +193,17 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("model", ["gnp", ["p"], 3])
+    def test_unknown_model_from_config(self, capsys, monkeypatch, tmp_path, model):
+        # refused with one line before any trial runs
+        monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        code, out, err = run(capsys, "--config", str(path), "sweep", "--n", "2", "--k", "3",
+                             "--d-grid", "0.3", "--trials", "2", "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown sweep model {model!r}\n"
+
     def test_range_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--n", "2", "--k", "3", "--d-min", "0.3",
                            "--d-max", "0.5", "--d-step", "0.1", "--jobs", "1")

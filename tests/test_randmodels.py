@@ -4,7 +4,7 @@ import math
 import pytest
 
 from spectralt import words as W
-from spectralt.delta import Presentation
+from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import InputError, ResourceCapError
 from spectralt.multigraph import edge_key
 from spectralt import randmodels
@@ -133,10 +133,9 @@ class TestBred:
         assert sizes == [W.word_count(2, 3), W.word_count(2, 4)]
 
     def test_short_l_guard(self):
-        with pytest.raises(InputError):
-            sample_bred(2, 2, 0.5, Seed(0))
-        g = sample_bred(2, 2, 0.5, Seed(0), allow_short=True)
-        assert g.num_vertices() == 12 + 36  # |W_2| + |W_3|
+        for sampler in (sample_bred, coupled_bred_extension):
+            with pytest.raises(InputError, match=r"^the model is declared for l >= 3$"):
+                sampler(2, 2, 0.5, Seed(0))
 
 
 class TestCoupling:
@@ -207,8 +206,15 @@ class TestGamma:
 
 # The samplers as they were when they enumerated their universe word by word
 # and drew one number per pair: the new ones must reproduce their streams.
-# The universes are cached only to keep the tests fast.
-old_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
+# The universes are cached only to keep the tests fast; the cap is checked
+# before the cache, so a test that lowers it reaches the check.
+_cached_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
+
+
+def old_enumerate(n, k):
+    W.check_enumerable(n, k)
+    return _cached_enumerate(n, k)
+
 
 def old_uniform_subset(universe, size, rng):
     if size > len(universe):
@@ -219,24 +225,24 @@ def old_uniform_subset(universe, size, rng):
     return tuple(universe[i] for i in idx)
 
 
-def old_gamma_strict(n, k, d, seed, cap=W.ENUMERATION_CAP):
-    universe = old_enumerate(n, k, cap=cap)
+def old_gamma_strict(n, k, d, seed):
+    universe = old_enumerate(n, k)
     relators = old_uniform_subset(universe, strict_model_size(n, k, d), seed.rng())
     return Presentation(n, relators, k)
 
 
-def old_gamma_p(n, k, p, seed, cap=W.ENUMERATION_CAP):
-    universe = old_enumerate(n, k, cap=cap)
+def old_gamma_p(n, k, p, seed):
+    universe = old_enumerate(n, k)
     mask = seed.rng().random(len(universe)) < p
     return Presentation(n, tuple(w for w, keep in zip(universe, mask) if keep), k)
 
 
-def old_gamma_lax(n, params, seed, cap=W.ENUMERATION_CAP):
+def old_gamma_lax(n, params, seed):
     lengths = range(params.k - params.f, params.k + params.f + 1)
     total = sum(W.word_count(n, l) for l in lengths)
-    if total > cap:
-        raise ResourceCapError(f"lax universe bound {total} exceeds cap {cap}")
-    universe = [w for l in lengths for w in old_enumerate(n, l, cap=cap)]
+    if total > W.ENUMERATION_CAP:
+        raise ResourceCapError(f"lax universe bound {total} exceeds cap {W.ENUMERATION_CAP}")
+    universe = [w for l in lengths for w in old_enumerate(n, l)]
     size = strict_model_size(n, params.k, params.d)
     return Presentation(n, old_uniform_subset(universe, size, seed.rng()), None)
 
@@ -297,7 +303,7 @@ class TestStreamIdentity:
             for p in (0.0, 0.2, 1.0):
                 assert sample_gamma_p(n, k, p, seed) == old_gamma_p(n, k, p, seed)
 
-    @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2), (3, 3)])
     def test_reduced_graphs(self, n, l):
         for i in range(4):
             seed = Seed(40 + i, i)
@@ -306,10 +312,12 @@ class TestStreamIdentity:
                 g, gp = coupled_red_extension(n, l, p, seed)
                 assert same_graph(g, old_g) and same_graph(gp, old_gp)
                 assert same_graph(sample_red(n, l, p, seed), old_g)
+                if l < 3:  # the bipartite model is declared for l >= 3 only
+                    continue
                 old_g, old_gp = old_coupled_bred(n, l, p, seed)
-                g, gp = coupled_bred_extension(n, l, p, seed, allow_short=True)
+                g, gp = coupled_bred_extension(n, l, p, seed)
                 assert same_graph(g, old_g) and same_graph(gp, old_gp)
-                assert same_graph(sample_bred(n, l, p, seed, allow_short=True), old_g)
+                assert same_graph(sample_bred(n, l, p, seed), old_g)
 
     def test_whole_universe_and_too_large_a_draw(self):
         universe = W.enumerate_cyclically_reduced(2, 4)
@@ -325,7 +333,8 @@ class TestStreamIdentity:
         assert str(new.value) == str(old.value)
         assert str(new.value) == "requested 85 relators but the universe has 84"
 
-    def test_cap_errors(self):
+    def test_cap_errors(self, monkeypatch):
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
         seed = Seed(0)
         cases = [
             (sample_gamma_strict, old_gamma_strict, (2, 6, 0.4)),
@@ -334,15 +343,15 @@ class TestStreamIdentity:
         ]
         for new_fn, old_fn, args in cases:
             with pytest.raises(ResourceCapError) as new:
-                new_fn(*args, seed, cap=100)
+                new_fn(*args, seed)
             with pytest.raises(ResourceCapError) as old:
-                old_fn(*args, seed, cap=100)
+                old_fn(*args, seed)
             assert str(new.value) == str(old.value)
         assert str(new.value) == "lax universe bound 4212 exceeds cap 100"
 
     @pytest.mark.parametrize("n,l", [(1, 1), (1, 6), (2, 1), (2, 3), (2, 5), (3, 1), (3, 4), (3, 5)])
     def test_word_universe(self, n, l):
-        labels, classes = _word_universe(n, l, W.ENUMERATION_CAP)
+        labels, classes = _word_universe(n, l)
         old_labels, old_classes = old_universe(n, l)
         assert labels == old_labels and classes.tolist() == old_classes
 
@@ -374,12 +383,13 @@ class TestPairCap:
         pairs = W.word_count(2, 8) * W.word_count(2, 9)
         assert str(err.value) == f"|W_8| * |W_9| = {pairs} vertex pairs exceed pair cap {PAIR_CAP}"
 
-    def test_enumeration_cap_comes_first(self):
+    def test_enumeration_cap_comes_first(self, monkeypatch):
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
         message = r"\|W_9\| = 26244 exceeds enumeration cap 100; stream instead"
         with pytest.raises(ResourceCapError, match=message):
-            sample_red(2, 9, 0.5, Seed(0), cap=100)
+            sample_red(2, 9, 0.5, Seed(0))
         with pytest.raises(ResourceCapError, match=r"\|W_4\| = 108 exceeds enumeration cap 100"):
-            sample_bred(2, 3, 0.5, Seed(0), cap=100)
+            sample_bred(2, 3, 0.5, Seed(0))
 
     def test_at_the_cap(self, monkeypatch):
         # C(|W_3|, 2) = 36 * 35 / 2 = 630 pairs
@@ -389,3 +399,39 @@ class TestPairCap:
         monkeypatch.setattr(randmodels, "PAIR_CAP", 629)
         with pytest.raises(ResourceCapError, match="630 vertex pairs exceed pair cap 629"):
             sample_red(2, 3, 0.5, Seed(0))
+
+
+W9 = "|W_9| = 26244 exceeds enumeration cap 100; stream instead"
+W4 = "|W_4| = 108 exceeds enumeration cap 100; stream instead"
+W5 = "|W_5| = 324 exceeds enumeration cap 100"
+W6 = "|W_6| = 972 exceeds enumeration cap 100"
+
+# entry point -> a call above a cap of 100, and the message it exits with
+CAPPED_CALLS = {
+    "sample_red": (lambda: sample_red(2, 9, 0.5, Seed(0)), W9),
+    "coupled_red_extension": (lambda: coupled_red_extension(2, 9, 0.5, Seed(0)), W9),
+    "sample_bred": (lambda: sample_bred(2, 3, 0.5, Seed(0)), W4),
+    "coupled_bred_extension": (lambda: coupled_bred_extension(2, 3, 0.5, Seed(0)), W4),
+    "sample_gamma_strict": (lambda: sample_gamma_strict(2, 6, 0.4, Seed(0)), W6),
+    "sample_gamma_p": (lambda: sample_gamma_p(2, 6, 0.4, Seed(0)), W6),
+    "sample_gamma_lax": (lambda: sample_gamma_lax(2, LaxParams(6, 0.4, 1), Seed(0)),
+                         "lax universe bound 4212 exceeds cap 100"),
+    "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5 + "; stream instead"),
+    "enumerate_reduced-n1": (lambda: W.enumerate_reduced(1, 60),
+                             "W_60 has 120 letters, above enumeration cap 100"),
+    "reduced_labels": (lambda: W.reduced_labels(2, 5), W5 + "; stream instead"),
+    "enumerate_cyclically_reduced": (lambda: W.enumerate_cyclically_reduced(2, 5), W5),
+    "build_delta_k": (lambda: build_delta_k(Presentation(2, ()), 15), W5 + "; stream instead"),
+}
+
+
+class TestEnumerationCap:
+    """Every entry point reads ENUMERATION_CAP when it is called."""
+
+    @pytest.mark.parametrize("name", CAPPED_CALLS)
+    def test_patched_cap(self, monkeypatch, name):
+        call, message = CAPPED_CALLS[name]
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
+        with pytest.raises(ResourceCapError) as err:
+            call()
+        assert str(err.value) == message

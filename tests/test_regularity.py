@@ -305,8 +305,9 @@ SIGMA_CASES = [(2, k, d) for k in range(6, 16) for d in (0.45, 0.6, 0.7)] + [
 
 class TestAgainstLabelExtraction:
     @pytest.mark.parametrize("n,k,d", SIGMA_CASES)
-    def test_sigma_layers_and_factors(self, n, k, d):
-        p = sample_gamma_strict(n, k, d, Seed(k, int(100 * d)), cap=10**8)
+    def test_sigma_layers_and_factors(self, n, k, d, monkeypatch):
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 10**8)
+        p = sample_gamma_strict(n, k, d, Seed(k, int(100 * d)))
         dec = sigma_decomposition(p, k)
         for sigma in (dec.sigma1, dec.sigma2, dec.sigma3):
             assert_same_layers(sigma, n, (1, 2, 3))

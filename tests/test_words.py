@@ -51,9 +51,10 @@ class TestEnumeration:
     def test_cyclically_reduced_count(self):
         assert len(W.enumerate_cyclically_reduced(2, 3)) == 28
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 1000)
         with pytest.raises(ResourceCapError):
-            W.enumerate_reduced(3, 10, cap=1000)
+            W.enumerate_reduced(3, 10)
 
 
 class TestUnrank:
@@ -195,12 +196,13 @@ class TestIterativeEnumeration:
         expect = [W.word_to_label(w) for w in W.enumerate_reduced(n, l)]
         assert W.reduced_labels(n, l) == expect
 
-    def test_labels_of_long_words_and_many_generators(self):
+    def test_labels_of_long_words_and_many_generators(self, monkeypatch):
         assert W.reduced_labels(1, 100001) == ["g1" * 100001, "G1" * 100001]
         expect = [W.word_to_label(w) for w in W.enumerate_reduced(12, 3)]
         assert W.reduced_labels(12, 3) == expect
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 1000)
         with pytest.raises(ResourceCapError, match=r"\|W_10\| = 78732 exceeds .* stream instead"):
-            W.reduced_labels(2, 10, cap=1000)
+            W.reduced_labels(2, 10)
 
 
 class TestCountCaps:
