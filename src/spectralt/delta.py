@@ -54,24 +54,33 @@ class Presentation:
     def __init__(self, n: int, relators: Sequence[Word], k: Optional[int] = None):
         relators = tuple(relators)
         self.__dict__["relators"] = relators
-        self._set(n, *W.flatten(relators), k)
+        self._set(n, *W.flatten(relators), k, False)
 
     @classmethod
     def _from_arrays(
-        cls, n: int, letters: np.ndarray, offsets: np.ndarray, k: Optional[int] = None
+        cls,
+        n: int,
+        letters: np.ndarray,
+        offsets: np.ndarray,
+        k: Optional[int] = None,
+        reduced: bool = False,
     ) -> "Presentation":
         """The presentation of the words `letters` split at `offsets`, checked
-        as the constructor checks them, without building the tuples."""
+        as the constructor checks them, without building the tuples.  With
+        `reduced` the caller has found every word freely reduced already
+        (`W.first_unreduced`), and that pass is not run again."""
         p = cls.__new__(cls)
-        p._set(n, letters, offsets, k)
+        p._set(n, letters, offsets, k, reduced)
         return p
 
-    def _set(self, n: int, letters: np.ndarray, offsets: np.ndarray, k: Optional[int]):
+    def _set(
+        self, n: int, letters: np.ndarray, offsets: np.ndarray, k: Optional[int], reduced: bool
+    ):
         self.n, self.k, self.letters, self.offsets = n, k, letters, offsets
         if n < 1:
             raise InputError("generator count must be >= 1")
         # the scalar checks run from the first relator the array scan flags
-        for i in range(self._first_invalid(), self.num_relators):
+        for i in range(self._first_invalid(reduced), self.num_relators):
             r = self._relator(i)
             if not W.is_cyclically_reduced(r):
                 raise InputError(f"relator {W.word_to_text(r)!r} not cyclically reduced")
@@ -113,8 +122,9 @@ class Presentation:
     def __repr__(self) -> str:
         return f"Presentation(n={self.n!r}, relators={self.relators!r}, k={self.k!r})"
 
-    def _first_invalid(self) -> int:
-        """Index of the first relator the checks reject; the count if none."""
+    def _first_invalid(self, reduced: bool) -> int:
+        """Index of the first relator the checks reject; the count if none.
+        With `reduced` every relator is known to be freely reduced."""
         letters, offsets = self.letters, self.offsets
         lengths = np.diff(offsets)
         bad = lengths == 0
@@ -124,8 +134,9 @@ class Presentation:
         bad[ends] |= letters[offsets[:-1][ends]] == -letters[offsets[1:][ends] - 1]
         outside = np.flatnonzero((np.abs(letters) > self.n) | (letters == 0))
         bad[np.searchsorted(offsets, outside, side="right") - 1] = True
-        first = W.first_unreduced(letters, offsets)
-        bad[first : first + 1] = True  # empty when every relator is reduced
+        if not reduced:
+            first = W.first_unreduced(letters, offsets)
+            bad[first : first + 1] = True  # empty when every relator is reduced
         hits = np.flatnonzero(bad)
         return int(hits[0]) if hits.size else len(lengths)
 
@@ -149,7 +160,7 @@ class Presentation:
         scanned = _scan(text)
         if scanned is None:
             return _parse_lines(cls, text)
-        return cls._from_arrays(*scanned)
+        return cls._from_arrays(*scanned, reduced=True)
 
 
 def _parse_lines(cls: type[Presentation], text: str) -> Presentation:
@@ -179,7 +190,7 @@ def _parse_lines(cls: type[Presentation], text: str) -> Presentation:
             raise InputError(f"word {lines[bad]!r} is not freely reduced")
     if n is None:
         raise InputError("presentation file missing 'n <int>' header")
-    return cls._from_arrays(n, *flat, k)
+    return cls._from_arrays(n, *flat, k, reduced=True)
 
 
 def _header_int(parts: list[str]) -> int:

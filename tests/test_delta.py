@@ -64,6 +64,19 @@ class TestPresentation:
         assert p.letters.dtype == p.offsets.dtype == np.int64
         assert p == Presentation(2, ((1, 2, 1), (2, 2, 1)), k=3)
 
+    @pytest.mark.parametrize("text,scanned", [
+        ("n 2\nk 3\ng1 g2 g1\ng2 g2 g1\n", True),
+        ("n 2\nk 3\ng1 g2 g1\n# \u00e9\ng2 g2 g1\n", False),  # not ASCII
+    ], ids=["array-scan", "line-parse"])
+    def test_parse_checks_free_reduction_once(self, monkeypatch, text, scanned):
+        assert (D._scan(text) is not None) == scanned
+        expect = Presentation(2, ((1, 2, 1), (2, 2, 1)), k=3)
+        calls = []
+        real = W.first_unreduced
+        monkeypatch.setattr(W, "first_unreduced", lambda *a: calls.append(1) or real(*a))
+        assert Presentation.parse(text) == expect
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("bad,message", [
         ((1, 2, 2, -2, 1, 1), "relator 'g1 g2 g2 G2 g1 g1' not cyclically reduced"),
         ((1, -1, 2, 2, 1, 2), "relator 'g1 G1 g2 g2 g1 g2' not cyclically reduced"),

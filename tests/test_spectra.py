@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectralt import spectra
+from spectralt import words as W
 from spectralt.delta import build_delta_k
 from spectralt.errors import DegenerateGraphError, InputError, ResourceCapError
 from spectralt.multigraph import MultiGraph
@@ -128,9 +129,18 @@ def random_delta(n, k, d):
     return build_delta_k(sample_gamma_strict(n, k, d, Seed(k)), k)
 
 
+def large_delta(k, d):
+    """Delta_k of an n = 2 strict-model sample, drawn past the enumeration cap
+    (`sample_gamma_strict` unranks only the drawn words)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "ENUMERATION_CAP", W.cyclically_reduced_count(2, k) * 4)
+        return random_delta(2, k, d)
+
+
 # connected graphs: regular, a lambda_1 of multiplicity > 1 (K_m: m - 1,
 # C_m: 2, Petersen: 5, Q_4: 4), bipartite (the eigenvalue 2), loops and
-# multi-edges, and random link graphs for n = 2, 3
+# multi-edges, and random link graphs for n = 2, 3 (at k = 18, 972 vertices,
+# lambda_1 at the bulk edge, close to lambda_2)
 CONNECTED = {
     "K5": lambda: complete_graph(5),
     "K12": lambda: complete_graph(12),
@@ -147,6 +157,7 @@ CONNECTED = {
     "delta n2k12": lambda: random_delta(2, 12, 0.45),
     "delta n3k5": lambda: random_delta(3, 5, 0.5),
     "delta n3k6": lambda: random_delta(3, 6, 0.45),
+    "delta n2k18": lambda: large_delta(18, 0.45),
 }
 
 
@@ -192,6 +203,38 @@ class TestLanczos:
 
     def test_threshold_keeps_small_link_graphs_dense(self):
         assert spectra.DENSE_LAMBDA1_MAX >= 500
+
+    def test_one_ritz_pair_to_a_tolerance_inside_the_gate(self, lanczos_everywhere, monkeypatch):
+        # ARPACK's estimate is relative to |theta| <= 2: 2 tol must stay well
+        # inside the residual gate checked afterwards
+        from scipy.sparse import linalg
+
+        calls = []
+        eigsh = linalg.eigsh
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigsh", recording)
+        solve = spectra.lambda1(petersen(), report=True)
+        assert solve.solver == "lanczos" and len(calls) == 1
+        assert calls[0]["k"] == 1
+        assert 2 * calls[0]["tol"] <= spectra.LANCZOS_MAX_RESIDUAL / 10
+
+    def test_matvecs_are_counted_and_repeat(self):
+        g = large_delta(18, 0.45)
+        first, second = (spectra.lambda1(g, report=True) for _ in range(2))
+        assert first.solver == second.solver == "lanczos"
+        assert first.matvecs > 0 and first.matvecs == second.matvecs
+        assert first.value == second.value
+
+    def test_matvecs_are_zero_without_lanczos(self):
+        dense = spectra.lambda1(CONNECTED["delta n2k12"](), report=True)
+        assert dense.solver == "dense" and dense.matvecs == 0
+        components = spectra.lambda1(graph("abcd", [("a", "b"), ("c", "d")]), report=True)
+        assert components.matvecs == 0
+        assert components == spectra.Lambda1Solve(0.0, "components", 0.0, matvecs=7)
 
     def test_no_convergence_falls_back_to_dense(self, lanczos_everywhere, monkeypatch):
         from scipy.sparse import linalg
