@@ -28,7 +28,7 @@ from .errors import (
     ResourceCapError,
     SpectralTError,
 )
-from .multigraph import MultiGraph, edge_key, union
+from .multigraph import MultiGraph, union
 from .randmodels import (
     LaxParams,
     Seed,
@@ -47,8 +47,6 @@ from .regularity import (
     RegularityParams,
     extract_red_regular_union,
     extract_regular_subgraph,
-    is_almost_biregular,
-    is_almost_regular,
     ore_ryser_feasible,
     red_class_layers,
 )

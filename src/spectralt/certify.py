@@ -73,9 +73,9 @@ def union_bound_empirical_check(
     for i, g in ((2, g2), (3, g3)):
         if g.side is None:
             raise HypothesisViolation(f"clause i): G{i} is not bipartite")
-    v1a, v2a = g2.partition
-    v1b, v2b = g3.partition
-    if set(g1.vertices) != set(v1a) or v1a != v1b or v2a != v2b:
+    v1a, v1b = ({x for x, first in zip(g.vertices, g.side) if first} for g in (g2, g3))
+    v2a, v2b = set(g2.vertices) - v1a, set(g3.vertices) - v1b
+    if set(g1.vertices) != v1a or v1a != v1b or v2a != v2b:
         raise HypothesisViolation("clause i): vertex sets do not align")
     if _regular_degree(g1) != 2 * d1:
         raise HypothesisViolation(f"clause ii): G1 is not {2 * d1}-regular")

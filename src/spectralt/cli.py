@@ -88,10 +88,16 @@ def _path(args: argparse.Namespace, cfg: dict, name: str) -> Optional[str]:
 
 
 def _num(args: argparse.Namespace, cfg: dict, name: str, typ: type, default=None):
-    """`_opt` converted by `typ`; a config value `typ` rejects is an input error."""
+    """`_opt` converted by `typ`: int, float, or bool for a switch.  A config
+    value `typ` rejects is an input error, and so are a switch that is not a
+    bool, a bool for a number, and an int with a fractional part."""
     val = _opt(args, cfg, name, default)
     if val is None:
         return None
+    if isinstance(val, bool) != (typ is bool) or (
+        typ is int and isinstance(val, float) and not val.is_integer()
+    ):
+        raise InputError(f"{name} must be {typ.__name__}, got {val!r}")
     try:
         return typ(val)
     except (TypeError, ValueError, OverflowError):
@@ -109,7 +115,8 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     k = _num(args, cfg, "k", int, pres.k)
     if k is None:
         raise InputError("k not given and not recorded in the file")
-    if _opt(args, cfg, "pipeline", False):
+    diagnostics = _num(args, cfg, "diagnostics", bool, False)
+    if _num(args, cfg, "pipeline", bool, False):
         params = RegularityParams(delta=_num(args, cfg, "delta", float, 0.2))
         cert = certify_via_decomposition(
             pres, k, params, m_bound=_num(args, cfg, "m_bound", int, 3)
@@ -117,7 +124,7 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     else:
         cert = zuk_certificate(pres, k)
     print(cert.to_json())
-    if _opt(args, cfg, "diagnostics", False):
+    if diagnostics:
         for line in cert.diagnostics:
             print(line, file=sys.stderr)
     return EXIT_OK
@@ -231,6 +238,8 @@ def _parse_grid(args: argparse.Namespace, cfg: dict, trials: int) -> list[float]
         try:
             grid = [float(x) for x in grid_text]
         except (TypeError, ValueError):
+            grid = None
+        if grid is None or any(isinstance(x, bool) for x in grid_text):
             raise InputError(f"malformed density grid {grid_text!r}")
         _check_sweep_size(len(grid), trials)
         return grid
@@ -266,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         raise InputError("--trials must be >= 1")
     seed_value = _num(args, cfg, "seed", int, 0)
     SP.eigen_cap()  # a malformed cap fails the sweep, not each of its trials
-    pipeline = bool(_opt(args, cfg, "pipeline", False))
+    pipeline = _num(args, cfg, "pipeline", bool, False)
     grid = _parse_grid(args, cfg, trials)
     if not grid:
         raise InputError("empty density grid")

@@ -479,15 +479,3 @@ def double_edge_audit(g: MultiGraph, m_bound: int = 3) -> DoubleEdgeAudit:
         within_m_bound=max_per_vertex <= m_bound,
     )
 
-
-# re-export for callers building presentations by hand
-__all__ = [
-    "Presentation",
-    "SigmaDecomposition",
-    "DoubleEdgeAudit",
-    "build_delta3",
-    "build_delta_k",
-    "sigma_decomposition",
-    "double_edge_audit",
-    "sigma_vertex_lengths",
-]

@@ -7,13 +7,12 @@ A graph stores its vertex labels and three int arrays (u, v, mult) of vertex
 indices: one entry per distinct edge, u <= v, sorted by (u, v).  A
 bipartition is a bool mask `side` in vertex order, True on the first side.
 Every walk over the graph is a numpy pass over these arrays; the label-keyed
-`edges` and `partition` views are built from them on each read.
+`edges` view is built from them on each read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,15 +102,6 @@ class MultiGraph:
         """Read-only bool mask in vertex order, True on the first side of the
         bipartition; None if the graph carries none."""
         return self._side
-
-    @property
-    def partition(self) -> Optional[tuple[frozenset[str], frozenset[str]]]:
-        """The label sets of the two sides, built on each read; None if the
-        graph carries no bipartition."""
-        if self._side is None:
-            return None
-        lab = self._vertices
-        return frozenset(compress(lab, self._side)), frozenset(compress(lab, ~self._side))
 
     @property
     def edges(self) -> dict[EdgeKey, int]:

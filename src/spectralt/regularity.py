@@ -1,5 +1,5 @@
-"""Almost-regularity checks, Ore-Ryser feasibility, and exact extraction of
-(d1, d2)-regular spanning subgraphs of bipartite graphs via max flow."""
+"""Ore-Ryser feasibility and exact extraction of (d1, d2)-regular spanning
+subgraphs of bipartite graphs via max flow."""
 
 from __future__ import annotations
 
@@ -23,27 +23,6 @@ class RegularityParams:
     def __post_init__(self):
         if not 0.0 <= self.delta < 1.0:
             raise InputError("need 0 <= delta < 1")
-
-
-def _within(deg: np.ndarray, d, epsilon: float) -> bool:
-    """Whether each degree lies in [(1-eps)d, (1+eps)d], d one target or one
-    per vertex."""
-    return bool(np.all(((1 - epsilon) * d <= deg) & (deg <= (1 + epsilon) * d)))
-
-
-def is_almost_regular(g: MultiGraph, d: float, epsilon: float) -> bool:
-    """True iff every degree lies in [(1-eps)d, (1+eps)d]."""
-    if d <= 0:
-        raise InputError("need d > 0")
-    return _within(g.degree_array(), d, epsilon)
-
-
-def is_almost_biregular(g: MultiGraph, d1: float, d2: float, epsilon: float) -> bool:
-    """Per-side variant for partitioned graphs: d1 on the first side, d2 on
-    the second."""
-    if g.side is None:
-        raise InputError("graph carries no bipartition")
-    return _within(g.degree_array(), np.where(g.side, d1, d2), epsilon)
 
 
 def _max_flow(

@@ -219,16 +219,3 @@ def weyl_check(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     hi = mu_a + mu_b[0]
     return bool(np.all(mu_ab >= lo - tol) and np.all(mu_ab <= hi + tol))
 
-
-def adjacency_spectral_bound(g: MultiGraph) -> float:
-    """Degree bound on the adjacency spectral radius.
-
-    Max degree in general; for bipartite graphs the refinement
-    max sqrt(deg(v) deg(w)) over cross pairs.
-    """
-    deg = g.degree_array()
-    if not len(deg):
-        return 0.0
-    if g.side is not None:
-        return float(np.sqrt(deg[g.side].max(initial=0) * deg[~g.side].max(initial=0)))
-    return float(deg.max())

@@ -46,39 +46,13 @@ def unflatten_letter(code: int, n: int) -> int:
     return code if code <= n else n - code
 
 
-def reduce_word(letters: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence.  Idempotent; may return ()."""
-    out: list[int] = []
-    for x in letters:
-        if x == 0:
-            raise InputError("letter 0 is not a generator")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 def is_reduced(w: Word) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Strip matching first/last inverse pairs until none remain."""
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == -w[j - 1]:
-        i += 1
-        j -= 1
-    return w[i:j]
 
 
 def is_cyclically_reduced(w: Word) -> bool:
     """Nonempty, freely reduced, and the last letter is not the inverse of the first."""
     return len(w) >= 1 and is_reduced(w) and w[-1] != -w[0]
-
-
-def invert(w: Word) -> Word:
-    return tuple(-x for x in reversed(w))
 
 
 def flatten(words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
@@ -319,13 +293,6 @@ def class_index(w: Word, n: int) -> int:
     return flatten_letter(w[0], n)
 
 
-def last_class_index(w: Word, n: int) -> int:
-    """The i with last letter of w equal to a_i^{-1} (flattened convention)."""
-    if not w:
-        raise InputError("last_class_index of empty word")
-    return flatten_letter(-w[-1], n)
-
-
 def split_lengths(k: int) -> tuple[int, int, int]:
     """Piece lengths (|r_x|, |r_y|, |r_z|) for a length-k relator."""
     if k < 3:
@@ -338,26 +305,11 @@ def split_lengths(k: int) -> tuple[int, int, int]:
     return ((k + 1) // 3, (k + 1) // 3, (k - 2) // 3)
 
 
-def split_relator(r: Word, k: int) -> tuple[Word, Word, Word]:
-    """Split a cyclically reduced length-k relator into its three pieces."""
-    if len(r) != k:
-        raise InputError(f"relator length {len(r)} != k = {k}")
-    a, b, _ = split_lengths(k)
-    return r[:a], r[a : a + b], r[a + b :]
-
-
 def critical_density(k: int) -> Fraction:
     """d_k = (k + (-k mod 3)) / 3k, as an exact rational."""
     if k < 3:
         raise InputError("need k >= 3")
     return Fraction(k + ((-k) % 3), 3 * k)
-
-
-def index_bound(n: int, l: int) -> int:
-    """2n(2n-1)^(l-2), the finite-index bound for the subgroup <W_l>."""
-    if n < 1 or l < 2:
-        raise InputError("need n >= 1 and l >= 2")
-    return 2 * n * (2 * n - 1) ** (l - 2)
 
 
 def word_to_text(w: Word) -> str:
@@ -374,14 +326,6 @@ def letter_from_token(tok: str) -> int:
     if i < 1:
         raise InputError(f"generator index must be >= 1, got {tok!r}")
     return i if m.group(1) == "g" else -i
-
-
-def word_from_text(text: str) -> Word:
-    """Parse whitespace-separated tokens g<i> / G<i> into a word."""
-    w = tuple(map(letter_from_token, text.split()))
-    if not is_reduced(w):
-        raise InputError(f"word {text!r} is not freely reduced")
-    return w
 
 
 def word_to_label(w: Word) -> str:

@@ -1,4 +1,7 @@
-"""Labelled test graphs: labels and label-keyed edges mapped to index arrays."""
+"""Labelled test graphs: labels and label-keyed edges mapped to index arrays,
+and a graph's bipartition read back as label sets."""
+
+from itertools import compress
 
 from spectralt.errors import InputError
 from spectralt.multigraph import MultiGraph, edge_key
@@ -29,3 +32,11 @@ def graph(vertices, edges=(), partition=None):
         list(index), [index[a] for a, _ in mult], [index[b] for _, b in mult],
         list(mult.values()), side=side,
     )
+
+
+def sides(g):
+    """The label sets (first side, second side) of g's bipartition, or None
+    if g carries none."""
+    if g.side is None:
+        return None
+    return frozenset(compress(g.vertices, g.side)), frozenset(compress(g.vertices, ~g.side))

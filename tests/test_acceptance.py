@@ -177,7 +177,7 @@ def test_criterion_7_union_bound():
         f3 = extract_regular_subgraph(h3, 3, 3)
         if f2 is None or f3 is None:
             continue
-        v1 = sorted(f2.partition[0], key=list(f2.vertices).index)
+        v1 = [f2.vertices[i] for i in np.flatnonzero(f2.side)]
         try:
             res = union_bound_empirical_check(six_regular(v1), f2, f3, 3, 3)
         except HypothesisViolation:

@@ -82,6 +82,29 @@ class TestEmpiricalCheck:
         with pytest.raises(HypothesisViolation, match="bipartite"):
             union_bound_empirical_check(g1, bare, g3, 2, 2)
 
+    @pytest.mark.parametrize("which", ["g1-labels", "g3-sides-swapped", "g3-extra-vertex"])
+    def test_misaligned_vertex_sets_rejected(self, which):
+        g1, g2, g3 = hexagon_triple()
+        v1, v2 = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
+        if which == "g1-labels":
+            g1 = graph(["x1", "x2", "x4"], {("x1", "x2"): 2, ("x2", "x4"): 2, ("x1", "x4"): 2})
+        elif which == "g3-sides-swapped":
+            g3 = graph(g3.vertices, g3.edges, partition=(v2, v1))
+        else:
+            g3 = graph(v1 + v2 + ["y4"], g3.edges, partition=(v1, v2 + ["y4"]))
+        with pytest.raises(HypothesisViolation, match="vertex sets do not align"):
+            union_bound_empirical_check(g1, g2, g3, 2, 2)
+
+    def test_sides_compared_as_sets(self):
+        # g3 lists both sides in another order: the sides still align, and
+        # the combined graph keeps g1's order then the sorted second side
+        g1, g2, g3 = hexagon_triple()
+        reordered = graph(["y3", "y2", "y1", "x2", "x3", "x1"], g3.edges,
+                          partition=(["x1", "x2", "x3"], ["y1", "y2", "y3"]))
+        res = union_bound_empirical_check(g1, g2, reordered, 2, 2)
+        assert res.holds
+        assert (res.lhs, res.rhs) == (0.9084936490538902, 0.6464466094067263)
+
 
 class TestZuk:
     def test_aba_not_certified(self):

@@ -318,16 +318,46 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["k"] == 3
 
+    # each command: a config, the command line it is given to (ABA stands
+    # for the path of a presentation file) and the error line it must print
     @pytest.mark.parametrize("command", [
-        ["sweep", "--k", "3", "--d-grid", "0.3"],
-        ["sample", "--model", "red", "--l", "2", "--p", "0.5"],
+        ({"n": "abc"}, ["sweep", "--k", "3", "--d-grid", "0.3"],
+         "n must be int, got 'abc'"),
+        ({"n": "abc"}, ["sample", "--model", "red", "--l", "2", "--p", "0.5"],
+         "n must be int, got 'abc'"),
+        ({"pipeline": "false"}, ["certify", "ABA"], "pipeline must be bool, got 'false'"),
+        ({"pipeline": 1}, ["sweep", "--n", "2", "--k", "3", "--d-grid", "0.3"],
+         "pipeline must be bool, got 1"),
+        ({"diagnostics": "no"}, ["certify", "ABA"], "diagnostics must be bool, got 'no'"),
+        ({"k": 3.9}, ["certify", "ABA"], "k must be int, got 3.9"),
+        ({"seed": True}, ["sample", "--model", "gnp", "--m", "4", "--p", "0.5"],
+         "seed must be int, got True"),
+        ({"m": 4.5}, ["sample", "--model", "gnp", "--p", "0.5"], "m must be int, got 4.5"),
+        ({"p": False}, ["sample", "--model", "gnp", "--m", "4"], "p must be float, got False"),
+        ({"delta": True}, ["certify", "ABA", "--pipeline"], "delta must be float, got True"),
+        ({"d_grid": [0.3, True]}, ["sweep", "--n", "2", "--k", "3"],
+         "malformed density grid [0.3, True]"),
     ])
-    def test_malformed_value(self, capsys, tmp_path, command):
+    def test_malformed_value(self, capsys, tmp_path, aba_file, command):
+        config, argv, message = command
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": "abc"}))
-        code, out, err = run(capsys, "--config", str(cfg), *command)
+        cfg.write_text(json.dumps(config))
+        argv = [aba_file if a == "ABA" else a for a in argv]
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert code == 2 and out == ""
-        assert err == "error: n must be int, got 'abc'\n"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"k": 3.0, "pipeline": False, "diagnostics": None}, ["certify", "ABA"]),
+        ({"k": "3", "pipeline": True}, ["certify", "ABA"]),
+        ({"seed": "7", "m": 4.0, "p": "0.5"}, ["sample", "--model", "gnp"]),
+    ])
+    def test_well_typed_value(self, capsys, tmp_path, aba_file, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [aba_file if a == "ABA" else a for a in argv]
+        code, _, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 0 and "error" not in err
 
     @pytest.mark.parametrize("text, message", [
         ('{"n": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),

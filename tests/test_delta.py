@@ -18,7 +18,7 @@ from spectralt.errors import InputError
 from spectralt.multigraph import edge_key, union
 from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
 
-from graphs import graph
+from graphs import graph, sides
 
 
 def aba():
@@ -154,10 +154,10 @@ class TestSigma:
             dec = sigma_decomposition(p, k)
             assert dec.case == case
             if case == 0:
-                assert dec.sigma1.partition is None
+                assert dec.sigma1.side is None
             else:
-                assert dec.sigma1.partition is not None
-                assert dec.sigma3.partition is not None
+                assert dec.sigma1.side is not None
+                assert dec.sigma3.side is not None
                 assert dec.sigma2.num_vertices() == W.word_count(2, dec.l_k)
 
     def test_same_class_never_adjacent(self):
@@ -194,13 +194,13 @@ class TestReencoding:
         )
         lengths = sorted({xy_len, z_len})
         alphabet = [w for l in lengths for w in W.enumerate_reduced(2, l)]
-        gens = [w for w in alphabet if w < W.invert(w)]
+        gens = [w for w in alphabet if w < invert(w)]
         code = {}
         for i, w in enumerate(gens, start=1):
             code[w] = i
-            code[W.invert(w)] = -i
+            code[invert(w)] = -i
         relators3 = tuple(
-            tuple(code[part] for part in W.split_relator(r, k))
+            tuple(code[part] for part in split_relator(r, k))
             for r in of_length(p, k)
         )
         d3 = build_delta3(Presentation(len(gens), relators3))
@@ -246,13 +246,23 @@ class TestAudit:
 
 # ---- the label-keyed implementations the array build replaced, as oracles
 
+def invert(w):
+    return tuple(-x for x in reversed(w))
+
+
+def split_relator(r, k):
+    """The three pieces r_x, r_y, r_z of a length-k relator."""
+    a, b, _ = W.split_lengths(k)
+    return r[:a], r[a : a + b], r[a + b :]
+
+
 def old_labels(n, l):
     return [W.word_to_label(w) for w in W.enumerate_reduced(n, l)]
 
 
 def old_relator_edges(r, k):
-    rx, ry, rz = W.split_relator(r, k)
-    lab, inv = W.word_to_label, W.invert
+    rx, ry, rz = split_relator(r, k)
+    lab, inv = W.word_to_label, invert
     return (
         edge_key(lab(rx), lab(inv(rz))),
         edge_key(lab(ry), lab(inv(rx))),
@@ -334,7 +344,7 @@ def outcome(fn, *args):
 
 def same_graph(g, old):
     return (g.vertices == old.vertices and g.edges == old.edges
-            and g.dump() == old.dump() and g.partition == old.partition)
+            and g.dump() == old.dump() and sides(g) == sides(old))
 
 
 def sample(n, k, seed):

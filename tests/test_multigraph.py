@@ -49,8 +49,7 @@ class TestConstruction:
         g = MultiGraph("ab", [0], [1], side=mask)
         mask[0] = False
         assert g.side.tolist() == [True, False] and not g.side.flags.writeable
-        assert g.partition == (frozenset("a"), frozenset("b"))
-        assert MultiGraph("ab", [0], [1]).partition is None
+        assert MultiGraph("ab", [0], [1]).side is None
 
     def test_edge_arrays_must_match_in_length(self):
         with pytest.raises(InputError, match="differ in length"):
@@ -101,7 +100,7 @@ class TestOps:
         u = union(g, h, g)
         assert u.edges.get(edge_key("a", "b"), 0) == 4
         assert u.vertices == ("a", "b", "c")
-        assert u.partition == (frozenset("ac"), frozenset("b"))
+        assert u.side.tolist() == [True, False, True]
 
     def test_union_of_disjoint_vertex_sets(self):
         g = graph("ab", [("a", "b")])
@@ -113,7 +112,7 @@ class TestOps:
     def test_union_partition_needs_every_input(self):
         g = graph("ab", [("a", "b")], partition=("a", "b"))
         plain = graph("bc", [("b", "c")])
-        assert union(g, g, plain).partition is None
+        assert union(g, g, plain).side is None
         flipped = graph("ab", [("a", "b")], partition=("b", "a"))
         with pytest.raises(InputError, match="conflicting"):
             union(g, g, flipped)

@@ -27,7 +27,7 @@ from spectralt.randmodels import (
     strict_model_size,
 )
 
-from graphs import graph
+from graphs import graph, sides
 
 
 class TestSeed:
@@ -58,7 +58,7 @@ class TestGnp:
     def test_bipartite(self):
         g = sample_bipartite_gnp(3, 4, 1.0, Seed(0))
         assert g.num_edges() == 12
-        assert g.partition is not None
+        assert g.side is not None
 
     def test_more_pairs_than_the_enumeration_cap(self):
         # 4500 vertices: 10,122,750 pairs, above ENUMERATION_CAP
@@ -128,8 +128,8 @@ class TestBred:
 
     def test_bipartite_between_consecutive_lengths(self):
         g = sample_bred(2, 3, 0.5, Seed(13, 0))
-        assert g.partition is not None
-        sizes = sorted(len(side) for side in g.partition)
+        assert g.side is not None
+        sizes = sorted([g.side.sum(), (~g.side).sum()])
         assert sizes == [W.word_count(2, 3), W.word_count(2, 4)]
 
     def test_short_l_guard(self):
@@ -288,7 +288,7 @@ def old_coupled_bred(n, l, p, seed):
 
 
 def same_graph(a, b):
-    return a.dump() == b.dump() and a.partition == b.partition
+    return a.dump() == b.dump() and sides(a) == sides(b)
 
 
 class TestStreamIdentity:

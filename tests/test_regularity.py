@@ -16,28 +16,15 @@ from spectralt.regularity import (
     RegularityParams,
     extract_red_regular_union,
     extract_regular_subgraph,
-    is_almost_biregular,
-    is_almost_regular,
     ore_ryser_feasible,
     red_class_layers,
 )
 
-from graphs import graph
+from graphs import graph, sides
 
 
 def bipartite(v1, v2, pairs):
     return graph(list(v1) + list(v2), pairs, partition=(v1, v2))
-
-
-class TestAlmostRegular:
-    def test_within_band(self):
-        g = graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        assert is_almost_regular(g, 2, 0.25)
-        assert not is_almost_regular(g, 4, 0.25)
-
-    def test_biregular(self):
-        g = bipartite(["a", "b"], ["x", "y"], [("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")])
-        assert is_almost_biregular(g, 2, 2, 0.1)
 
 
 class TestExtraction:
@@ -110,8 +97,7 @@ class TestRedLayers:
         g = sample_red(2, 2, 0.7, Seed(23, 0))
         layers = red_class_layers(g, 2)
         for i, layer in layers.items():
-            side, rest = layer.partition
-            assert len(side) == 3  # n=2, l=2: 4 classes of 3 words
+            assert np.count_nonzero(layer.side) == 3  # n=2, l=2: 4 classes of 3 words
 
     def test_same_class_edge_rejected(self):
         g = graph(["g1g2", "g1G2"], [("g1g2", "g1G2")])
@@ -201,17 +187,17 @@ class OldDinic:
 
 
 def old_extract_regular_subgraph(g, d1, d2):
-    if g.partition is None:
+    if g.side is None:
         raise InputError("graph carries no bipartition")
     if any(m > 1 for m in g.edges.values()):
         raise InputError("graph is not simple; collapse multi-edges first")
-    p1, p2 = g.partition
+    p1, p2 = sides(g)
     order = {v: i for i, v in enumerate(g.vertices)}
     left, right = sorted(p1, key=order.get), sorted(p2, key=order.get)
     if d1 * len(left) != d2 * len(right):
         raise InputError(f"balance violation: {d1}*{len(left)} != {d2}*{len(right)}")
     if d1 == 0:
-        return graph(g.vertices, {}, partition=g.partition)
+        return graph(g.vertices, {}, partition=sides(g))
     li = {v: i for i, v in enumerate(left)}
     ri = {v: i for i, v in enumerate(right)}
     s, t = 0, 1
@@ -228,7 +214,7 @@ def old_extract_regular_subgraph(g, d1, d2):
     if dinic.max_flow(s, t) != d1 * len(left):
         return None
     chosen = {key: 1 for idx, key in edge_ids if dinic.cap[idx] == 0}
-    return graph(g.vertices, chosen, partition=g.partition)
+    return graph(g.vertices, chosen, partition=sides(g))
 
 
 def old_red_class_layers(g, n):
@@ -261,7 +247,7 @@ def same_graph(a, b):
         return a is b
     return (
         a.vertices == b.vertices
-        and a.partition == b.partition
+        and sides(a) == sides(b)
         and all(np.array_equal(x, y) for x, y in zip(a.edge_arrays, b.edge_arrays))
         and a.edges == b.edges
     )

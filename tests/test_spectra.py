@@ -84,15 +84,6 @@ class TestWeyl:
 
 
 class TestBounds:
-    def test_bipartite_adjacency_bound(self):
-        g = graph(
-            "abcd", [("a", "c"), ("a", "d"), ("b", "c")],
-            partition=("ab", "cd"),
-        )
-        bound = spectra.adjacency_spectral_bound(g)
-        eigs = np.linalg.eigvalsh(g.adjacency_matrix().astype(float))
-        assert np.max(np.abs(eigs)) <= bound + 1e-9
-
     def test_report_switching(self):
         g = cycle_graph(5)
         rep = spectra.spectral_report(g)
