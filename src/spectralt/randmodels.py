@@ -59,18 +59,25 @@ def _pair_labels(prefix: str, m: int) -> list[str]:
 
 
 def _bernoulli(rng: np.random.Generator, shape, p: float, what: str) -> np.ndarray:
-    """`rng.random(shape) < p`, or a ResourceCapError where numpy cannot
-    allocate the draw: more pairs than an array holds, or than memory."""
+    """`rng.random(shape) < p`, or a ResourceCapError where the allocator
+    refuses the draw, of at most PAIR_CAP vertex pairs."""
     try:
         return rng.random(shape) < p
-    except (ValueError, MemoryError):
+    except MemoryError:
         raise ResourceCapError(f"{what}: its vertex pairs are too many to draw")
+
+
+def _check_pairs(pairs: int, what: str) -> None:
+    """Refuse a model that would draw more than PAIR_CAP vertex pairs."""
+    if pairs > PAIR_CAP:
+        raise ResourceCapError(f"{what} = {pairs} vertex pairs exceed pair cap {PAIR_CAP}")
 
 
 def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
     """Erdos-Renyi G(m, p): each of the C(m,2) pairs independently, no loops."""
     if m < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m >= 1 and p in [0, 1]")
+    _check_pairs(m * (m - 1) // 2, f"C({m}, 2)")
     rng = seed.rng()
     u = v = np.zeros(0, dtype=np.int64)
     if m > 1:
@@ -87,6 +94,7 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
     """Erdos-Renyi bipartite G(m1, m2, p), partitioned output."""
     if m1 < 1 or m2 < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m1, m2 >= 1 and p in [0, 1]")
+    _check_pairs(m1 * m2, f"{m1} * {m2}")
     rng = seed.rng()
     i, j = np.nonzero(_bernoulli(rng, (m1, m2), p, f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"))
     labels = _pair_labels("u", m1) + _pair_labels("v", m2)
@@ -97,12 +105,6 @@ def _universe_size(n: int, l: int) -> int:
     """|W_l|, or the ResourceCapError that enumerating W_l would raise."""
     W.check_enumerable(n, l, "; stream instead")
     return W.word_count(n, l)
-
-
-def _check_pairs(pairs: int, what: str) -> None:
-    """Refuse a model that would draw more than PAIR_CAP vertex pairs."""
-    if pairs > PAIR_CAP:
-        raise ResourceCapError(f"{what} = {pairs} vertex pairs exceed pair cap {PAIR_CAP}")
 
 
 def _word_universe(n: int, l: int) -> tuple[list[str], np.ndarray]:
@@ -234,11 +236,38 @@ def strict_model_size(n: int, k: int, d: float) -> int:
         raise InputError(f"model size {2 * n - 1}^({k}*{d}) is not a finite count")
 
 
+def _universe_sizes(n: int, lo: int, hi: int) -> list[int]:
+    """|C(n, l)| for l = lo..hi, the universe the presentation samplers rank,
+    or a ResourceCapError if its total reaches 2^63, where numpy draws no
+    rank.  A logarithm decides first, so no (2n-1)^hi far above that is
+    built; under it hi is small, and so is the list."""
+    if hi < 20 / math.log10(2 * n - 1):  # (2n-1)^hi < 10^20, hi kept an int
+        sizes = [W.cyclically_reduced_count(n, l) for l in range(lo, hi + 1)]
+        if sum(sizes) < 2**63:
+            return sizes
+    what = f"|C({n}, {lo})|" if lo == hi else f"|C({n}, {lo})| + ... + |C({n}, {hi})|"
+    raise ResourceCapError(
+        f"{what} = {W.cyclic_count_text(n, lo, hi)} exceeds int64 rank cap {2**63 - 1}"
+    )
+
+
 def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """`size` distinct ranks of a universe of `total` words, drawn uniformly."""
+    """`size` distinct ranks of a universe of `total` words, drawn uniformly.
+
+    `Generator.choice` draws them with Floyd's algorithm in O(size) memory
+    when total > 10^4 and size <= total // 50, and otherwise shuffles all of
+    `arange(total)`: the caps bound what it allocates, before it does.
+    """
     if size > total:
         raise InputError(
             f"requested {size} relators but the universe has {total}"
+        )
+    cap = W.ENUMERATION_CAP
+    if size > cap:
+        raise ResourceCapError(f"{size} relators exceed enumeration cap {cap}")
+    if size > total // 50 and total > cap:
+        raise ResourceCapError(
+            f"drawing {size} of {total} words shuffles all {total}, above enumeration cap {cap}"
         )
     return np.sort(rng.choice(total, size=size, replace=False))
 
@@ -253,19 +282,23 @@ def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
     """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
     if n < 2 or k < 3 or not 0.0 < d < 1.0:
         raise InputError("need n >= 2, k >= 3, d in (0, 1)")
-    W.check_enumerable(n, k)  # |W_k| bounds |C(n, k)|
-    total = W.cyclically_reduced_count(n, k)
+    (total,) = _universe_sizes(n, k, k)
     ranks = _uniform_ranks(total, strict_model_size(n, k, d), seed.rng())
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
 def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
-    """Bernoulli model: each word of C(n, k) kept independently with prob p."""
+    """Bernoulli model: each word of C(n, k) kept independently with prob p.
+
+    Drawn as the same law in O(kept words): a count K ~ Binomial(|C(n, k)|, p),
+    then a uniform K-subset, as the strict model draws its subset.
+    """
     if n < 2 or k < 3 or not 0.0 <= p <= 1.0:
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
-    W.check_enumerable(n, k)
-    keep = seed.rng().random(W.cyclically_reduced_count(n, k)) < p
-    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, np.flatnonzero(keep)))
+    (total,) = _universe_sizes(n, k, k)
+    rng = seed.rng()
+    ranks = _uniform_ranks(total, int(rng.binomial(total, p)), rng)
+    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
 def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
@@ -275,15 +308,8 @@ def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
     """
     if n < 2:
         raise InputError("need n >= 2")
-    cap = W.ENUMERATION_CAP
     lengths = range(params.k - params.f, params.k + params.f + 1)
-    # the longest length bounds the others, so the sum is built only under the cap
-    if W.word_count_exceeds(n, lengths[-1], cap) or sum(
-        W.word_count(n, l) for l in lengths
-    ) > cap:
-        bound = W.word_count_text(n, lengths[0], lengths[-1])
-        raise ResourceCapError(f"lax universe bound {bound} exceeds cap {cap}")
-    offsets = np.cumsum([0] + [W.cyclically_reduced_count(n, l) for l in lengths])
+    offsets = np.cumsum([0] + _universe_sizes(n, lengths[0], lengths[-1]))
     size = strict_model_size(n, params.k, params.d)
     ranks = _uniform_ranks(int(offsets[-1]), size, seed.rng())
     letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0

@@ -33,11 +33,15 @@ def _max_flow(
     flow: np.ndarray,
     s: int,
     t: int,
+    need: int,
 ) -> tuple[int, np.ndarray]:
     """Dinic's max flow from s to t over arcs tail[j] -> head[j] of capacity
-    cap[j] on nodes 0..size-1, starting from the feasible flow `flow`;
-    returns the flow added and the residual capacities, arc j's at 2j and
-    its reverse arc's at 2j + 1.
+    cap[j] on nodes 0..size-1, starting from the feasible flow `flow`, until
+    `need` more units are sent or no augmenting path is left; returns the
+    flow added and the residual capacities, arc j's at 2j and its reverse
+    arc's at 2j + 1.  Where the arcs out of s carry `need` units of capacity
+    left, the flow stopped at is a maximum one, without the search that
+    would show no path is left.
 
     Each node scans its arcs in id order from a pointer kept through a phase.
     A blocking flow is found by depth-first descent along level-increasing
@@ -57,7 +61,7 @@ def _max_flow(
     rev = slot[arc_at ^ 1].tolist()
     start = [0] + np.cumsum(np.bincount(arc_tail, minlength=size)).tolist()
     added = 0
-    while True:
+    while added < need:
         level = [-1] * size
         level[s] = 0
         queue = [s]
@@ -67,10 +71,10 @@ def _max_flow(
                     level[to[i]] = level[x] + 1
                     queue.append(to[i])
         if level[t] < 0:
-            return added, np.array(res, dtype=np.int64)[slot]
+            break
         it = start[:-1]
         path, arcs = [s], []
-        while path:
+        while path and added < need:
             x = path[-1]
             if x == t:
                 got = min(map(res.__getitem__, arcs))
@@ -95,6 +99,7 @@ def _max_flow(
                 if arcs:
                     arcs.pop()
                     it[path[-1]] += 1
+    return added, np.array(res, dtype=np.int64)[slot]
 
 
 def _first_phase(
@@ -169,6 +174,7 @@ def extract_regular_subgraph(
     ia, ib = side[a], side[b]
     # the first phase runs as a greedy pass; the flow search goes on from it
     used = _first_phase(ia, ib, d1, d2, nl, nr)
+    need = d1 * nl - np.count_nonzero(used)  # what the source arcs have left
     added, res = _max_flow(
         2 + nl + nr,
         np.concatenate([np.zeros(nl, np.int64), 2 + nl + np.arange(nr), 2 + ia]),
@@ -179,8 +185,9 @@ def extract_regular_subgraph(
         ]),
         0,
         1,
+        need,
     )
-    if np.count_nonzero(used) + added != d1 * nl:
+    if added != need:
         return None
     chosen = res[2 * (nl + nr) :: 2] == 0
     return MultiGraph(g.vertices, a[chosen], b[chosen], side=in_left)

@@ -2,12 +2,12 @@
 
 lambda_1 of a disconnected graph (or one with an isolated vertex) is 0 by
 convention, decided by component search before any solve.  Up to
-DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the normalized
-Laplacian; above that, Lanczos (`scipy.sparse.linalg.eigsh`, one Ritz pair)
-on the sparse Laplacian with its known null vector shifted to the top of the
-spectrum, stopped once its estimate is well inside the residual gate, and
-falling back to the dense solve if the residual it leaves exceeds
-LANCZOS_MAX_RESIDUAL or ARPACK fails.
+DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the lower triangle of
+the normalized Laplacian; above that, Lanczos (`scipy.sparse.linalg.eigsh`,
+one Ritz pair) on the sparse Laplacian with its known null vector shifted to
+the top of the spectrum, stopped once its estimate is well inside the
+residual gate, and falling back to the dense solve if the residual it leaves
+exceeds LANCZOS_MAX_RESIDUAL or ARPACK fails.
 """
 
 from __future__ import annotations
@@ -90,16 +90,19 @@ def normalized_laplacian(g: MultiGraph) -> np.ndarray:
     return np.eye(len(deg)) - scale[:, None] * a * scale[None, :]
 
 
-def spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix."""
+def spectrum(m: np.ndarray, *, lower: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.  With lower=True they are
+    those of the symmetric matrix whose lower triangle m holds: nothing above
+    the diagonal is read, and there is no symmetry to check."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
     _check_cap(m.shape[0])
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
-        raise InputError(f"matrix not symmetric (max asymmetry {asym:.3e})")
-    return np.linalg.eigvalsh(m)
+    if m.size and not lower:
+        asym = np.max(np.abs(m - m.T))
+        if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
+            raise InputError(f"matrix not symmetric (max asymmetry {asym:.3e})")
+    return np.linalg.eigvalsh(m, UPLO="L")
 
 
 def spectral_report(g: MultiGraph) -> SpectralReport:
@@ -184,6 +187,19 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
     return Lambda1Solve(float(vals[0]), "lanczos", residual, matvecs)
 
 
+def _lower_laplacian(g: MultiGraph) -> np.ndarray:
+    """The lower triangle of `normalized_laplacian(g)`, entry for entry the
+    same products, with zeros above the diagonal: all `spectrum(lower=True)`
+    reads, built without the full adjacency matrix.  Requires min degree
+    >= 1."""
+    u, v, mult = g.edge_arrays  # u <= v: (v, u) lies on or below the diagonal
+    scale = 1.0 / np.sqrt(g.degree_array())
+    lap = np.zeros((len(scale), len(scale)))
+    lap[v, u] = -((scale[v] * mult) * scale[u])
+    lap.flat[:: len(lap) + 1] += 1.0  # the diagonal
+    return lap
+
+
 def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
     """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected.
 
@@ -199,7 +215,7 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         _check_cap(size)
         solve = _lanczos(g) if size > DENSE_LAMBDA1_MAX else None
         if solve is None:
-            value = float(spectrum(normalized_laplacian(g))[1])
+            value = float(spectrum(_lower_laplacian(g), lower=True)[1])
             solve = Lambda1Solve(
                 value, "dense", lambda: _dense_residual(normalized_laplacian(g), value)
             )

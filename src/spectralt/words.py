@@ -23,8 +23,9 @@ Word = tuple[int, ...]
 # most words |W_l| one enumeration or sampler may cover; read on each check
 ENUMERATION_CAP = 10**7
 
-# ranks unranked per pass; bounds the (block, 2n) work arrays of the walk
-_UNRANK_BLOCK = 1 << 14
+# entries of the (ranks, 2n) work arrays of one unranking pass: 2^14 ranks
+# per pass at n = 2, fewer at larger n
+_UNRANK_BLOCK = 1 << 16
 
 # a count of more decimal digits is printed as a power: above Python's default
 # limit of 4300 digits for int -> str, so every count that printed still does
@@ -134,6 +135,20 @@ def word_count_text(n: int, lo: int, hi: int) -> str:
         except ValueError:  # above the interpreter's int -> str digit limit
             pass
     first, last = (f"{2 * n}*{q}^{l - 1}" for l in (lo, hi))
+    return first if lo == hi else f"{first}+...+{last}"
+
+
+def cyclic_count_text(n: int, lo: int, hi: int) -> str:
+    """|C(n, lo)| + ... + |C(n, hi)| for n >= 2 in digits or, when it has too
+    many digits to print, as its terms (2n-1)^l + (2n-1) for even l and
+    (2n-1)^l + 1 for odd l."""
+    q = 2 * n - 1
+    if not _log10_above(n, hi, _PRINT_DIGITS):  # |C(n, l)| < |W_l|
+        try:
+            return str(sum(cyclically_reduced_count(n, l) for l in range(lo, hi + 1)))
+        except ValueError:  # above the interpreter's int -> str digit limit
+            pass
+    first, last = (f"{q}^{l}+{q if l % 2 == 0 else 1}" for l in (lo, hi))
     return first if lo == hi else f"{first}+...+{last}"
 
 
@@ -262,19 +277,26 @@ def unrank_cyclically_reduced_letters(n: int, k: int, ranks: Iterable[int]) -> n
     letters (in flattened-code order) owning consecutive rank intervals as
     wide as the number of cyclically reduced completions after them.
     """
+    m = 2 * n
+    cap = ENUMERATION_CAP
+    if m * k * m > cap:  # checked before any count is built, for any n and k
+        raise ResourceCapError(
+            f"the {m}x{k}x{m} table of completions that unranks C({n}, {k}) "
+            f"exceeds enumeration cap {cap}"
+        )
     total = cyclically_reduced_count(n, k)
     dtype = np.int64 if total < 2**63 else object
     ranks = np.array(ranks, dtype=dtype, ndmin=1)
     if ranks.size and not (0 <= ranks.min() and ranks.max() < total):
         raise InputError(f"rank outside [0, {total}) of C({n}, {k})")
-    m = 2 * n
     inverse = (np.arange(m) + n) % m
     table = _completions(inverse, k, dtype)
     first_counts = table[np.arange(m), k - 1, np.arange(m)]
     letters = np.array([unflatten_letter(c, n) for c in range(1, m + 1)], dtype=np.int64)
     words = np.empty((ranks.size, k), dtype=np.int64)
-    for lo in range(0, ranks.size, _UNRANK_BLOCK):
-        rest = ranks[lo : lo + _UNRANK_BLOCK]
+    block = max(1, _UNRANK_BLOCK // m)
+    for lo in range(0, ranks.size, block):
+        rest = ranks[lo : lo + block]
         codes = np.empty((rest.size, k), dtype=np.intp)
         first, rest = _pick(np.tile(first_counts, (rest.size, 1)), rest)
         codes[:, 0] = first
@@ -282,7 +304,7 @@ def unrank_cyclically_reduced_letters(n: int, k: int, ranks: Iterable[int]) -> n
             counts = table[first, k - 1 - i]
             counts[np.arange(rest.size), inverse[codes[:, i - 1]]] = 0
             codes[:, i], rest = _pick(counts, rest)
-        words[lo : lo + _UNRANK_BLOCK] = letters[codes]
+        words[lo : lo + block] = letters[codes]
     return words
 
 

@@ -133,6 +133,8 @@ class TestSample:
         ["--model", "red", "--n", "2", "--l", "9", "--p", "0.5"],
         ["--model", "red", "--n", "2", "--l", "12", "--p", "0.5"],
         ["--model", "bred", "--n", "2", "--l", "8", "--p", "0.5"],
+        ["--model", "gnp", "--m", "20000", "--p", "0.5"],
+        ["--model", "bgnp", "--m1", "10001", "--m2", "10000", "--p", "0.5"],
     ])
     def test_pair_cap(self, capsys, argv):
         code, out, err = run(capsys, "sample", *argv)
@@ -522,21 +524,24 @@ class TestSampleSweepConfigFuzz:
 
 
 class TestHugeK:
-    """|W_k| far above the cap is refused before it is built or printed."""
+    """|W_k| or |C(n, k)| far above its cap is refused before it is built or
+    printed."""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--model", "strict", "--n", "2", "--k", "1000000", "--d", "0.4"],
         ["sample", "--model", "p", "--n", "2", "--k", "1000000000000", "--p", "0.1"],
+        ["sample", "--model", "p", "--n", "2", "--k", str(10**400), "--p", "0.1"],
         ["sweep", "--n", "2", "--k", "1000000", "--d-grid", "0.4", "--jobs", "1"],
-    ], ids=["strict", "p", "sweep"])
+    ], ids=["strict", "p", "p-no-float-k", "sweep"])
     def test_sample_and_sweep(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         if argv[0] == "sweep":
             assert code == 0 and ",resource-cap" in out
         else:
+            k = argv[6]
             assert code == 3
-            assert err == f"resource cap: |W_{argv[6]}| = 4*3^{int(argv[6]) - 1} " \
-                          f"exceeds enumeration cap {W.ENUMERATION_CAP}\n"
+            assert err == f"resource cap: |C(2, {k})| = 3^{k}+3 exceeds int64 rank cap " \
+                          f"{2**63 - 1}\n"
 
     @pytest.mark.parametrize("n,k,message", [
         (2, 10**6, "|W_333333| = 4*3^333332 exceeds enumeration cap 10000000; stream instead"),
@@ -559,17 +564,35 @@ class TestHugeK:
             assert code == 0 and json.loads(out)["vertices"] == 2
 
     def test_printable_counts_keep_their_digits(self, capsys):
+        # |C(2, 40)| = 3^40 + 3 is the first |C(2, k)| above 2^63
         code, _, err = run(capsys, "sample", "--model", "strict", "--n", "2", "--k", "40",
                            "--d", "0.4")
-        assert code == 3 and f"|W_40| = {W.word_count(2, 40)} exceeds" in err
+        assert code == 3 and f"|C(2, 40)| = {W.cyclically_reduced_count(2, 40)} exceeds" in err
         code, _, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "40",
                            "--f", "2", "--d", "0.4")
-        total = sum(W.word_count(2, l) for l in range(38, 43))
-        assert code == 3 and err == f"resource cap: lax universe bound {total} exceeds cap " \
-                                    f"{W.ENUMERATION_CAP}\n"
+        total = sum(W.cyclically_reduced_count(2, l) for l in range(38, 43))
+        assert code == 3 and err == f"resource cap: |C(2, 38)| + ... + |C(2, 42)| = {total} " \
+                                    f"exceeds int64 rank cap {2**63 - 1}\n"
         code, _, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "1000000",
                            "--f", "2", "--d", "0.4")
-        assert code == 3 and "bound 4*3^999997+...+4*3^1000001 exceeds" in err
+        assert code == 3 and "= 3^999998+3+...+3^1000002+3 exceeds" in err
+
+
+class TestSweepBeyondTheEnumerationCap:
+    """Only the drawn relators are unranked, so sweeps run where |W_k| is
+    above the enumeration cap: at n = 2, k = 15 (|W_15| = 19,131,876), and in
+    the k-angular regime at n = 20, k = 6 (|W_6| = 3,608,967,960)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2", "--k", "15", "--model", "strict"],
+        ["--n", "2", "--k", "15", "--model", "p"],
+        ["--n", "20", "--k", "6"],
+    ], ids=["n2-k15-strict", "n2-k15-p", "n20-k6"])
+    def test_ok_rows(self, capsys, argv):
+        assert W.word_count_exceeds(int(argv[1]), int(argv[3]), W.ENUMERATION_CAP)
+        code, out, _ = run(capsys, "sweep", *argv, "--d-grid", "0.45", "--jobs", "1")
+        rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        assert code == 0 and [row[-1] for row in rows] == ["ok"]
 
 
 class TestCertifyBuildsNoTuples:

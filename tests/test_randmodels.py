@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from spectralt import words as W
@@ -65,12 +66,30 @@ class TestGnp:
         assert sample_gnp(4500, 0.0, Seed(0)).num_vertices() == 4500
         assert sample_bipartite_gnp(3200, 3200, 0.0, Seed(0)).num_vertices() == 6400
 
-    def test_a_draw_numpy_cannot_allocate_is_a_resource_cap(self):
-        with pytest.raises(ResourceCapError, match="m = 1000000000000: its vertex pairs"):
-            sample_gnp(10**12, 0.3, Seed(0))
-        with pytest.raises(ResourceCapError, match="m2 = 1000000000000: its vertex pairs"):
-            sample_bipartite_gnp(2, 10**12, 0.3, Seed(0))
+    def test_pair_cap_comes_before_the_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pairs drawn above the pair cap")
 
+        monkeypatch.setattr(randmodels, "_bernoulli", refuse)
+        with pytest.raises(ResourceCapError) as err:
+            sample_gnp(10**12, 0.3, Seed(0))
+        assert str(err.value) == (
+            f"C(1000000000000, 2) = {10**12 * (10**12 - 1) // 2} vertex pairs exceed "
+            f"pair cap {PAIR_CAP}"
+        )
+        with pytest.raises(ResourceCapError) as err:
+            sample_bipartite_gnp(2, 10**12, 0.3, Seed(0))
+        assert str(err.value) == (
+            f"2 * 1000000000000 = 2000000000000 vertex pairs exceed pair cap {PAIR_CAP}"
+        )
+        # C(630, 2) = 198,135 pairs and 450 * 441 = 198,450
+        monkeypatch.setattr(randmodels, "PAIR_CAP", 198_135)
+        with pytest.raises(AssertionError, match="drawn"):
+            sample_gnp(630, 0.3, Seed(0))
+        with pytest.raises(ResourceCapError, match="= 198450 vertex pairs exceed"):
+            sample_bipartite_gnp(450, 441, 0.3, Seed(0))
+
+    def test_a_draw_numpy_cannot_allocate_is_a_resource_cap(self):
         class OutOfMemory:
             def random(self, shape):
                 raise MemoryError
@@ -204,16 +223,78 @@ class TestGamma:
             LaxParams(4, 0.3, -1)
 
 
+class TestBernoulliLaw:
+    """The binomial count and uniform subset draw each word of C(n, k)
+    independently with probability p: over 2000 seeds the count's mean and
+    variance, and each word's inclusion frequency, match Bernoulli(p)."""
+
+    TRIALS = 2000
+
+    @pytest.mark.parametrize("n,k", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("p", [0.2, 0.7])
+    def test_counts_and_inclusions(self, n, k, p):
+        universe = {w: i for i, w in enumerate(W.enumerate_cyclically_reduced(n, k))}
+        size, trials = len(universe), self.TRIALS
+        counts = np.zeros(trials)
+        hits = np.zeros(size)
+        for t in range(trials):
+            relators = sample_gamma_p(n, k, p, Seed(60, t)).relators
+            counts[t] = len(relators)
+            hits[[universe[w] for w in relators]] += 1
+        # the count is Binomial(size, p): its mean within 4 standard errors,
+        # its variance within 15% (the sample variance's standard error is
+        # sqrt(2 / trials) ~ 3.2% of it, nearly normal data)
+        var = size * p * (1 - p)
+        assert abs(counts.mean() - size * p) <= 4 * math.sqrt(var / trials)
+        assert abs(counts.var(ddof=1) / var - 1) <= 0.15
+        # each word's count is Binomial(trials, p): within 4.5 sigma, which
+        # all of up to 126 words pass by chance with probability > 99.9%
+        assert np.abs(hits - trials * p).max() <= 4.5 * math.sqrt(trials * p * (1 - p))
+
+
+class TestNoEnumeration:
+    """The presentation samplers unrank only the words they draw: at (2, 16),
+    |W_16| = 57,395,628 is above the enumeration cap and nothing enumerates."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a word universe was enumerated")
+
+        for name in ("enumerate_reduced", "enumerate_cyclically_reduced", "iter_reduced"):
+            monkeypatch.setattr(W, name, refuse)
+
+    def test_strict_p_and_lax(self):
+        total = W.cyclically_reduced_count(2, 16)
+        assert W.word_count(2, 16) > W.ENUMERATION_CAP
+        strict = sample_gamma_strict(2, 16, 0.45, Seed(1))
+        assert strict.num_relators == strict_model_size(2, 16, 0.45) == 2724
+        p = sample_gamma_p(2, 16, 1e-4, Seed(1))
+        assert abs(p.num_relators - total * 1e-4) <= 4 * math.sqrt(total * 1e-4)
+        lax = sample_gamma_lax(2, LaxParams(16, 0.45, 1), Seed(1))
+        assert lax.num_relators == 2724
+        assert {len(r) for r in lax.relators} == {15, 16, 17}
+        for pres in (strict, p):
+            assert all(len(r) == 16 and W.is_cyclically_reduced(r) for r in pres.relators)
+
+    def test_a_large_alphabet_is_refused_before_its_unranking_table(self):
+        # |C(10^6, 3)| < 2^63 and 77 relators are under the caps, but the
+        # table of completion counts would hold 2*10^6 x 3 x 2*10^6 entries
+        assert strict_model_size(10**6, 3, 0.1) == 77
+        with pytest.raises(ResourceCapError) as err:
+            sample_gamma_strict(10**6, 3, 0.1, Seed(0))
+        assert str(err.value) == (
+            "the 2000000x3x2000000 table of completions that unranks C(1000000, 3) "
+            "exceeds enumeration cap 10000000"
+        )
+
+
 # The samplers as they were when they enumerated their universe word by word
 # and drew one number per pair: the new ones must reproduce their streams.
-# The universes are cached only to keep the tests fast; the cap is checked
-# before the cache, so a test that lowers it reaches the check.
-_cached_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
-
-
-def old_enumerate(n, k):
-    W.check_enumerable(n, k)
-    return _cached_enumerate(n, k)
+# The Bernoulli model is the enumerating form of its construction since it
+# draws a binomial count and then a uniform subset.  The universes are cached
+# only to keep the tests fast.
+old_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
 
 
 def old_uniform_subset(universe, size, rng):
@@ -233,15 +314,12 @@ def old_gamma_strict(n, k, d, seed):
 
 def old_gamma_p(n, k, p, seed):
     universe = old_enumerate(n, k)
-    mask = seed.rng().random(len(universe)) < p
-    return Presentation(n, tuple(w for w, keep in zip(universe, mask) if keep), k)
+    rng = seed.rng()
+    return Presentation(n, old_uniform_subset(universe, rng.binomial(len(universe), p), rng), k)
 
 
 def old_gamma_lax(n, params, seed):
     lengths = range(params.k - params.f, params.k + params.f + 1)
-    total = sum(W.word_count(n, l) for l in lengths)
-    if total > W.ENUMERATION_CAP:
-        raise ResourceCapError(f"lax universe bound {total} exceeds cap {W.ENUMERATION_CAP}")
     universe = [w for l in lengths for w in old_enumerate(n, l)]
     size = strict_model_size(n, params.k, params.d)
     return Presentation(n, old_uniform_subset(universe, size, seed.rng()), None)
@@ -334,20 +412,31 @@ class TestStreamIdentity:
         assert str(new.value) == "requested 85 relators but the universe has 84"
 
     def test_cap_errors(self, monkeypatch):
-        monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
+        # |C(2, 6)| = 732 and |C(2, 4..6)| = 1060 are above a cap of 100;
+        # Generator.choice draws up to 14 and 21 ranks of them in O(m)
         seed = Seed(0)
-        cases = [
-            (sample_gamma_strict, old_gamma_strict, (2, 6, 0.4)),
-            (sample_gamma_p, old_gamma_p, (2, 6, 0.4)),
-            (sample_gamma_lax, old_gamma_lax, (2, LaxParams(6, 0.4, 1))),
+        runs = [
+            (sample_gamma_strict, old_gamma_strict, (2, 6, 0.4)),  # 13 relators
+            (sample_gamma_p, old_gamma_p, (2, 6, 0.01)),
+            (sample_gamma_lax, old_gamma_lax, (2, LaxParams(5, 0.5, 1))),  # 15
         ]
-        for new_fn, old_fn, args in cases:
-            with pytest.raises(ResourceCapError) as new:
-                new_fn(*args, seed)
-            with pytest.raises(ResourceCapError) as old:
-                old_fn(*args, seed)
-            assert str(new.value) == str(old.value)
-        assert str(new.value) == "lax universe bound 4212 exceeds cap 100"
+        old = [old_fn(*args, seed) for _, old_fn, args in runs]
+        monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
+        assert [new_fn(*args, seed) for new_fn, _, args in runs] == old
+        capped = [
+            (lambda: sample_gamma_strict(2, 6, 0.9, seed),
+             "377 relators exceed enumeration cap 100"),
+            (lambda: sample_gamma_strict(2, 6, 0.6, seed),
+             "drawing 52 of 732 words shuffles all 732, above enumeration cap 100"),
+            (lambda: sample_gamma_p(2, 6, 0.3, seed),
+             "210 relators exceed enumeration cap 100"),
+            (lambda: sample_gamma_lax(2, LaxParams(6, 0.65, 1), seed),
+             "drawing 72 of 3164 words shuffles all 3164, above enumeration cap 100"),
+        ]
+        for call, message in capped:
+            with pytest.raises(ResourceCapError) as err:
+                call()
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("n,l", [(1, 1), (1, 6), (2, 1), (2, 3), (2, 5), (3, 1), (3, 4), (3, 5)])
     def test_word_universe(self, n, l):
@@ -404,7 +493,6 @@ class TestPairCap:
 W9 = "|W_9| = 26244 exceeds enumeration cap 100; stream instead"
 W4 = "|W_4| = 108 exceeds enumeration cap 100; stream instead"
 W5 = "|W_5| = 324 exceeds enumeration cap 100"
-W6 = "|W_6| = 972 exceeds enumeration cap 100"
 
 # entry point -> a call above a cap of 100, and the message it exits with
 CAPPED_CALLS = {
@@ -412,10 +500,15 @@ CAPPED_CALLS = {
     "coupled_red_extension": (lambda: coupled_red_extension(2, 9, 0.5, Seed(0)), W9),
     "sample_bred": (lambda: sample_bred(2, 3, 0.5, Seed(0)), W4),
     "coupled_bred_extension": (lambda: coupled_bred_extension(2, 3, 0.5, Seed(0)), W4),
-    "sample_gamma_strict": (lambda: sample_gamma_strict(2, 6, 0.4, Seed(0)), W6),
-    "sample_gamma_p": (lambda: sample_gamma_p(2, 6, 0.4, Seed(0)), W6),
-    "sample_gamma_lax": (lambda: sample_gamma_lax(2, LaxParams(6, 0.4, 1), Seed(0)),
-                         "lax universe bound 4212 exceeds cap 100"),
+    "sample_gamma_strict": (lambda: sample_gamma_strict(2, 6, 0.9, Seed(0)),
+                            "377 relators exceed enumeration cap 100"),
+    "sample_gamma_p": (lambda: sample_gamma_p(2, 6, 0.1, Seed(0)),
+                       "drawing 93 of 732 words shuffles all 732, above enumeration cap 100"),
+    "sample_gamma_lax": (lambda: sample_gamma_lax(2, LaxParams(6, 0.9, 1), Seed(0)),
+                         "377 relators exceed enumeration cap 100"),
+    "unrank_cyclically_reduced_letters": (
+        lambda: W.unrank_cyclically_reduced_letters(3, 3, [0]),
+        "the 6x3x6 table of completions that unranks C(3, 3) exceeds enumeration cap 100"),
     "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5 + "; stream instead"),
     "enumerate_reduced-n1": (lambda: W.enumerate_reduced(1, 60),
                              "W_60 has 120 letters, above enumeration cap 100"),

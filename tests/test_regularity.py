@@ -60,6 +60,18 @@ class TestExtraction:
         with pytest.raises(InputError):
             extract_regular_subgraph(g, 1, 1)
 
+    def test_max_flow_stops_at_the_flow_it_needs(self):
+        # s = 0, t = 1: s->2 (2), s->3 (1), 2->t (1), 2->3 (1), 3->t (2)
+        network = (4, np.array([0, 0, 2, 2, 3]), np.array([2, 3, 1, 3, 1]),
+                   np.array([2, 1, 1, 1, 2]), np.zeros(5, dtype=np.int64), 0, 1)
+        added, res = regularity._max_flow(*network, 10**9)  # runs until no path is left
+        assert added == 3
+        # at need = the maximum it stops there, with the same residual network
+        at_max = regularity._max_flow(*network, 3)
+        assert at_max[0] == 3 and at_max[1].tolist() == res.tolist()
+        assert regularity._max_flow(*network, 1)[0] == 1
+        assert regularity._max_flow(*network, 0)[1].tolist() == [2, 0, 1, 0, 1, 0, 1, 0, 2, 0]
+
 
 class TestOreRyser:
     def test_agrees_with_flow_exhaustively(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spectralt import spectra
-from spectralt import words as W
 from spectralt.delta import build_delta_k
 from spectralt.errors import DegenerateGraphError, InputError, ResourceCapError
 from spectralt.multigraph import MultiGraph
@@ -120,14 +119,6 @@ def random_delta(n, k, d):
     return build_delta_k(sample_gamma_strict(n, k, d, Seed(k)), k)
 
 
-def large_delta(k, d):
-    """Delta_k of an n = 2 strict-model sample, drawn past the enumeration cap
-    (`sample_gamma_strict` unranks only the drawn words)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(W, "ENUMERATION_CAP", W.cyclically_reduced_count(2, k) * 4)
-        return random_delta(2, k, d)
-
-
 # connected graphs: regular, a lambda_1 of multiplicity > 1 (K_m: m - 1,
 # C_m: 2, Petersen: 5, Q_4: 4), bipartite (the eigenvalue 2), loops and
 # multi-edges, and random link graphs for n = 2, 3 (at k = 18, 972 vertices,
@@ -148,7 +139,7 @@ CONNECTED = {
     "delta n2k12": lambda: random_delta(2, 12, 0.45),
     "delta n3k5": lambda: random_delta(3, 5, 0.5),
     "delta n3k6": lambda: random_delta(3, 6, 0.45),
-    "delta n2k18": lambda: large_delta(18, 0.45),
+    "delta n2k18": lambda: random_delta(2, 18, 0.45),
 }
 
 
@@ -192,6 +183,20 @@ class TestLanczos:
         assert solve.solver == "dense" and solve.residual <= 1e-10
         assert solve.value == spectra.lambda1(g) == dense_lambda1(g)
 
+    @pytest.mark.parametrize("name", CONNECTED)
+    def test_dense_solve_reads_the_same_lower_triangle(self, name):
+        g = CONNECTED[name]()
+        full = spectra.normalized_laplacian(g)
+        lower = spectra._lower_laplacian(g)
+        assert np.array_equal(lower, np.tril(full)) and not np.triu(lower, 1).any()
+        assert spectra.spectrum(lower, lower=True).tolist() == np.linalg.eigvalsh(full).tolist()
+
+    def test_lower_spectrum_ignores_the_upper_triangle(self):
+        m = np.array([[2.0, 7.0], [1.0, 2.0]])
+        with pytest.raises(InputError, match="not symmetric"):
+            spectra.spectrum(m)
+        assert spectra.spectrum(m, lower=True).tolist() == pytest.approx([1.0, 3.0])
+
     def test_threshold_keeps_small_link_graphs_dense(self):
         assert spectra.DENSE_LAMBDA1_MAX >= 500
 
@@ -214,7 +219,7 @@ class TestLanczos:
         assert 2 * calls[0]["tol"] <= spectra.LANCZOS_MAX_RESIDUAL / 10
 
     def test_matvecs_are_counted_and_repeat(self):
-        g = large_delta(18, 0.45)
+        g = random_delta(2, 18, 0.45)
         first, second = (spectra.lambda1(g, report=True) for _ in range(2))
         assert first.solver == second.solver == "lanczos"
         assert first.matvecs > 0 and first.matvecs == second.matvecs
