@@ -8,6 +8,7 @@ full word sets W_l, isolated vertices included.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -23,14 +24,17 @@ from .words import Word
 # bytes `Presentation.parse` scans per pass; a pass ends at a line end
 _PARSE_BLOCK = 1 << 18
 
-# the bytes of relator lines: letters, digits, blanks and line breaks
-_PLAIN = b"gG0123456789 \t\n\r"
-_PRINTABLE = bytes(range(0x20, 0x7F))
-_G, _CAPITAL_G, _ZERO, _BLANK = ord("g"), ord("G"), ord("0"), ord(" ")
+# relators `Presentation.dump` writes per pass
+_DUMP_BLOCK = 1 << 14
 
 # most digits of a g<i> index or a header value the scan reads; longer ones
 # may pass int64
 _INDEX_DIGITS = 18
+
+# the `n` line and the optional `k` line that open the text `dump` writes,
+# each value of at most _INDEX_DIGITS digits
+_HEADERS = re.compile(r"n ([0-9]{1,18})\n(?:k ([0-9]{1,18})\n)?")
+_CAPITAL_G, _ZERO, _BLANK, _LINE_END = ord("G"), ord("0"), ord(" "), ord("\n")
 
 
 class _Letters(dict):
@@ -141,22 +145,28 @@ class Presentation:
         return int(hits[0]) if hits.size else len(lengths)
 
     def dump(self) -> str:
-        lines = [f"n {self.n}"]
-        if self.k is not None:
-            lines.append(f"k {self.k}")
-        lines.extend(W.word_to_text(r) for r in self.relators)
-        return "\n".join(lines) + "\n"
+        """`n` and `k` lines, then each relator as `W.word_to_text` writes it;
+        a pass over _DUMP_BLOCK relators makes each distinct token once."""
+        text = [f"n {self.n}\n" + ("" if self.k is None else f"k {self.k}\n")]
+        for at in range(0, self.num_relators, _DUMP_BLOCK):
+            bounds = self.offsets[at : at + _DUMP_BLOCK + 1]
+            letters = self.letters[bounds[0] : bounds[-1]]
+            distinct = np.unique(letters)
+            tokens = np.array(W.word_to_text(distinct.tolist()).split(), dtype=object)
+            parts = np.empty(2 * len(letters), dtype=object)  # each token, then " " or \n
+            parts[0::2] = tokens[np.searchsorted(distinct, letters)]
+            parts[1::2] = " "
+            parts[2 * (bounds[1:] - bounds[0]) - 1] = "\n"
+            text.append("".join(parts.tolist()))
+        return "".join(text)
 
     @classmethod
     def parse(cls, text: str) -> "Presentation":
-        """Read the text `dump` writes: header lines `n <int>` and `k <int>`
+        """Read a presentation text: header lines `n <int>` and `k <int>`
         (k before any relator), one relator of g<i> / G<i> tokens per line,
-        blank lines and `#` comments.
-
-        A block-wise array scan reads the text when it can vouch for all of it;
-        any other text, including every malformed one, is read line by line by
-        `_parse_lines`, which makes every parse error message.
-        """
+        blank lines and `#` comments.  A block-wise array scan reads the form
+        `dump` writes; `_parse_lines` reads any other text line by line, and
+        makes every parse error message."""
         scanned = _scan(text)
         if scanned is None:
             return _parse_lines(cls, text)
@@ -201,149 +211,68 @@ def _header_int(parts: list[str]) -> int:
 
 
 def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray, Optional[int]]]:
-    """(n, letters, offsets, k) of a presentation text, read with array
-    operations block by block; None for any text `_parse_lines` must read:
-    one that is not ASCII, holds another control byte, a token that is not
-    g<i> / G<i> with 1 <= i and at most _INDEX_DIGITS digits, a line that is
-    neither a relator nor the first `n` / `k` header (k before any relator),
-    a header value of more than _INDEX_DIGITS digits, no `n` header, or a
-    relator not freely reduced.
+    """(n, letters, offsets, k) of a text in the form `dump` writes, read with
+    array operations block by block; None for any other text, which
+    `_parse_lines` reads.
+
+    The form: an `n` line, an optional `k` line, then one relator per line of
+    g<i> / G<i> tokens with 1 <= i and at most _INDEX_DIGITS digits, one blank
+    between tokens, `\n` after every line, and every relator freely reduced.
     """
-    if not text.isascii():
+    head = _HEADERS.match(text)
+    if head is None or not text.isascii() or not text.endswith("\n"):
         return None
     data = text.encode("ascii")
-    headers: dict[bytes, int] = {}
-    letters: list[np.ndarray] = []  # block by block
-    lengths: list[np.ndarray] = []  # relator lengths, block by block
-    done = lo = 0  # tokens and bytes scanned so far
+    letters = [np.empty(0, np.int64)]  # block by block
+    ends = [np.zeros(1, np.int64)]  # the tokens up to each line end, block by block
+    lo = head.end()
     while lo < len(data):
-        hi = _line_end(data, lo + _PARSE_BLOCK - 1)
-        block = _scan_block(data[lo:hi], headers, done)
+        hi = data.find(b"\n", min(lo + _PARSE_BLOCK, len(data)) - 1) + 1
+        block = _scan_block(data[lo:hi])
         if block is None:
             return None
         letters.append(block[0])
-        lengths.append(block[1])
-        done += len(block[0])
+        ends.append(block[1] + ends[-1][-1])
         lo = hi
-    n, k = headers.get(b"n"), headers.get(b"k")
-    if n is None:
-        return None
-    flat = np.concatenate(letters, dtype=np.int64)  # a block holds the n header
-    offsets = np.zeros(sum(map(len, lengths)) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    flat, offsets = np.concatenate(letters), np.concatenate(ends)
     if W.first_unreduced(flat, offsets) < len(offsets) - 1:
         return None
-    return n, flat, offsets, k
+    n, k = head.groups()
+    return int(n), flat, offsets, None if k is None else int(k)
 
 
-def _line_end(data: bytes, at: int) -> int:
-    """The index just past the first line break at or after `at`, or len(data)."""
-    nl = data.find(b"\n", at)
-    cr = data.find(b"\r", at, len(data) if nl < 0 else nl)
-    end = cr if cr >= 0 else nl
-    return len(data) if end < 0 else end + 1
-
-
-def _scan_block(
-    raw: bytes, headers: dict[bytes, int], done: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The letters and the relator lengths of one block of whole lines, with
-    its header values added to `headers`; None where `_scan` gives up.
-
-    `done` counts the tokens before the block, so a `k` header after a
-    relator is seen.  Every temporary as long as the block is of bytes or
-    booleans.
-    """
+def _scan_block(raw: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The letters of one block of whole relator lines, and the count of
+    tokens up to each line end; None unless every line is in the form `_scan`
+    takes.  Every temporary as long as the block is of bytes or booleans."""
+    if raw.translate(None, b"gG0123456789 \n"):
+        return None
     b = np.frombuffer(raw, np.uint8)
-    extra = raw.translate(None, _PLAIN)
-    if extra:
-        b = _blank_extras(b, extra, headers, done)
-        if b is None:
-            return None
-    # of the bytes in _PLAIN, only the letters g and G lie at or above G
+    # of those bytes, g and G lie at or above G, and blank and \n at or below blank
     letter = b >= _CAPITAL_G
     digit = (b >= _ZERO) ^ letter
+    gap = b <= _BLANK
+    # a letter opens the block and follows every gap, a digit follows every
+    # letter, and no letter follows a digit; the block ends in \n
+    if (
+        not letter[0] or (gap[:-1] > letter[1:]).any()
+        or (letter[:-1] > digit[1:]).any() or (digit[:-1] & letter[1:]).any()
+    ):
+        return None
     at = np.flatnonzero(letter)
-    values = _indices(b, letter, digit, at)
-    if values is None or not values.all():  # not g<i> / G<i>, or g0
-        return None
-    sign = (b[at] == _G).view(np.int8)  # +1 for g, -1 for G
-    sign *= 2
-    sign -= 1
-    values *= sign
-    # \n and \r are the only bytes of _PLAIN in 0x0A..0x0D
-    breaks = np.flatnonzero(b - np.uint8(0x0A) < 4)
-    before = np.searchsorted(at, breaks)  # tokens before each line break
-    line_lengths = np.diff(before, prepend=0, append=len(at))
-    return values, line_lengths[line_lengths > 0]
-
-
-def _indices(
-    b: np.ndarray, letter: np.ndarray, digit: np.ndarray, at: np.ndarray
-) -> Optional[np.ndarray]:
-    """The int64 index of every g<i> / G<i> token of a block, the letter
-    bytes at `at`; None unless each letter follows a separator and is followed
-    by 1 to _INDEX_DIGITS digits, and every digit is part of such a token.
-
-    The digits are read one place at a time, each place only for the tokens
-    that reach it.
-    """
-    run = np.zeros_like(letter)  # the letters followed by at least j digits
-    np.logical_and(letter[:-1], digit[1:], out=run[:-1])
-    # a letter after a letter is one with no digit after it
-    if np.count_nonzero(run) < len(at) or (letter[1:] & digit[:-1]).any():
-        return None
-    values = b[at + 1].astype(np.int64)
-    values -= _ZERO
-    read = len(at)  # digits read
-    for j in range(2, _INDEX_DIGITS + 1):
-        run[:-j] &= digit[j:]
-        run[-j:] = False
-        going = np.count_nonzero(run)
-        if not going:
-            break
-        live = run[at]
-        values[live] = values[live] * 10 + (b[at[live] + j] - _ZERO)
-        read += going
-    # a digit left unread follows a separator or lies past _INDEX_DIGITS places
-    return values if read == np.count_nonzero(digit) else None
-
-
-def _blank_extras(
-    b: np.ndarray, extra: bytes, headers: dict[bytes, int], done: int
-) -> Optional[np.ndarray]:
-    """A copy of the block with its comments and header lines blanked and the
-    headers added to `headers`; None if it holds any other byte outside
-    `_PLAIN`, or a header line `_parse_lines` would not take as one."""
-    if extra.translate(None, _PRINTABLE):  # a control byte the format has no use for
-        return None
-    b = b.copy()
-    breaks = np.append(np.flatnonzero((b == 0x0A) | (b == 0x0D)), len(b))
-    if b"#" in extra:  # blank each line from its first '#' on
-        hashes = np.flatnonzero(b == ord("#"))
-        line = np.searchsorted(breaks, hashes)
-        first = np.ones(len(line), dtype=bool)
-        first[1:] = line[1:] != line[:-1]
-        mark = np.zeros(len(b) + 1, dtype=np.int8)
-        mark[hashes[first]] = 1
-        mark[breaks[line[first]]] = -1
-        b[np.cumsum(mark[:-1], dtype=np.int8).view(bool)] = _BLANK
-        extra = b.tobytes().translate(None, _PLAIN)
-    if len(extra) + len(headers) > 2:  # more than the n and k header lines
-        return None
-    for at in sorted(int(i) for c in set(extra) for i in np.flatnonzero(b == c)):
-        line = np.searchsorted(breaks, at)
-        start, end = breaks[line - 1] + 1 if line else 0, breaks[line]
-        fields = b[start:end].tobytes().split()
-        if (
-            len(fields) != 2 or fields[0] not in (b"n", b"k") or fields[0] in headers
-            or not fields[1].isdigit() or len(fields[1]) > _INDEX_DIGITS
-            or (fields[0] == b"k" and done + np.count_nonzero((b[:start] | 0x20) == _G))
-        ):
+    values = b[at + 1] - np.int64(_ZERO)
+    if 3 * len(at) < len(b):  # some index has more than one digit
+        width = np.flatnonzero(gap) - at - 1  # a gap ends every token
+        widest = int(width.max())
+        if widest > _INDEX_DIGITS:
             return None
-        headers[fields[0]] = int(fields[1])
-        b[start:end] = _BLANK
-    return b
+        for j in range(2, widest + 1):  # one decimal place at a time
+            live = np.flatnonzero(width >= j)
+            values[live] = values[live] * 10 + (b[at[live] + j] - _ZERO)
+    if not values.all():  # g0
+        return None
+    values *= 1 - 2 * (b[at] == _CAPITAL_G).view(np.int8)  # G<i> is the inverse of g<i>
+    return values, np.searchsorted(at, np.flatnonzero(b == _LINE_END))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +16,7 @@ from spectralt.delta import (
     double_edge_audit,
     sigma_decomposition,
 )
+from spectralt.cli import main
 from spectralt.errors import InputError
 from spectralt.multigraph import edge_key, union
 from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
@@ -48,6 +51,22 @@ class TestPresentation:
         assert Presentation.parse(p.dump()) == p
         mixed = Presentation(2, ((1, 2, 1), (2, 1, -2, 1)))
         assert Presentation.parse(mixed.dump()) == mixed
+
+    @pytest.mark.parametrize("p", [
+        Presentation._from_arrays(1, *W.flatten(((1, 1, 1), (-1,)))),
+        sample_gamma_p(2, 6, 0.3, Seed(5, 0)),
+        sample_gamma_p(12, 4, 0.02, Seed(5, 0)),
+        Presentation._from_arrays(2, *W.flatten(()), k=3),
+        Presentation._from_arrays(2**70, *W.flatten(((2**70, 1, -(2**65)), (3,)))),
+    ], ids=["n1", "n2", "n12", "empty", "object"])
+    def test_dump_writes_each_relator_as_word_to_text(self, p):
+        head = f"n {p.n}\n" + ("" if p.k is None else f"k {p.k}\n")
+        lines = (W.word_to_text(p._relator(i)) + "\n" for i in range(p.num_relators))
+        expect = head + "".join(lines)
+        for block in (1, 7, D._DUMP_BLOCK):
+            with patch.object(D, "_DUMP_BLOCK", block):
+                assert p.dump() == expect
+        assert "relators" not in vars(p)
 
     def test_k_length_mismatch_rejected(self):
         with pytest.raises(InputError):
@@ -531,13 +550,88 @@ class TestParseAgainstLineParse:
         assert Presentation.parse(crlf) == p
 
     def test_the_scan_reads_what_dump_writes(self):
-        texts = ["n 2\nk 3\ng1 g2 g1\n", "k 3\n# c\nn 2\n\n\tg1 g2\tg1 # x\r\ng2 g2 g1",
-                 "n 12\ng12 G11 g10\n", "n 3\n", "n 2\ng000000000000000001\n"]
+        texts = ["n 2\nk 3\ng1 g2 g1\n", "n 12\ng12 G11 g10\n", "n 3\n", "n 2\nk 3\n",
+                 "n 2\ng000000000000000001\n", "n 02\nk 03\ng01 g2 g1\n"]
         for text in texts:
             assert D._scan(text) is not None, text
-        for text in ["n 2\ng1 g0\n", "n 2\ng1 G1\n", "n 2\ng1\nk 1\n", "n 2\nn 2\n",
-                     "n 2\ng1é\n", "n 2\x0bg1\n", "g1\n", "n 2\ng1g2\n",
+        headers_anywhere = "k 3\n# c\nn 2\n\n\tg1 g2\tg1 # x\r\ng2 g2 g1"
+        for text in [headers_anywhere, "n 2\ng1 g0\n", "n 2\ng1 G1\n", "n 2\ng1\nk 1\n",
+                     "n 2\nn 2\n", "n 2\ng1é\n", "n 2\x0bg1\n", "g1\n", "n 2\ng1g2\n",
                      "n 2\ng99999999999999999999\n", "n 2\ng9223372036854775808\n",
                      "n 2\ng 1\n", "n 2\n1 g1\n", "n 2\ngg1\n", "n 2\ng1 g\n", "n 2\nG1 G\n",
-                     "n 0000000000000000002\ng1\n", "n " + "2" * 4301 + "\n"]:
+                     "n 0000000000000000002\ng1\n", "n " + "2" * 4301 + "\n", "n 2\ng1",
+                     "n 2\n\ng1\n", "n 2\ng1  g2\n", "n 2\ng1 \n", "n 2\n g1\n", "n 2\ng1\t g2\n",
+                     "n 2\r\ng1\r\n", "n 2\ng1 # c\n", "k 3\nn 2\ng1 g2 g1\n", "n 2 \ng1\n"]:
             assert D._scan(text) is None, text
+        assert Presentation.parse(headers_anywhere) == Presentation(2, ((1, 2, 1), (2, 2, 1)), 3)
+
+
+def load_presgen():
+    """The benchmark's presentation writer, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "presgen.py"
+    spec = importlib.util.spec_from_file_location("presgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScanTraffic:
+    """Every writer of presentation text in the repo writes text the array
+    scan takes, so no real input reaches the line parser."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_writers_take_the_array_scan(self, n, tmp_path, monkeypatch, capsys):
+        k = 5
+        p = sample_gamma_strict(n, k, 0.3, Seed(3, 0))
+        out = tmp_path / "sample.txt"
+        argv = ["sample", "--model", "strict", "--n", str(n), "--k", str(k), "--d", "0.3",
+                "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        presgen = load_presgen()
+        words = presgen.random_words(n, k, 40, np.random.default_rng(n))
+        texts = [p.dump(), out.read_text(), presgen.presentation_text(n, k, words)]
+
+        def refuse(*args):
+            raise AssertionError("text went to the line parser")
+
+        monkeypatch.setattr(D, "_parse_lines", refuse)
+        for text in texts:
+            assert D._scan(text) is not None
+            q = Presentation.parse(text)
+            assert (q.n, q.k) == (n, k)
+        assert texts[0] == texts[1] and Presentation.parse(texts[0]) == p
+
+
+DUMP_EDITS = ["", " ", "  ", "\n", "g", "G", "0", "9" * 19, "g0", "k 3\n", "n 2\n"]
+
+
+@st.composite
+def dump_texts(draw):
+    """Text in the form `dump` writes, for n in 1..15 so that indices have
+    one or two digits, words not freely or cyclically reduced and the letter
+    0 included, and an optional `k` line; then 0 to 2 edits, each of which
+    puts one of DUMP_EDITS in place of zero or one character, and one in
+    four texts loses its final line end."""
+    n = draw(st.integers(1, 15))
+    letter = st.integers(-n, n)  # 0 is written G0; one in four texts may hold it
+    letter = letter if draw(st.integers(0, 3)) == 0 else letter.filter(bool)
+    words = draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=8))
+    if draw(st.booleans()):
+        words = [w for w in words if W.is_reduced(w)]
+    k = draw(st.sampled_from([None, 3, len(words[0]) if words else 4]))
+    text = f"n {n}\n" + ("" if k is None else f"k {k}\n")
+    text += "".join(W.word_to_text(w) + "\n" for w in words)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        gaps = [i for i, c in enumerate(text) if c in " \n"]  # half the edits land on one
+        at = draw(st.one_of(st.integers(0, len(text)), st.sampled_from(gaps)))
+        text = text[:at] + draw(st.sampled_from(DUMP_EDITS)) + text[at + draw(st.integers(0, 1)):]
+    return text.removesuffix("\n") if draw(st.integers(0, 3)) == 0 else text
+
+
+class TestDumpFormAgainstLineParse:
+    @settings(max_examples=600, deadline=None)
+    @given(dump_texts(), st.sampled_from([1, 5, 24, D._PARSE_BLOCK]))
+    def test_same_presentation_or_message(self, text, block):
+        with patch.object(D, "_PARSE_BLOCK", block):
+            assert parsed(text) == line_parsed(text)
