@@ -178,16 +178,21 @@ class MultiGraph:
         swap = rank[self._u] > rank[self._v]
         a = np.where(swap, self._v, self._u)
         b = np.where(swap, self._u, self._v)
-        return a, b, np.lexsort((rank[b], rank[a]))
+        # edges are distinct, so the keys are, and any sort gives one order
+        return a, b, np.argsort(rank[a] * len(lab) + rank[b])
 
     def dump(self) -> str:
         """Diff-stable text form: 'v <label>' lines, then sorted 'e' lines."""
         lab = self._vertices
         a, b, order = self._label_keys()
-        lines = [f"v {v}" for v in lab]
-        for x, y, m in zip(a[order].tolist(), b[order].tolist(), self._mult[order].tolist()):
-            lines.append(f"e {lab[x]} {lab[y]} {m}")
-        return "\n".join(lines) + "\n"
+        values, at = np.unique(self._mult[order], return_inverse=True)
+        # each edge line is three strings made once per vertex or multiplicity
+        parts = np.empty((len(order), 3), dtype=object)
+        parts[:, 0] = np.array([f"e {x} " for x in lab], dtype=object)[a[order]]
+        parts[:, 1] = np.array([f"{y} " for y in lab], dtype=object)[b[order]]
+        parts[:, 2] = np.array([f"{m}\n" for m in values.tolist()], dtype=object)[at]
+        text = "".join([f"v {x}\n" for x in lab]) + "".join(parts.ravel().tolist())
+        return text or "\n"  # no vertices: one empty line
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiGraph):
@@ -213,7 +218,9 @@ def _canonical(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (u, v) pairs with u <= v, sorted, multiplicities summed."""
     keys = np.minimum(u, v) * m + np.maximum(u, v)
-    if mult is None:
+    if (keys[1:] > keys[:-1]).all():  # already distinct and sorted
+        total = np.ones(len(keys), np.int64) if mult is None else mult.copy()
+    elif mult is None:
         keys, total = np.unique(keys, return_counts=True)
     else:
         keys, inverse = np.unique(keys, return_inverse=True)

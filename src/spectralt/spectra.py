@@ -3,11 +3,15 @@
 lambda_1 of a disconnected graph (or one with an isolated vertex) is 0 by
 convention, decided by component search before any solve.  Up to
 DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the lower triangle of
-the normalized Laplacian; above that, Lanczos (`scipy.sparse.linalg.eigsh`,
-one Ritz pair) on the sparse Laplacian with its known null vector shifted to
-the top of the spectrum, stopped once its estimate is well inside the
-residual gate, and falling back to the dense solve if the residual it leaves
-exceeds LANCZOS_MAX_RESIDUAL or ARPACK fails.
+the normalized Laplacian, or, on a graph with a bipartition, 1 - sigma_2 of
+its normalized bi-adjacency block C, from the smaller side's Gram matrix
+C C^T (the full solve again when that side has one vertex or sigma_2 is too
+small for its square root to keep the digits).  Above that, Lanczos
+(`scipy.sparse.linalg.eigsh`, one Ritz pair) on the sparse Laplacian with
+its known null vector shifted to the top of the spectrum, stopped once its
+estimate is well inside the residual gate, and falling back to the dense
+solve if the residual it leaves exceeds LANCZOS_MAX_RESIDUAL or ARPACK
+fails.
 """
 
 from __future__ import annotations
@@ -30,6 +34,9 @@ SYMMETRY_TOL = 1e-9
 # Lanczos is faster (the dense/eigsh crossover measured on Delta_k graphs)
 DENSE_LAMBDA1_MAX = 500
 LANCZOS_MAX_RESIDUAL = 1e-10
+# least sigma_2^2 whose square root the bipartite solve takes: below it a
+# rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1
+BIPARTITE_MIN_SIGMA2_SQ = 1e-8
 # seed of the fixed standard-normal start vectors; never the all-ones vector,
 # which on a regular graph is orthogonal to the lambda_1 eigenspace
 START_SEED = 0
@@ -200,6 +207,32 @@ def _lower_laplacian(g: MultiGraph) -> np.ndarray:
     return lap
 
 
+def _bipartite_lambda1(g: MultiGraph) -> float | None:
+    """lambda_1 of a connected graph with a bipartition, as 1 - sigma_2(C) for
+    C = D1^{-1/2} B D2^{-1/2}, B the bi-adjacency block with the smaller side
+    as rows; None if that side has fewer than 2 vertices or sigma_2^2 <
+    BIPARTITE_MIN_SIGMA2_SQ.
+
+    L = I - [[0, C], [C^T, 0]] has the eigenvalues 1 -+ sigma_i and 1, so
+    lambda_1 = 1 - sigma_2; sigma_2^2 is the second-largest eigenvalue of
+    C C^T, one row per vertex of the smaller side.
+    """
+    rows = g.side if 2 * np.count_nonzero(g.side) <= len(g.side) else ~g.side
+    size = int(np.count_nonzero(rows))
+    if size < 2:
+        return None
+    at = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1  # index on its side
+    u, v, mult = g.edge_arrays  # every edge crosses: a is a row, b a column
+    a, b = np.where(rows[u], u, v), np.where(rows[u], v, u)
+    scale = 1.0 / np.sqrt(g.degree_array())
+    c = np.zeros((size, len(rows) - size))
+    c[at[a], at[b]] = (scale[a] * mult) * scale[b]
+    sigma2_sq = spectrum(c @ c.T, lower=True)[-2]
+    if sigma2_sq < BIPARTITE_MIN_SIGMA2_SQ:
+        return None
+    return float(1.0 - np.sqrt(sigma2_sq))
+
+
 def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
     """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected.
 
@@ -215,7 +248,9 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         _check_cap(size)
         solve = _lanczos(g) if size > DENSE_LAMBDA1_MAX else None
         if solve is None:
-            value = float(spectrum(_lower_laplacian(g), lower=True)[1])
+            value = _bipartite_lambda1(g) if g.side is not None else None
+            if value is None:
+                value = float(spectrum(_lower_laplacian(g), lower=True)[1])
             solve = Lambda1Solve(
                 value, "dense", lambda: _dense_residual(normalized_laplacian(g), value)
             )

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from spectralt import cli
 from spectralt import words as W
 from spectralt.cli import main
+from spectralt.randmodels import Seed, sample_gamma_strict
 
 
 def run(capsys, *args):
@@ -279,17 +280,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_small_commands_do_not_import_scipy(tmp_path):
     """The Lanczos path imports scipy; certify and sweep on link graphs below
-    DENSE_LAMBDA1_MAX must not, since importing it costs about 0.4 s."""
+    DENSE_LAMBDA1_MAX must not, since importing it costs about 0.4 s.  At
+    k = 13 the pipeline takes lambda_1 of bipartite factors from their
+    smaller side, which must not import it either."""
     path = tmp_path / "p.txt"
     path.write_text("n 2\nk 6\n" + "\n".join(
         W.word_to_text(w) for w in W.enumerate_cyclically_reduced(2, 6)[::7]) + "\n")
+    bipartite = tmp_path / "k13.txt"
+    bipartite.write_text(sample_gamma_strict(2, 13, 0.6, Seed(13)).dump())
     code = (
         "import contextlib, io, sys\n"
-        "import spectralt.cli as cli\n"
+        "import spectralt.cli as cli, spectralt.spectra as sp\n"
+        "solves, gram = [], sp._bipartite_lambda1\n"
+        "sp._bipartite_lambda1 = lambda g: solves.append(gram(g)) or solves[-1]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['certify', {str(path)!r}, '--pipeline']) == 0\n"
+        f"    assert cli.main(['certify', {str(bipartite)!r}, '--pipeline']) == 0\n"
         "    assert cli.main(['sweep', '--n', '2', '--k', '12', '--d-grid', '0.45',"
         " '--jobs', '1', '--seed', '3']) == 0\n"
+        "assert any(s is not None for s in solves), solves\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

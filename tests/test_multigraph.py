@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from spectralt.errors import InputError
-from spectralt.multigraph import MultiGraph, edge_key, union
+from spectralt.multigraph import MultiGraph, _canonical, edge_key, union
+from spectralt.randmodels import (
+    Seed, sample_bipartite_gnp, sample_bred, sample_gnp, sample_red,
+)
 
 from graphs import graph
 
@@ -253,3 +256,74 @@ class TestAgainstDictImplementation:
         assert g == graph("cab", {("b", "a"): 2, ("c", "c"): 1})
         assert g != graph("abc", {("a", "b"): 1, ("c", "c"): 1})
         assert g != graph("abcd", {("a", "b"): 2, ("c", "c"): 1})
+
+
+def unique_canonical(m, u, v, mult):
+    """`multigraph._canonical` through `np.unique` alone, as it was before
+    already-canonical input took a fast path."""
+    keys = np.minimum(u, v) * m + np.maximum(u, v)
+    if mult is None:
+        keys, total = np.unique(keys, return_counts=True)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        total = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(total, inverse, mult)
+    m = max(m, 1)
+    return keys // m, keys % m, total
+
+
+class TestCanonical:
+    def assert_same(self, m, u, v, mult):
+        got = _canonical(m, u, v, mult)
+        expect = unique_canonical(m, u, v, mult)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_unique_path(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 30))
+        u, v = rng.integers(0, m, size=(2, int(rng.integers(0, 60))))
+        mult = rng.integers(1, 5, len(u)) if seed % 2 else None
+        self.assert_same(m, u, v, mult)  # shuffled, pairs repeated
+        low, high, total = unique_canonical(m, u, v, mult)
+        swapped = rng.random(len(low)) < 0.5  # the same edges, some as (v, u)
+        self.assert_same(m, low, high, total)
+        self.assert_same(m, np.where(swapped, high, low), np.where(swapped, low, high), total)
+        if len(low):
+            again = np.sort(np.append(np.arange(len(low)), 0))  # one pair twice
+            self.assert_same(m, low[again], high[again], total[again])
+        # distinct and sorted: returned as they are, with no sort
+        monkeypatch.setattr(np, "unique", None)
+        got = _canonical(m, low, high, total if mult is not None else None)
+        assert np.array_equal(got[0], low) and np.array_equal(got[1], high)
+
+    def test_graph_copies_the_callers_multiplicities(self):
+        mult = np.array([2, 3])
+        g = MultiGraph("abc", [0, 1], [1, 2], mult)
+        mult[0] = 9
+        assert mult.flags.writeable and g.edge_arrays[2].tolist() == [2, 3]
+
+
+def fstring_dump(g):
+    """`MultiGraph.dump` as it was written before: one f-string per edge."""
+    lab = g.vertices
+    a, b, order = g._label_keys()
+    lines = [f"v {v}" for v in lab]
+    for x, y, m in zip(a[order].tolist(), b[order].tolist(), g.edge_arrays[2][order].tolist()):
+        lines.append(f"e {lab[x]} {lab[y]} {m}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: sample_gnp(60, 0.3, Seed(1)),
+    lambda: sample_bipartite_gnp(20, 35, 0.4, Seed(2)),
+    lambda: sample_red(2, 3, 0.4, Seed(3)),
+    lambda: sample_bred(2, 3, 0.3, Seed(4)),
+    lambda: sample_red(3, 2, 0.7, Seed(5)),
+    lambda: graph("ba", []),
+    lambda: MultiGraph([], [], []),
+], ids=["gnp", "bgnp", "red", "bred", "red n3", "no edges", "empty"])
+def test_dump_is_the_fstring_text(sample):
+    g = sample()
+    assert g.dump() == fstring_dump(g)

@@ -60,7 +60,7 @@ class TestExtraction:
         with pytest.raises(InputError):
             extract_regular_subgraph(g, 1, 1)
 
-    def test_max_flow_stops_at_the_flow_it_needs(self):
+    def test_max_flow_stops_at_the_flow_it_needs(self, flow_phases):
         # s = 0, t = 1: s->2 (2), s->3 (1), 2->t (1), 2->3 (1), 3->t (2)
         network = (4, np.array([0, 0, 2, 2, 3]), np.array([2, 3, 1, 3, 1]),
                    np.array([2, 1, 1, 1, 2]), np.zeros(5, dtype=np.int64), 0, 1)
@@ -229,6 +229,81 @@ def old_extract_regular_subgraph(g, d1, d2):
     return graph(g.vertices, chosen, partition=sides(g))
 
 
+def list_max_flow(size, tail, head, cap, flow, s, t, need, phases=None):
+    """`regularity._max_flow` on Python lists, as it was written before its
+    level graph was built in numpy: a full BFS and a descent that scans every
+    arc from the node's pointer.  Appends each phase's level of t to `phases`."""
+    arc_tail = np.stack([tail, head], axis=1).ravel()
+    arc_at = np.argsort(arc_tail, kind="stable")
+    slot = np.empty_like(arc_at)
+    slot[arc_at] = np.arange(len(arc_at))
+    to = np.stack([head, tail], axis=1).ravel()[arc_at].tolist()
+    res = np.stack([cap - flow, flow], axis=1).ravel()[arc_at].tolist()
+    rev = slot[arc_at ^ 1].tolist()
+    start = [0] + np.cumsum(np.bincount(arc_tail, minlength=size)).tolist()
+    added = 0
+    while added < need:
+        level = [-1] * size
+        level[s] = 0
+        queue = [s]
+        for x in queue:
+            for i in range(start[x], start[x + 1]):
+                if res[i] > 0 and level[to[i]] < 0:
+                    level[to[i]] = level[x] + 1
+                    queue.append(to[i])
+        if phases is not None:
+            phases.append(level[t])
+        if level[t] < 0:
+            break
+        it = start[:-1]
+        path, arcs = [s], []
+        while path and added < need:
+            x = path[-1]
+            if x == t:
+                got = min(map(res.__getitem__, arcs))
+                for i in arcs:
+                    res[i] -= got
+                    res[rev[i]] += got
+                added += got
+                cut = 0
+                while res[arcs[cut]]:
+                    cut += 1
+                del path[cut + 1 :], arcs[cut:]
+                continue
+            i, end, down = it[x], start[x + 1], level[x] + 1
+            while i < end and not (res[i] > 0 and level[to[i]] == down):
+                i += 1
+            it[x] = i
+            if i < end:
+                arcs.append(i)
+                path.append(to[i])
+            else:
+                path.pop()
+                if arcs:
+                    arcs.pop()
+                    it[path[-1]] += 1
+    return added, np.array(res, dtype=np.int64)[slot]
+
+
+@pytest.fixture
+def flow_phases(monkeypatch):
+    """Check every `_max_flow` call against `list_max_flow`; the phase count
+    of each call (BFS passes that found t), in call order."""
+    counts = []
+    max_flow = regularity._max_flow
+
+    def checked(*args):
+        phases = []
+        expect = list_max_flow(*args, phases=phases)
+        added, res = max_flow(*args)
+        assert added == expect[0] and np.array_equal(res, expect[1])
+        counts.append(sum(level >= 0 for level in phases))
+        return added, res
+
+    monkeypatch.setattr(regularity, "_max_flow", checked)
+    return counts
+
+
 def old_red_class_layers(g, n):
     classes = {v: W.class_index(W.word_from_label(v), n) for v in g.vertices}
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -303,7 +378,7 @@ SIGMA_CASES = [(2, k, d) for k in range(6, 16) for d in (0.45, 0.6, 0.7)] + [
 
 class TestAgainstLabelExtraction:
     @pytest.mark.parametrize("n,k,d", SIGMA_CASES)
-    def test_sigma_layers_and_factors(self, n, k, d, monkeypatch):
+    def test_sigma_layers_and_factors(self, n, k, d, monkeypatch, flow_phases):
         monkeypatch.setattr(W, "ENUMERATION_CAP", 10**8)
         p = sample_gamma_strict(n, k, d, Seed(k, int(100 * d)))
         dec = sigma_decomposition(p, k)
@@ -329,11 +404,11 @@ class TestAgainstLabelExtraction:
         assert_same_layers(g, n, (1, 2, 3, 4))
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_bipartite_graphs(self, seed):
+    def test_random_bipartite_graphs(self, seed, flow_phases):
         g, targets = random_bipartite(seed)
         assert_same_factors(g, targets)
 
-    def test_greedy_first_phase_is_dinics(self, monkeypatch):
+    def test_greedy_first_phase_is_dinics(self, monkeypatch, flow_phases):
         cases = [random_bipartite(seed) for seed in range(40)]
         for n, k, d in [(2, 9, 0.7), (2, 10, 0.7), (2, 11, 0.7), (3, 6, 0.7)]:
             dec = sigma_decomposition(sample_gamma_strict(n, k, d, Seed(k, 1)), k)
@@ -348,6 +423,9 @@ class TestAgainstLabelExtraction:
         )
         got = [extract_regular_subgraph(g, *dd) for g, targets in cases for dd in targets]
         assert all(same_graph(a, b) for a, b in zip(got, expect))
+        # the level graph is rebuilt, and residuals written back, phase after
+        # phase: the benchmark's calls almost all finish in one
+        assert max(flow_phases) >= 3
 
     def test_same_class_error_names_the_same_edge(self):
         # the first in (u, v) order, which is g.edges' order, named as
@@ -364,7 +442,7 @@ class TestAgainstLabelExtraction:
             "same-class edge ('g2G1', 'g2g1'): not a reduced-model graph"
         )
 
-    def test_long_augmenting_path(self):
+    def test_long_augmenting_path(self, flow_phases):
         # a path: L_0 meets R_0, and L_i (i > 0) meets R_i and R_{i-1}.
         # Taking L_1..L_{N-1} first matches each to R_{i-1}, so L_0 needs the
         # one augmenting path through all 2N vertices, deeper than the

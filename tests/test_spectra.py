@@ -5,7 +5,7 @@ from spectralt import spectra
 from spectralt.delta import build_delta_k
 from spectralt.errors import DegenerateGraphError, InputError, ResourceCapError
 from spectralt.multigraph import MultiGraph
-from spectralt.randmodels import Seed, sample_gamma_strict, sample_gnp
+from spectralt.randmodels import Seed, sample_bipartite_gnp, sample_gamma_strict, sample_gnp
 
 from graphs import graph
 
@@ -284,3 +284,88 @@ class TestLanczos:
         with pytest.raises(ResourceCapError):
             spectra.normalized_laplacian(complete_graph(6))
         assert spectra.lambda1(graph("abcdef", [("a", "b")])) == 0.0
+
+
+def random_biregular(seed):
+    """A connected (q d, d)-biregular multigraph, sides of p and q p vertices,
+    drawn by matching degree stubs at random; vertex order shuffled, and
+    the first side the larger one for odd seeds."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p, ratio, d = int(rng.integers(2, 25)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        size = p * (1 + ratio)
+        left = np.repeat(np.arange(p), ratio * d)
+        right = p + rng.permutation(np.repeat(np.arange(ratio * p), d))
+        at = rng.permutation(size)
+        side = np.zeros(size, dtype=bool)
+        side[at[:p]] = True
+        g = MultiGraph([f"v{i}" for i in range(size)], at[left], at[right],
+                       side=side if seed % 2 == 0 else ~side)
+        if g.components() == 1:
+            return g
+
+
+def connected_bgnp(m1, m2, p, seed):
+    g = sample_bipartite_gnp(m1, m2, p, Seed(seed))
+    assert g.components() == 1
+    return g
+
+
+BIPARTITE = {
+    **{f"biregular {seed}": (lambda seed=seed: random_biregular(seed)) for seed in range(12)},
+    "bgnp 20x60": lambda: connected_bgnp(20, 60, 0.3, 1),
+    "bgnp 70x15": lambda: connected_bgnp(70, 15, 0.4, 2),
+    "bgnp 2x9": lambda: connected_bgnp(2, 9, 0.8, 3),
+}
+
+
+def bipartite(a, b, pairs):
+    """The graph on sides x0..x{a-1} and y0..y{b-1} with edges (xi, yj)."""
+    left, right = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
+    return graph(left + right, [(left[i], right[j]) for i, j in pairs],
+                 partition=(left, right))
+
+
+@pytest.fixture
+def solve_orders(monkeypatch):
+    """The order of every matrix `spectrum` solves, in call order."""
+    orders = []
+    spectrum = spectra.spectrum
+
+    def recording(m, **kwargs):
+        orders.append(len(m))
+        return spectrum(m, **kwargs)
+
+    monkeypatch.setattr(spectra, "spectrum", recording)
+    return orders
+
+
+class TestBipartite:
+    @pytest.mark.parametrize("name", BIPARTITE)
+    def test_agrees_with_the_full_solve(self, solve_orders, name):
+        g = BIPARTITE[name]()
+        solve = spectra.lambda1(g, report=True)
+        # one eigensolve, of the smaller side's Gram matrix
+        assert solve_orders == [min(np.count_nonzero(g.side), np.count_nonzero(~g.side))]
+        assert solve.solver == "dense"
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-12
+        assert solve.residual <= 1e-10  # of the full L, read on demand
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (3, 5), (7, 4)])
+    def test_complete_bipartite_falls_back(self, solve_orders, a, b):
+        # sigma_2 = 0: the Gram solve, then the full one
+        g = bipartite(a, b, [(i, j) for i in range(a) for j in range(b)])
+        assert spectra.lambda1(g) == pytest.approx(1.0, abs=1e-12)
+        assert solve_orders == [min(a, b), a + b]
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    def test_star_takes_the_full_solve(self, solve_orders, q):
+        # one vertex on the smaller side: no sigma_2 to take
+        g = bipartite(1, q, [(0, j) for j in range(q)])
+        assert spectra.lambda1(g) == pytest.approx(2.0 if q == 1 else 1.0, abs=1e-12)
+        assert solve_orders == [1 + q]
+
+    def test_disconnected_is_zero_without_a_solve(self, solve_orders):
+        g = bipartite(3, 4, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3)])
+        assert spectra.lambda1(g, report=True) == spectra.Lambda1Solve(0.0, "components", 0.0)
+        assert solve_orders == []
