@@ -311,20 +311,9 @@ def _link_edges(p: Presentation, k: int):
     starts = offsets[:-1][np.diff(offsets) == k]
     rel = letters[starts[:, None] + np.arange(k)]
     a, b, c = W.split_lengths(k)
-    x, y, z = rel[:, :a], rel[:, a : a + b], rel[:, a + b :]
     z_at = W.word_count(p.n, a) if c != a else 0
-
-    def rank(w: np.ndarray, at: int = 0) -> np.ndarray:
-        return W.rank_reduced(p.n, w) + at
-
-    def inv(w: np.ndarray) -> np.ndarray:
-        return -w[:, ::-1]
-
-    return (
-        (rank(x), rank(inv(z), z_at)),
-        (rank(y), rank(inv(x))),
-        (rank(z, z_at), rank(inv(y))),
-    )
+    (x, x_inv), (y, y_inv), (z, z_inv) = W.rank_pieces(p.n, rel, [(0, a), (a, a + b), (a + b, k)])
+    return ((x, z_inv + z_at), (y, x_inv), (z + z_at, y_inv))
 
 
 def build_delta_k(p: Presentation, k: int) -> MultiGraph:

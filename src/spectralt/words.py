@@ -23,9 +23,8 @@ Word = tuple[int, ...]
 # most words |W_l| one enumeration or sampler may cover; read on each check
 ENUMERATION_CAP = 10**7
 
-# entries of the (ranks, 2n) work arrays of one unranking pass: 2^14 ranks
-# per pass at n = 2, fewer at larger n
-_UNRANK_BLOCK = 1 << 16
+# ranks one unranking pass walks, whatever n and k
+_UNRANK_BLOCK = 1 << 12
 
 # a count of more decimal digits is printed as a power: above Python's default
 # limit of 4300 digits for int -> str, so every count that printed still does
@@ -80,25 +79,38 @@ def first_unreduced(letters: np.ndarray, offsets: np.ndarray) -> int:
     return int(np.searchsorted(offsets, hits[0], side="right")) - 1
 
 
-def rank_reduced(n: int, words: np.ndarray) -> np.ndarray:
-    """Index of each row of `words`, a freely reduced word of signed letters,
-    in `enumerate_reduced(n, l)`, found without enumerating.
+def rank_pieces(
+    n: int, words: np.ndarray, bounds: Sequence[tuple[int, int]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each (lo, hi) of `bounds`, the index in `enumerate_reduced(n, hi - lo)`
+    of letters lo..hi-1 of each row of `words`, a freely reduced word of signed
+    letters, and of their inverse; int64, found without enumerating.
 
-    The first letter's flattened code is the leading digit; each later letter
-    is a base-(2n-1) digit, its code less one if it follows the previous
-    letter's inverse, which cannot come next.
+    A word's rank has its first letter's 0-based flattened code as the leading
+    digit, and each later letter as a base-(2n-1) digit, its code less one if
+    it follows the previous letter's inverse, which cannot come next.  Every
+    piece and inverse piece takes its digits from two arrays over all the
+    rows' letters.
     """
-    # 0-based flattened code of the letters -n..n (0 is no letter), and of
-    # each code's inverse
+    # 0-based flattened code of the letters -n..n (0 is no letter), int8
+    # while every code and digit fits it
     code = np.concatenate([np.arange(2 * n - 1, n - 1, -1), [0], np.arange(n)])
-    inverse = (np.arange(2 * n) + n) % (2 * n)
-    codes = code[words + n]
-    if not len(codes):  # no rows: skip the walk over the columns
-        return np.zeros(0, dtype=np.int64)
-    rank = codes[:, 0].copy()
-    for i in range(1, codes.shape[1]):
-        rank = rank * (2 * n - 1) + codes[:, i] - (codes[:, i] > inverse[codes[:, i - 1]])
-    return rank
+    code = code.astype(np.int8 if 2 * n < 127 else np.int64)
+    codes, inverses = code[words + n], code[n - words]
+    # the digit of letter j after letter j - 1, and of the inverse of letter
+    # j - 1 after the inverse of letter j
+    forward = codes[:, 1:] - (codes[:, 1:] > inverses[:, :-1])
+    backward = inverses[:, :-1] - (inverses[:, :-1] > codes[:, 1:])
+    ranks = []
+    for lo, hi in bounds:
+        rank = codes[:, lo].astype(np.int64)
+        for j in range(lo + 1, hi):
+            rank = rank * (2 * n - 1) + forward[:, j - 1]
+        inverse_rank = inverses[:, hi - 1].astype(np.int64)
+        for j in range(hi - 2, lo - 1, -1):
+            inverse_rank = inverse_rank * (2 * n - 1) + backward[:, j]
+        ranks.append((rank, inverse_rank))
+    return ranks
 
 
 def word_count(n: int, l: int) -> int:
@@ -247,27 +259,6 @@ def cyclically_reduced_count(n: int, k: int) -> int:
     return (2 * n - 1) ** k + 1 + (n - 1) * (1 + (-1) ** k)
 
 
-def _completions(inverse: np.ndarray, k: int, dtype) -> np.ndarray:
-    """table[f, r, c]: reduced r-letter continuations after the letter c whose
-    last letter is not the inverse of the first letter f (0-based codes)."""
-    m = len(inverse)
-    table = np.ones((m, k, m), dtype=dtype)
-    table[np.arange(m), 0, inverse] = 0
-    for r in range(1, k):
-        prev = table[:, r - 1, :]
-        table[:, r, :] = prev.sum(axis=1, keepdims=True) - prev[:, inverse]
-    return table
-
-
-def _pick(counts: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the letter whose rank interval holds the rank, and the rank
-    within that interval; the letters' intervals have widths `counts`."""
-    ends = counts.cumsum(axis=1)
-    letter = (ends <= ranks[:, None]).sum(axis=1)
-    rows = np.arange(len(ranks))
-    return letter, ranks - ends[rows, letter] + counts[rows, letter]
-
-
 def unrank_cyclically_reduced_letters(n: int, k: int, ranks: Iterable[int]) -> np.ndarray:
     """The words at `ranks` in the canonical order of C(n, k), as the rows of
     an int64 (len(ranks), k) array of signed letters.
@@ -275,36 +266,54 @@ def unrank_cyclically_reduced_letters(n: int, k: int, ranks: Iterable[int]) -> n
     Equals `[enumerate_cyclically_reduced(n, k)[i] for i in ranks]` without
     building C(n, k): each rank is walked digit by digit, the candidate
     letters (in flattened-code order) owning consecutive rank intervals as
-    wide as the number of cyclically reduced completions after them.
+    wide as the number of cyclically reduced completions after them.  After
+    the first letter f, with r letters still to come, that width is
+    `other[r]` for every letter but one: f is one wider when r is odd, and
+    f^-1 one narrower when r is even.  So each letter is one floor division,
+    shifted by one past that odd letter's interval.
     """
     m = 2 * n
-    cap = ENUMERATION_CAP
-    if m * k * m > cap:  # checked before any count is built, for any n and k
-        raise ResourceCapError(
-            f"the {m}x{k}x{m} table of completions that unranks C({n}, {k}) "
-            f"exceeds enumeration cap {cap}"
-        )
     total = cyclically_reduced_count(n, k)
     dtype = np.int64 if total < 2**63 else object
     ranks = np.array(ranks, dtype=dtype, ndmin=1)
     if ranks.size and not (0 <= ranks.min() and ranks.max() < total):
         raise InputError(f"rank outside [0, {total}) of C({n}, {k})")
-    inverse = (np.arange(m) + n) % m
-    table = _completions(inverse, k, dtype)
-    first_counts = table[np.arange(m), k - 1, np.arange(m)]
-    letters = np.array([unflatten_letter(c, n) for c in range(1, m + 1)], dtype=np.int64)
+    # other[r]: the reduced r-letter continuations, not ending in f^-1, after
+    # a letter that is neither f nor f^-1
+    other = [1]
+    for r in range(1, k):
+        other.append((m - 1) * other[-1] + (-1) ** r)
     words = np.empty((ranks.size, k), dtype=np.int64)
-    block = max(1, _UNRANK_BLOCK // m)
-    for lo in range(0, ranks.size, block):
-        rest = ranks[lo : lo + block]
-        codes = np.empty((rest.size, k), dtype=np.intp)
-        first, rest = _pick(np.tile(first_counts, (rest.size, 1)), rest)
-        codes[:, 0] = first
+    for lo in range(0, ranks.size, _UNRANK_BLOCK):
+        codes = words[lo : lo + _UNRANK_BLOCK].T  # 0-based flattened codes, then letters
+        rest = ranks[lo : lo + _UNRANK_BLOCK]
+        first = rest // (total // m)
+        rest = rest - first * (total // m)
+        codes[0] = prev = first = first.astype(np.int64, copy=False)
+        first_inverse = (first + n) % m
         for i in range(1, k):
-            counts = table[first, k - 1 - i]
-            counts[np.arange(rest.size), inverse[codes[:, i - 1]]] = 0
-            codes[:, i], rest = _pick(counts, rest)
-        words[lo : lo + block] = letters[codes]
+            r = k - 1 - i
+            # at n = 1 every other[r] of odd r is 0, no letter but f has that
+            # width, and every rest is 0
+            width = max(other[r], 1)
+            odd = first if r % 2 else first_inverse
+            banned = (prev + n) % m
+            live = odd != banned  # the odd letter is a candidate
+            at = odd - (odd > banned)  # its place among the candidates
+            end = (at.astype(dtype, copy=False) + 1) * width
+            if r % 2:  # f's interval holds one rank more, `end`
+                shifted = rest - (live & (rest >= end))
+                digit = shifted // width
+                rest = shifted - digit * width + (live & (rest == end))
+            else:  # f^-1's interval holds one rank fewer, and ends before `end - 1`
+                shifted = rest + (live & (rest >= end - 1))
+                digit = shifted // width
+                rest = shifted - digit * width
+            digit = digit.astype(np.int64, copy=False)
+            codes[i] = prev = digit + (digit >= banned)
+        inverses = codes >= n
+        codes += 1
+        np.subtract(n, codes, out=codes, where=inverses)
     return words
 
 

@@ -1,0 +1,91 @@
+"""The word rankings the package computed before it ranked by letter class,
+kept as oracles: a 2n x k x 2n table of completion counts that unranks C(n, k)
+with a cumsum over all 2n letters per digit, and a ranking of W_l that takes
+each piece of Delta_k's relators apart."""
+
+import numpy as np
+
+from spectralt import words as W
+
+
+def _completions(inverse, k, dtype):
+    """table[f, r, c]: reduced r-letter continuations after the letter c whose
+    last letter is not the inverse of the first letter f (0-based codes)."""
+    m = len(inverse)
+    table = np.ones((m, k, m), dtype=dtype)
+    table[np.arange(m), 0, inverse] = 0
+    for r in range(1, k):
+        prev = table[:, r - 1, :]
+        table[:, r, :] = prev.sum(axis=1, keepdims=True) - prev[:, inverse]
+    return table
+
+
+def _pick(counts, ranks):
+    """Per row, the letter whose rank interval holds the rank, and the rank
+    within that interval; the letters' intervals have widths `counts`."""
+    ends = counts.cumsum(axis=1)
+    letter = (ends <= ranks[:, None]).sum(axis=1)
+    rows = np.arange(len(ranks))
+    return letter, ranks - ends[rows, letter] + counts[rows, letter]
+
+
+def unrank_by_table(n, k, ranks):
+    """`W.unrank_cyclically_reduced_letters(n, k, ranks)`, digit by digit over
+    the table of completion counts."""
+    m = 2 * n
+    total = W.cyclically_reduced_count(n, k)
+    dtype = np.int64 if total < 2**63 else object
+    ranks = np.array(ranks, dtype=dtype, ndmin=1)
+    inverse = (np.arange(m) + n) % m
+    table = _completions(inverse, k, dtype)
+    first_counts = table[np.arange(m), k - 1, np.arange(m)]
+    letters = np.array([W.unflatten_letter(c, n) for c in range(1, m + 1)], dtype=np.int64)
+    codes = np.empty((ranks.size, k), dtype=np.intp)
+    if not ranks.size:
+        return codes.astype(np.int64)
+    first, rest = _pick(np.tile(first_counts, (ranks.size, 1)), ranks)
+    codes[:, 0] = first
+    for i in range(1, k):
+        counts = table[first, k - 1 - i]
+        counts[np.arange(rest.size), inverse[codes[:, i - 1]]] = 0
+        codes[:, i], rest = _pick(counts, rest)
+    return letters[codes]
+
+
+def rank_reduced(n, words):
+    """Index of each row of `words`, a freely reduced word of signed letters,
+    in `W.enumerate_reduced(n, l)`: the first letter's flattened code is the
+    leading digit, and each later letter a base-(2n-1) digit, its code less
+    one if it follows the previous letter's inverse."""
+    code = np.concatenate([np.arange(2 * n - 1, n - 1, -1), [0], np.arange(n)])
+    inverse = (np.arange(2 * n) + n) % (2 * n)
+    codes = code[words + n]
+    if not len(codes):
+        return np.zeros(0, dtype=np.int64)
+    rank = codes[:, 0].copy()
+    for i in range(1, codes.shape[1]):
+        rank = rank * (2 * n - 1) + codes[:, i] - (codes[:, i] > inverse[codes[:, i - 1]])
+    return rank
+
+
+def link_edges(p, k):
+    """`delta._link_edges(p, k)`, each piece and each inverse piece cut out of
+    the relators and ranked on its own."""
+    letters, offsets = p.letters, p.offsets
+    starts = offsets[:-1][np.diff(offsets) == k]
+    rel = letters[starts[:, None] + np.arange(k)]
+    a, b, c = W.split_lengths(k)
+    x, y, z = rel[:, :a], rel[:, a : a + b], rel[:, a + b :]
+    z_at = W.word_count(p.n, a) if c != a else 0
+
+    def rank(w, at=0):
+        return rank_reduced(p.n, w) + at
+
+    def inv(w):
+        return -w[:, ::-1]
+
+    return (
+        (rank(x), rank(inv(z), z_at)),
+        (rank(y), rank(inv(x))),
+        (rank(z, z_at), rank(inv(y))),
+    )

@@ -19,9 +19,12 @@ from spectralt.delta import (
 from spectralt.cli import main
 from spectralt.errors import InputError
 from spectralt.multigraph import edge_key, union
-from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
+from spectralt.randmodels import (
+    LaxParams, Seed, sample_gamma_lax, sample_gamma_p, sample_gamma_strict,
+)
 
 from graphs import graph, sides
+from oracles import link_edges
 
 
 def aba():
@@ -404,6 +407,50 @@ class TestAgainstLabelImplementation:
         assert audit.max_doubles_per_vertex == 2 and not audit.doubles_form_matching
         empty = double_edge_audit(graph("ab"))
         assert (empty.max_multiplicity, empty.max_doubles_per_vertex) == (0, 0)
+
+
+@st.composite
+def link_cases(draw):
+    """(presentation, k): relators of length k and, one time in two, of
+    other lengths, which `_link_edges` leaves out; sometimes no relator of
+    length k at all."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 63, 64, 100]))
+    k = draw(st.integers(3, 13))
+    lengths = [k] * draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        lengths += draw(st.lists(st.integers(1, 14), max_size=4))
+    words = []
+    for l in draw(st.permutations(lengths)):
+        rank = draw(st.integers(0, W.cyclically_reduced_count(n, l) - 1))
+        words += W.unrank_cyclically_reduced_letters(n, l, [rank]).tolist()
+    return Presentation(n, map(tuple, words)), k
+
+
+class TestLinkEdgesAgainstOracle:
+    """Every piece ranked from one array of letter codes gives the edges of
+    each piece cut out and ranked on its own."""
+
+    @staticmethod
+    def assert_same(p, k):
+        for (u, v), (ou, ov) in zip(D._link_edges(p, k), link_edges(p, k)):
+            assert u.dtype == v.dtype == np.int64
+            assert u.tolist() == ou.tolist() and v.tolist() == ov.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(link_cases())
+    def test_random_presentations(self, case):
+        self.assert_same(*case)
+
+    @pytest.mark.parametrize("n,k", [(2, 15), (2, 16), (2, 17), (2, 21), (63, 7), (64, 8)])
+    def test_every_split(self, n, k):
+        self.assert_same(sample(n, k, 5), k)
+
+    def test_mixed_lengths_and_none_of_length_k(self):
+        lax = sample_gamma_lax(2, LaxParams(9, 0.45, 2), Seed(3))
+        for k in range(6, 13):
+            self.assert_same(lax, k)
+        self.assert_same(Presentation(2, ((1, 2, 1),)), 6)
+        self.assert_same(Presentation(2, ()), 4)
 
 
 TOKENS = ["g1", "G1", "g2", "G2", "g3", "g0", "G0", "x", "n", "k", "2", "3", "#", "g01",

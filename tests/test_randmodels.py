@@ -277,16 +277,16 @@ class TestNoEnumeration:
         for pres in (strict, p):
             assert all(len(r) == 16 and W.is_cyclically_reduced(r) for r in pres.relators)
 
-    def test_a_large_alphabet_is_refused_before_its_unranking_table(self):
-        # |C(10^6, 3)| < 2^63 and 77 relators are under the caps, but the
-        # table of completion counts would hold 2*10^6 x 3 x 2*10^6 entries
+    def test_a_large_alphabet_is_drawn_without_a_table(self):
+        # |C(10^6, 3)| < 2^63, and 77 relators are under the caps; no table of
+        # completion counts over the 2*10^6 letters is built
         assert strict_model_size(10**6, 3, 0.1) == 77
-        with pytest.raises(ResourceCapError) as err:
-            sample_gamma_strict(10**6, 3, 0.1, Seed(0))
-        assert str(err.value) == (
-            "the 2000000x3x2000000 table of completions that unranks C(1000000, 3) "
-            "exceeds enumeration cap 10000000"
-        )
+        p = sample_gamma_strict(10**6, 3, 0.1, Seed(0))
+        words = p.relators
+        assert p.num_relators == len(set(words)) == 77
+        assert all(len(w) == 3 and W.is_cyclically_reduced(w) for w in words)
+        codes = [[W.flatten_letter(x, 10**6) for x in w] for w in words]
+        assert codes == sorted(codes)
 
 
 # The samplers as they were when they enumerated their universe word by word
@@ -506,9 +506,6 @@ CAPPED_CALLS = {
                        "drawing 93 of 732 words shuffles all 732, above enumeration cap 100"),
     "sample_gamma_lax": (lambda: sample_gamma_lax(2, LaxParams(6, 0.9, 1), Seed(0)),
                          "377 relators exceed enumeration cap 100"),
-    "unrank_cyclically_reduced_letters": (
-        lambda: W.unrank_cyclically_reduced_letters(3, 3, [0]),
-        "the 6x3x6 table of completions that unranks C(3, 3) exceeds enumeration cap 100"),
     "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5 + "; stream instead"),
     "enumerate_reduced-n1": (lambda: W.enumerate_reduced(1, 60),
                              "W_60 has 120 letters, above enumeration cap 100"),

@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spectralt import words as W
 from spectralt.errors import InputError, ResourceCapError
+
+from oracles import rank_reduced, unrank_by_table
 
 
 def letters(n):
@@ -61,8 +63,39 @@ class TestUnrank:
     def test_rank_range(self):
         assert W.unrank_cyclically_reduced_letters(2, 3, []).shape == (0, 3)
         for bad in ([-1], [28]):
-            with pytest.raises(InputError, match="rank outside"):
+            with pytest.raises(InputError, match=re.escape("rank outside [0, 28) of C(2, 3)")):
                 W.unrank_cyclically_reduced_letters(2, 3, bad)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_the_table_of_completions_gives_the_same_words(self, data):
+        """Against the 2n x k x 2n table of completion counts where that table
+        is small; everywhere, sorted ranks give cyclically reduced words in
+        increasing canonical order, and the first and last ranks give a_1^k
+        and (a_n^-1)^k."""
+        n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 63, 64, 1000]))
+        k = data.draw(st.sampled_from(list(range(1, 13)) + [30, 40]))
+        total = W.cyclically_reduced_count(n, k)
+        ranks = data.draw(st.lists(st.integers(0, total - 1), max_size=20))
+        ranks += data.draw(st.sampled_from([[], [0], [total - 1], [0, total - 1]]))
+        words = W.unrank_cyclically_reduced_letters(n, k, ranks)
+        assert words.dtype == np.int64 and words.shape == (len(ranks), k)
+        if 4 * n * n * k <= 10**6:
+            assert words.tolist() == unrank_by_table(n, k, ranks).tolist()
+        by_rank = dict(zip(ranks, map(tuple, words.tolist())))
+        ordered = [by_rank[r] for r in sorted(by_rank)]
+        assert all(W.is_cyclically_reduced(w) for w in ordered)
+        flat = [[W.flatten_letter(x, n) for x in w] for w in ordered]
+        assert all(a < b for a, b in zip(flat, flat[1:]))
+        assert by_rank.get(0, (1,) * k) == (1,) * k
+        assert by_rank.get(total - 1, (-n,) * k) == (-n,) * k
+        with pytest.raises(InputError, match=re.escape(f"rank outside [0, {total}) of C({n}, {k})")):
+            W.unrank_cyclically_reduced_letters(n, k, ranks + [total])
+
+    def test_no_table_bounds_the_alphabet(self):
+        count = W.cyclically_reduced_count(10**6, 3)
+        words = W.unrank_cyclically_reduced_letters(10**6, 3, [0, 1, count // 2, count - 1])
+        assert words.tolist() == [[1, 1, 1], [1, 1, 2], [-1, 2, 2], [-(10**6)] * 3]
 
 
 class TestSplit:
@@ -109,10 +142,27 @@ class TestArrays:
     @pytest.mark.parametrize("n,l", [(1, 1), (1, 4), (2, 1), (2, 5), (3, 4), (4, 3)])
     def test_rank_is_the_enumeration_index(self, n, l):
         words = W.enumerate_reduced(n, l)
-        ranks = W.rank_reduced(n, np.array(words))
+        ranks = rank_reduced(n, np.array(words))
         assert ranks.tolist() == list(range(len(words)))
         shuffled = np.random.default_rng(l).permutation(len(words))
-        assert W.rank_reduced(n, np.array(words)[shuffled]).tolist() == shuffled.tolist()
+        assert rank_reduced(n, np.array(words)[shuffled]).tolist() == shuffled.tolist()
+
+    @pytest.mark.parametrize(
+        "n,l", [(1, 1), (1, 4), (2, 1), (2, 5), (3, 4), (4, 3), (63, 2), (64, 2)]
+    )
+    def test_rank_pieces_are_enumeration_indices(self, n, l):
+        """Every piece lo..hi-1 of a word, and its inverse, ranks at its index
+        in W_{hi-lo}."""
+        words = W.enumerate_reduced(n, l)
+        bounds = [(lo, hi) for lo in range(l) for hi in range(lo + 1, l + 1)]
+        pieces = W.rank_pieces(n, np.array(words), bounds)
+        index = {m: {w: i for i, w in enumerate(W.enumerate_reduced(n, m))} for m in range(1, l + 1)}
+        for (lo, hi), (ranks, inverse_ranks) in zip(bounds, pieces):
+            assert ranks.dtype == inverse_ranks.dtype == np.int64
+            assert ranks.tolist() == [index[hi - lo][w[lo:hi]] for w in words]
+            inverse = [tuple(-x for x in reversed(w[lo:hi])) for w in words]
+            assert inverse_ranks.tolist() == [index[hi - lo][w] for w in inverse]
+        assert W.rank_pieces(n, np.zeros((0, l), dtype=np.int64), bounds)[0][0].tolist() == []
 
     def test_flatten(self):
         letters, offsets = W.flatten([(1, 2), (), (-3,)])
