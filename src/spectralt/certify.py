@@ -19,6 +19,7 @@ from .delta import (
     DoubleEdgeAudit,
     Presentation,
     build_delta_k,
+    delta_k_order,
     double_edge_audit,
     sigma_decomposition,
 )
@@ -30,7 +31,7 @@ from .regularity import (
     layer_factor_union,
     red_class_layers,
 )
-from .spectra import CERT_MARGIN, Lambda1Solve, lambda1
+from .spectra import CERT_MARGIN, Lambda1Solve, _check_cap, lambda1
 
 THRESHOLD = 0.5
 SQRT2 = math.sqrt(2.0)
@@ -143,7 +144,7 @@ def _certified(value: float) -> bool:
 def _solve_line(solve: Lambda1Solve) -> str:
     return (
         f"lambda1 solver={solve.solver} residual={solve.residual:.3e} "
-        f"margin={solve.value - THRESHOLD:.12g}"
+        f"matvecs={solve.matvecs} margin={solve.value - THRESHOLD:.12g}"
     )
 
 
@@ -154,6 +155,7 @@ def zuk_certificate(
 
     A true verdict certifies Property (T); a false verdict certifies nothing.
     """
+    _check_cap(delta_k_order(p.n, k))  # before Delta_k is built
     delta = build_delta_k(p, k)
     solve = lambda1(delta, report=True)
     lam = solve.value
@@ -278,6 +280,7 @@ def certify_via_decomposition(
     m_bound: int = 3,
 ) -> Certificate:
     """Full pipeline certificate; certification always uses the direct value."""
+    _check_cap(delta_k_order(p.n, k))  # before Delta_k is built
     dec = sigma_decomposition(p, k)
     delta = dec.delta()
     solve = lambda1(delta, report=True)

@@ -299,6 +299,15 @@ def sigma_vertex_lengths(k: int) -> tuple[int, int]:
     return a, c
 
 
+def delta_k_order(n: int, k: int) -> int:
+    """Delta_k's vertex count, |W_{l_k}| (+ |W_{L_k}| if L_k != l_k), or the
+    ResourceCapError that building those word sets would raise."""
+    lengths = dict.fromkeys(sigma_vertex_lengths(k))
+    for l in lengths:
+        W.check_enumerable(n, l, "; stream instead")
+    return sum(W.word_count(n, l) for l in lengths)
+
+
 def _link_edges(p: Presentation, k: int):
     """The edges (r_x, r_z^-1), (r_y, r_x^-1), (r_z, r_y^-1) of every length-k
     relator, as three (u, v) pairs of vertex-index arrays.

@@ -6,12 +6,12 @@ DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the lower triangle of
 the normalized Laplacian, or, on a graph with a bipartition, 1 - sigma_2 of
 its normalized bi-adjacency block C, from the smaller side's Gram matrix
 C C^T (the full solve again when that side has one vertex or sigma_2 is too
-small for its square root to keep the digits).  Above that, Lanczos
-(`scipy.sparse.linalg.eigsh`, one Ritz pair) on the sparse Laplacian with
-its known null vector shifted to the top of the spectrum, stopped once its
-estimate is well inside the residual gate, and falling back to the dense
-solve if the residual it leaves exceeds LANCZOS_MAX_RESIDUAL or ARPACK
-fails.
+small for its square root to keep the digits).  Above that, an unrestarted
+Lanczos recurrence on the sparse Laplacian with its known null vector
+shifted to the top of the spectrum, stopped once its estimate for the
+smallest Ritz pair is well inside the residual gate, and falling back to the
+dense solve if it breaks down, reaches its step bound or leaves a residual
+above LANCZOS_MAX_RESIDUAL.
 """
 
 from __future__ import annotations
@@ -30,10 +30,25 @@ CERT_MARGIN = 1e-9
 DEFAULT_EIGEN_CAP = 4000
 SYMMETRY_TOL = 1e-9
 
-# largest vertex count whose lambda_1 comes from the dense solve: above it
-# Lanczos is faster (the dense/eigsh crossover measured on Delta_k graphs)
+# largest vertex count whose lambda_1 comes from the dense solve.  Warm, on
+# 2 vCPUs, Lanczos overtakes it near 200 vertices (Delta_3: 2.3 against 2.3 ms
+# at 200, 3.2 against 9.9 ms at 400, 5.4 against 23.7 ms at 600; n = 2
+# Delta_14, 432 vertices: 3.6 against 10.1 ms), but Lanczos imports scipy
+# (~0.35 s), which the link graphs and pipeline factors of n = 2, k <= 14
+# (at most 432 vertices) never pay for below this threshold
 DENSE_LAMBDA1_MAX = 500
 LANCZOS_MAX_RESIDUAL = 1e-10
+# the Lanczos stopping tolerance, relative to |theta| <= 2: 2 tol stays 10x
+# inside the residual gate
+LANCZOS_TOL = LANCZOS_MAX_RESIDUAL / 20
+# Lanczos steps: at most the vertex count, so the basis takes no more bytes
+# than the dense solve's matrix, but at least LANCZOS_MIN_STEPS (a small
+# graph takes a few more steps than it has vertices) and at most
+# LANCZOS_MAX_STEPS; the smallest Ritz pair is tested every
+# LANCZOS_CHECK_STEPS steps
+LANCZOS_MIN_STEPS = 100
+LANCZOS_MAX_STEPS = 1000
+LANCZOS_CHECK_STEPS = 8
 # least sigma_2^2 whose square root the bipartite solve takes: below it a
 # rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1
 BIPARTITE_MIN_SIGMA2_SQ = 1e-8
@@ -66,8 +81,9 @@ class SpectralReport:
 class Lambda1Solve:
     """lambda_1 with the solver that found it ("components" when the graph is
     disconnected, "dense" or "lanczos"), the residual ||L x - lambda_1 x||
-    of a unit vector x found with it (0 for "components"), and the operator
-    applications the Lanczos solve made (0 for the other solvers).
+    of a unit vector x found with it (0 for "components"), and the steps of
+    the Lanczos recurrence, one operator application each (0 for the other
+    solvers).
 
     The residual is given as a number or as a function computing it on first
     read: the dense solve's costs two more O(m^3) linear solves, which only
@@ -141,57 +157,81 @@ def _dense_residual(lap: np.ndarray, value: float) -> float:
     return float(np.linalg.norm(lap @ x - value * x))
 
 
-def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
-    """lambda_1 from `eigsh` on the sparse Laplacian of a connected graph, or
-    None if ARPACK fails (as when it does not converge) or leaves too large a
-    residual.
-
-    x0 = D^{1/2} 1 / ||D^{1/2} 1|| spans L's null space (A 1 = D 1, a loop
-    counted once in both), so on L + 2 x0 x0^T lambda_0 moves to 2 and
-    lambda_1 is the smallest eigenvalue: one Ritz pair to converge, only as
-    far as the residual gate needs.
-    """
+def _sparse_laplacian(g: MultiGraph):
+    """The normalized Laplacian of a graph without isolated vertices as a
+    scipy CSR array, and x0 = D^{1/2} 1 / ||D^{1/2} 1||."""
     from scipy.sparse import csr_array
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    u, v, mult = g.edge_arrays
+    u, v, mult = g.edge_arrays  # distinct, u <= v, sorted by (u, v)
     size = g.num_vertices()
     root = np.sqrt(g.degree_array())
     scale = 1.0 / root
     off = -mult * scale[u] * scale[v]
-    cross = u != v
-    diag = np.arange(size)
-    lap = csr_array(  # repeated entries add up: a loop's term joins the diagonal
-        (np.concatenate([off, off[cross], np.ones(size)]),
-         (np.concatenate([u, v[cross], diag]), np.concatenate([v, u[cross], diag]))),
-        shape=(size, size),
-    )
-    x0 = root / np.linalg.norm(root)
-    matvecs = 0
+    loop = u == v
+    diag = np.ones(size)
+    diag[u[loop]] += off[loop]  # a loop's term joins the diagonal
+    cross = ~loop
+    u, v, off = u[cross], v[cross], off[cross]
+    at = np.arange(size)
+    # each row's entries in column order, below the diagonal, on it and above
+    # it, none repeated, so the CSR is canonical without a sort; int32
+    # indices make each product ~12% faster than int64 ones
+    rows = np.concatenate([v, at, u]).astype(np.int32)
+    cols = np.concatenate([u, at, v]).astype(np.int32)
+    lap = csr_array((np.concatenate([off, diag, off]), (rows, cols)), shape=(size, size))
+    return lap, root / np.linalg.norm(root)
 
-    def shifted(x: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        # added in place: one more temporary per product raised the peak RSS
-        # of a Delta_21 certify by ~4 MB
-        y = lap @ x
-        y += (2 * (x0 @ x)) * x0
-        return y
 
-    try:
-        # ARPACK stops once its Ritz estimate is <= tol * |theta| <= 2 tol,
-        # 10x inside the residual gate below
-        vals, vecs = eigsh(
-            LinearOperator(lap.shape, matvec=shifted, dtype=float),
-            k=1, which="SA", tol=LANCZOS_MAX_RESIDUAL / 20, v0=_start_vector(size),
-        )
-    except ArpackError:  # ArpackNoConvergence included
-        return None
-    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-    residual = float(np.linalg.norm(lap @ x - vals[0] * x))
+def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
+    """lambda_1 from an unrestarted Lanczos recurrence on the sparse Laplacian
+    of a connected graph, or None if it breaks down or reaches its step bound
+    before its estimate passes, or leaves too large a residual.
+
+    x0 = D^{1/2} 1 / ||D^{1/2} 1|| spans L's null space (A 1 = D 1, a loop
+    counted once in both), so on L + 2 x0 x0^T lambda_0 moves to 2 and
+    lambda_1 is the smallest eigenvalue: one Ritz pair to converge, only as
+    far as the residual gate needs.  The basis is not reorthogonalised: an
+    extreme Ritz pair converges without it (Paige 1980), and the residual
+    gate checks the pair it gives.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.blas import daxpy, ddot, dnrm2
+
+    size = g.num_vertices()
+    steps = min(LANCZOS_MAX_STEPS, max(size, LANCZOS_MIN_STEPS))
+    lap, x0 = _sparse_laplacian(g)
+    basis = np.empty((steps, size))  # rows past the last step are never touched
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = _start_vector(size)
+    basis[0] = q / np.linalg.norm(q)
+    for j in range(steps):
+        q = basis[j]
+        # w = A q - beta_{j-1} q_{j-1} - alpha_j q, updated in place by BLAS
+        w = lap @ q
+        daxpy(x0, w, a=2 * ddot(x0, q))
+        if j:
+            daxpy(basis[j - 1], w, a=-beta[j - 1])
+        alpha[j] = ddot(q, w)
+        daxpy(q, w, a=-alpha[j])
+        beta[j] = dnrm2(w)
+        last = j + 1 == steps or not beta[j] > 0
+        if last or (j + 1) % LANCZOS_CHECK_STEPS == 0:
+            theta, s = eigh_tridiagonal(
+                alpha[: j + 1], beta[:j], select="i", select_range=(0, 0)
+            )
+            # beta_j |s_j| estimates ||A x - theta x|| for x = Q^T s
+            if beta[j] * abs(s[j, 0]) <= LANCZOS_TOL * abs(theta[0]):
+                break
+            if last:
+                return None
+        np.divide(w, beta[j], out=basis[j + 1])
+    x = basis[: j + 1].T @ s[:, 0]
+    x /= np.linalg.norm(x)
+    value = float(theta[0])
+    residual = float(np.linalg.norm(lap @ x - value * x))
     if not residual <= LANCZOS_MAX_RESIDUAL:
         return None
-    return Lambda1Solve(float(vals[0]), "lanczos", residual, matvecs)
+    return Lambda1Solve(value, "lanczos", residual, j + 1)
 
 
 def _lower_laplacian(g: MultiGraph) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""The word rankings the package computed before it ranked by letter class,
-kept as oracles: a 2n x k x 2n table of completion counts that unranks C(n, k)
-with a cumsum over all 2n letters per digit, and a ranking of W_l that takes
-each piece of Delta_k's relators apart."""
+"""Computations the package made before it made them faster, kept as
+oracles: a 2n x k x 2n table of completion counts that unranks C(n, k) with a
+cumsum over all 2n letters per digit, a ranking of W_l that takes each piece
+of Delta_k's relators apart, and lambda_1 from ARPACK's restarted Lanczos
+(`eigsh`)."""
 
 import numpy as np
 
+from spectralt import spectra
 from spectralt import words as W
 
 
@@ -89,3 +91,32 @@ def link_edges(p, k):
         (rank(y), rank(inv(x))),
         (rank(z, z_at), rank(inv(y))),
     )
+
+
+def eigsh_lambda1(g):
+    """`spectra._lanczos(g)` as ARPACK computed it: one Ritz pair of
+    L + 2 x0 x0^T from `eigsh` to tol = LANCZOS_TOL, started from the same
+    vector; None if ARPACK fails or the residual gate does."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    lap, x0 = spectra._sparse_laplacian(g)
+    matvecs = 0
+
+    def shifted(x):
+        nonlocal matvecs
+        matvecs += 1
+        return lap @ x + (2 * (x0 @ x)) * x0
+
+    try:
+        vals, vecs = eigsh(
+            LinearOperator(lap.shape, matvec=shifted, dtype=float),
+            k=1, which="SA", tol=spectra.LANCZOS_TOL,
+            v0=spectra._start_vector(g.num_vertices()),
+        )
+    except ArpackError:
+        return None
+    x = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+    residual = float(np.linalg.norm(lap @ x - vals[0] * x))
+    if not residual <= spectra.LANCZOS_MAX_RESIDUAL:
+        return None
+    return spectra.Lambda1Solve(float(vals[0]), "lanczos", residual, matvecs)

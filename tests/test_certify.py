@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spectralt import certify as C
 from spectralt import spectra
 from spectralt.certify import (
     certify_via_decomposition,
@@ -11,7 +12,7 @@ from spectralt.certify import (
     zuk_certificate,
 )
 from spectralt.delta import Presentation, build_delta_k
-from spectralt.errors import HypothesisViolation, InputError
+from spectralt.errors import HypothesisViolation, InputError, ResourceCapError
 from spectralt.randmodels import Seed, sample_gamma_p
 from spectralt.words import enumerate_cyclically_reduced
 
@@ -192,6 +193,16 @@ class TestSolverDiagnostics:
             assert line.endswith(f"margin={cert.lambda1 - 0.5:.12g}")
         assert dense.diagnostics[1].startswith("lambda1 solver=dense residual=")
 
+    def test_the_line_shows_the_lanczos_steps(self, monkeypatch):
+        p = sample_gamma_p(2, 8, 0.3, Seed(12, 8))
+        dense = zuk_certificate(p, 8)
+        monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", 0)
+        cert = zuk_certificate(p, 8)
+        steps = cert.notes[1].matvecs
+        assert steps > 0 and f" matvecs={steps} margin=" in cert.diagnostics[1]
+        assert " matvecs=0 margin=" in dense.diagnostics[1]
+        assert "matvecs" not in cert.to_json()
+
 
 class TestLazyResidual:
     @pytest.fixture
@@ -224,3 +235,29 @@ class TestLazyResidual:
         assert residual_calls == [cert.lambda1]
         assert line.startswith("lambda1 solver=dense residual=")
         assert cert.diagnostics[1] == line and len(residual_calls) == 1
+
+
+class TestCapBeforeBuild:
+    """The eigensolve cap is checked on Delta_k's vertex count, the |W_l| of
+    its piece lengths, before Delta_k or its Sigma split is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("Delta_k built above the eigensolve cap")
+
+        monkeypatch.setattr(C, "build_delta_k", build)
+        monkeypatch.setattr(C, "sigma_decomposition", build)
+
+    @pytest.mark.parametrize("certify", [zuk_certificate, certify_via_decomposition])
+    @pytest.mark.parametrize("k,size", [(12, 108), (13, 432), (14, 432)])
+    def test_refused_before_it_is_built(self, monkeypatch, nothing_built, certify, k, size):
+        monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", str(size - 1))
+        p = sample_gamma_p(2, k, 1e-5, Seed(31, k))  # Delta_k is disconnected
+        with pytest.raises(ResourceCapError, match=f"^matrix size {size} exceeds eigensolve cap {size - 1}$"):
+            certify(p, k)
+
+    @pytest.mark.parametrize("certify", [zuk_certificate, certify_via_decomposition])
+    def test_at_the_cap_it_is_built(self, monkeypatch, certify):
+        monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", "108")
+        assert certify(sample_gamma_p(2, 12, 1e-5, Seed(31, 12)), 12).vertices == 108

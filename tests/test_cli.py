@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spectralt import certify as C
 from spectralt import cli
 from spectralt import words as W
 from spectralt.cli import main
@@ -262,8 +263,8 @@ class TestDiagnostics:
         code, out_diag, err = run(capsys, "certify", aba_file, "--diagnostics")
         assert out_diag == out  # the JSON does not change
         line = next(l for l in err.splitlines() if l.startswith("lambda1 "))
-        solver, residual, margin = (part.split("=")[1] for part in line.split()[1:])
-        assert solver == "dense" and float(residual) <= 1e-10
+        solver, residual, matvecs, margin = (part.split("=")[1] for part in line.split()[1:])
+        assert solver == "dense" and float(residual) <= 1e-10 and matvecs == "0"
         assert float(margin) == pytest.approx(json.loads(out)["lambda1"] - 0.5, abs=1e-12)
 
     def test_pipeline_and_disconnected(self, capsys, tmp_path):
@@ -272,7 +273,7 @@ class TestDiagnostics:
         for extra in ([], ["--pipeline"]):
             code, _, err = run(capsys, "certify", str(path), "--diagnostics", *extra)
             assert code == 0
-            assert "lambda1 solver=components residual=0.000e+00 margin=-0.5" in err.splitlines()
+            assert "lambda1 solver=components residual=0.000e+00 matvecs=0 margin=-0.5" in err.splitlines()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -585,6 +586,21 @@ class TestHugeK:
         code, _, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "1000000",
                            "--f", "2", "--d", "0.4")
         assert code == 3 and "= 3^999998+3+...+3^1000002+3 exceeds" in err
+
+
+class TestEigensolveCapRows:
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize("d", [0.1, 0.45])
+    def test_no_delta_k_is_built(self, monkeypatch, d, pipeline):
+        # Delta_22 has 11,664 vertices, above the cap of 4000; at d = 0.1 it
+        # is also disconnected
+        def build(*args):
+            raise AssertionError("Delta_k built above the eigensolve cap")
+
+        monkeypatch.setattr(C, "build_delta_k", build)
+        monkeypatch.setattr(C, "sigma_decomposition", build)
+        row = cli._sweep_trial(("strict", 2, 22, 0, d, 0, 5, 0, pipeline))
+        assert row[-1] == "resource-cap"
 
 
 class TestSweepBeyondTheEnumerationCap:

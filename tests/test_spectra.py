@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_bipartite_gnp, sample_gamma_strict, sample_gnp
 
 from graphs import graph
+from oracles import eigsh_lambda1
 
 
 def complete_graph(m):
@@ -143,6 +146,14 @@ CONNECTED = {
 }
 
 
+# link graphs above DENSE_LAMBDA1_MAX: Delta_3 of the triangular model at
+# n = 300, 1000, 2000 (600 to 4000 vertices) and n = 2 Delta_k up to k = 21
+LARGE = {
+    **{f"delta3 n{n}": (lambda n=n: random_delta(n, 3, 0.45)) for n in (300, 1000, 2000)},
+    **{f"delta n2k{k}": (lambda k=k: random_delta(2, k, 0.45)) for k in (17, 19, 20, 21)},
+}
+
+
 def dense_lambda1(g):
     return float(np.linalg.eigvalsh(spectra.normalized_laplacian(g))[1])
 
@@ -161,6 +172,19 @@ class TestLanczos:
         assert solve.solver == "lanczos"
         assert solve.residual <= spectra.LANCZOS_MAX_RESIDUAL
         assert abs(solve.value - dense_lambda1(g)) <= 1e-9
+
+    @pytest.mark.parametrize("name", [*CONNECTED, *LARGE])
+    def test_agrees_with_arpack(self, lanczos_everywhere, name):
+        # the restarted eigsh solve this recurrence replaced, and the dense one
+        g = {**CONNECTED, **LARGE}[name]()
+        assert g.components() == 1
+        solve = spectra.lambda1(g, report=True)
+        arpack = eigsh_lambda1(g)
+        assert solve.solver == arpack.solver == "lanczos"
+        assert solve.residual <= spectra.LANCZOS_MAX_RESIDUAL
+        for value in (arpack.value, dense_lambda1(g)):
+            assert abs(solve.value - value) <= 1e-9
+            assert (solve.value > 0.5 + spectra.CERT_MARGIN) == (value > 0.5 + spectra.CERT_MARGIN)
 
     def test_known_values(self, lanczos_everywhere):
         assert spectra.lambda1(petersen()) == pytest.approx(2 / 3, abs=1e-9)
@@ -201,29 +225,55 @@ class TestLanczos:
         assert spectra.DENSE_LAMBDA1_MAX >= 500
 
     def test_one_ritz_pair_to_a_tolerance_inside_the_gate(self, lanczos_everywhere, monkeypatch):
-        # ARPACK's estimate is relative to |theta| <= 2: 2 tol must stay well
+        # the estimate is relative to |theta| <= 2: 2 tol must stay well
         # inside the residual gate checked afterwards
-        from scipy.sparse import linalg
+        from scipy import linalg
 
         calls = []
-        eigsh = linalg.eigsh
+        eigh_tridiagonal = linalg.eigh_tridiagonal
 
         def recording(*args, **kwargs):
             calls.append(kwargs)
-            return eigsh(*args, **kwargs)
+            return eigh_tridiagonal(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "eigsh", recording)
-        solve = spectra.lambda1(petersen(), report=True)
-        assert solve.solver == "lanczos" and len(calls) == 1
-        assert calls[0]["k"] == 1
-        assert 2 * calls[0]["tol"] <= spectra.LANCZOS_MAX_RESIDUAL / 10
+        monkeypatch.setattr(linalg, "eigh_tridiagonal", recording)
+        g = CONNECTED["delta n2k18"]()
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "lanczos" and calls
+        assert all(c["select"] == "i" and c["select_range"] == (0, 0) for c in calls)
+        assert 2 * spectra.LANCZOS_TOL <= spectra.LANCZOS_MAX_RESIDUAL / 10
+        # and it is the tolerance the recurrence stops at: a looser one stops
+        # it at an earlier test (and leaves the gate to the dense solve)
+        checks = len(calls)
+        calls.clear()
+        monkeypatch.setattr(spectra, "LANCZOS_TOL", 1e-3)
+        spectra.lambda1(g)
+        assert 0 < len(calls) < checks
 
-    def test_matvecs_are_counted_and_repeat(self):
+    def test_matvecs_are_counted_and_repeat(self, monkeypatch):
         g = random_delta(2, 18, 0.45)
         first, second = (spectra.lambda1(g, report=True) for _ in range(2))
         assert first.solver == second.solver == "lanczos"
         assert first.matvecs > 0 and first.matvecs == second.matvecs
         assert first.value == second.value
+        # one product with L per step, and one for the residual
+        products = []
+        sparse_laplacian = spectra._sparse_laplacian
+
+        class Counted:
+            def __init__(self, lap):
+                self.lap = lap
+
+            def __matmul__(self, x):
+                products.append(x)
+                return self.lap @ x
+
+        def counted(g):
+            lap, x0 = sparse_laplacian(g)
+            return Counted(lap), x0
+
+        monkeypatch.setattr(spectra, "_sparse_laplacian", counted)
+        assert spectra.lambda1(g, report=True).matvecs == first.matvecs == len(products) - 1
 
     def test_matvecs_are_zero_without_lanczos(self):
         dense = spectra.lambda1(CONNECTED["delta n2k12"](), report=True)
@@ -233,13 +283,17 @@ class TestLanczos:
         assert components == spectra.Lambda1Solve(0.0, "components", 0.0, matvecs=7)
 
     def test_no_convergence_falls_back_to_dense(self, lanczos_everywhere, monkeypatch):
-        from scipy.sparse import linalg
+        g = CONNECTED["delta n2k12"]()
+        assert spectra.lambda1(g, report=True).matvecs > 16
+        monkeypatch.setattr(spectra, "LANCZOS_MAX_STEPS", 16)
+        solve = spectra.lambda1(g, report=True)
+        assert solve.solver == "dense" and solve.value == dense_lambda1(g)
 
-        def no_convergence(*args, **kwargs):
-            raise linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(linalg, "eigsh", no_convergence)
-        g = petersen()
+    def test_an_estimate_that_never_passes_falls_back(self, lanczos_everywhere, monkeypatch):
+        # at a step bound of the vertex count the last Ritz pair may pass the
+        # gate, but only a passed estimate ends the recurrence with a solve
+        monkeypatch.setattr(spectra, "LANCZOS_TOL", 0.0)
+        g = CONNECTED["delta n2k12"]()
         solve = spectra.lambda1(g, report=True)
         assert solve.solver == "dense" and solve.value == dense_lambda1(g)
 
@@ -252,16 +306,14 @@ class TestLanczos:
     def test_start_vector_meets_the_lambda1_eigenspace(self, lanczos_everywhere, monkeypatch):
         # on a regular graph the constant vector spans lambda_0's eigenspace and
         # is orthogonal to lambda_1's, so it must not start the iteration
-        from scipy.sparse import linalg
-
         starts = []
-        eigsh = linalg.eigsh
+        start_vector = spectra._start_vector
 
-        def recording(*args, **kwargs):
-            starts.append(kwargs["v0"])
-            return eigsh(*args, **kwargs)
+        def recording(size):
+            starts.append(start_vector(size))
+            return starts[-1]
 
-        monkeypatch.setattr(linalg, "eigsh", recording)
+        monkeypatch.setattr(spectra, "_start_vector", recording)
         g = cycle_graph(12)
         spectra.lambda1(g)
         spectra.lambda1(g)
@@ -269,6 +321,28 @@ class TestLanczos:
         vals, vecs = np.linalg.eigh(spectra.normalized_laplacian(g))
         eigenspace = vecs[:, np.isclose(vals, vals[1])]
         assert np.linalg.norm(eigenspace.T @ starts[0]) > 0.01 * np.linalg.norm(starts[0])
+
+    def test_basis_is_bounded_before_it_is_allocated(self, lanczos_everywhere, monkeypatch):
+        # no more rows than vertices above the floor for small graphs, so no
+        # more bytes than the dense solve's matrix
+        shapes = []
+        empty = np.empty
+
+        def recording(shape, *args, **kwargs):
+            shapes.append(tuple(np.atleast_1d(shape).tolist()))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording)
+        g = CONNECTED["delta n2k18"]()
+        size = g.num_vertices()
+        assert spectra.LANCZOS_MIN_STEPS < size < spectra.LANCZOS_MAX_STEPS
+        assert spectra.lambda1(g, report=True).solver == "lanczos"
+        assert (size, size) in shapes
+        assert max(math.prod(s) for s in shapes) <= size * size
+        shapes.clear()
+        monkeypatch.setattr(spectra, "LANCZOS_MAX_STEPS", 20)
+        assert spectra.lambda1(g, report=True).solver == "dense"
+        assert (20, size) in shapes
 
     @pytest.mark.parametrize("dense_max", [0, 10**6])
     def test_cap_checked_before_any_allocation(self, monkeypatch, dense_max):
