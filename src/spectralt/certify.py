@@ -204,8 +204,15 @@ def _pipeline_case0(
     """Same-vertex-set route: three 2a-regular unions, bound 1 - max c_i."""
     diags: list[str] = []
     layers = [red_class_layers(g, n) for g in sigmas]
-    cap = min(_layer_target_cap(ls, n) for ls in layers)
-    t0 = max(int((1 - delta_shave) * cap), 1 if cap >= 1 else 0)
+    caps = [_layer_target_cap(ls, n) for ls in layers]
+    cap = min(caps)
+    if cap < 1:
+        diags.append(
+            "pipeline: no target t >= 1 fits the degree caps "
+            f"(Sigma_1, Sigma_2, Sigma_3 layers allow t <= {caps[0]}, {caps[1]}, {caps[2]})"
+        )
+        return None, diags
+    t0 = max(int((1 - delta_shave) * cap), 1)
     for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
         pis = []
         for g, ls in zip(sigmas, layers):
@@ -245,8 +252,15 @@ def _pipeline_bipartite(
     sigma2_cap = _layer_target_cap(layers2, n) * q
     # d1 = q t and d2 = t (case 1) or q^2 t (case 2); Sigma_2 layer targets (q t, t)
     d2_unit = 1 if case == 1 else q * q
-    t_cap = min(_side_min(low, side) // q, sigma2_cap // q, _side_min(low, ~side) // d2_unit)
-    t0 = max(int((1 - delta_shave) * t_cap), 1 if t_cap >= 1 else 0)
+    v1_cap, v2_cap = _side_min(low, side) // q, _side_min(low, ~side) // d2_unit
+    t_cap = min(v1_cap, sigma2_cap // q, v2_cap)
+    if t_cap < 1:
+        diags.append(
+            "pipeline: no target t >= 1 fits the degree caps "
+            f"(V1 allows t <= {v1_cap}, Sigma_2 layers t <= {sigma2_cap // q}, V2 t <= {v2_cap})"
+        )
+        return None, diags
+    t0 = max(int((1 - delta_shave) * t_cap), 1)
     for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
         d1, d2 = q * t, d2_unit * t
         pi1 = extract_regular_subgraph(dec_sigma1, d1, d2)

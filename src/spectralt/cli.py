@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +44,10 @@ EXIT_RESOURCE = 3
 SWEEP_TRIAL_CAP = 10**6
 
 SWEEP_MODELS = ("strict", "p", "lax")
+
+# the thread counts BLAS libraries read when they load; sweep workers start
+# with one BLAS thread each unless one of them is set
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 CSV_HEADER = [
     "n", "k", "d", "trial", "seed", "num_relators",
@@ -264,6 +271,22 @@ def _parse_grid(args: argparse.Namespace, cfg: dict, trials: int) -> list[float]
     return grid
 
 
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Each of BLAS_THREAD_VARIABLES set to 1 while the block runs, unless one
+    of them is set already; the environment is as it was afterwards.  Without
+    it, `--jobs` workers each run a BLAS thread per core."""
+    if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        yield
+        return
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        yield
+    finally:
+        for name in BLAS_THREAD_VARIABLES:
+            os.environ.pop(name, None)
+
+
 def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     model = _opt(args, cfg, "model", "strict")
     n, k = _num(args, cfg, "n", int), _num(args, cfg, "k", int)
@@ -289,10 +312,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
         for di, d in enumerate(grid)
         for trial in range(trials)
     ]
-    # a fork pool starts all its workers at once, so start no more than can run
+    # start no more workers than can run
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned workers load numpy afresh, so they read the environment the
+        # pool starts them in; forked ones would keep this process's BLAS
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             rows = list(pool.map(_sweep_trial, tasks))
     else:
         rows = [_sweep_trial(t) for t in tasks]
@@ -509,7 +535,10 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
 
 # ------------------------------------------------------------------- main
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="spectralt",
         description="Link-graph construction and spectral Property (T) certification.",
@@ -561,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         handler = {

@@ -34,7 +34,8 @@ _INDEX_DIGITS = 18
 # the `n` line and the optional `k` line that open the text `dump` writes,
 # each value of at most _INDEX_DIGITS digits
 _HEADERS = re.compile(r"n ([0-9]{1,18})\n(?:k ([0-9]{1,18})\n)?")
-_CAPITAL_G, _ZERO, _BLANK, _LINE_END = ord("G"), ord("0"), ord(" "), ord("\n")
+_CAPITAL_G, _SMALL_G, _ZERO, _ONE = ord("G"), ord("g"), ord("0"), ord("1")
+_BLANK, _LINE_END = ord(" "), ord("\n")
 
 
 class _Letters(dict):
@@ -223,7 +224,7 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray, Optional[int
     if head is None or not text.isascii() or not text.endswith("\n"):
         return None
     data = text.encode("ascii")
-    letters = [np.empty(0, np.int64)]  # block by block
+    letters = [np.empty(0, np.int8)]  # block by block, int8 from the cell branch
     ends = [np.zeros(1, np.int64)]  # the tokens up to each line end, block by block
     lo = head.end()
     while lo < len(data):
@@ -238,16 +239,20 @@ def _scan(text: str) -> Optional[tuple[int, np.ndarray, np.ndarray, Optional[int
     if W.first_unreduced(flat, offsets) < len(offsets) - 1:
         return None
     n, k = head.groups()
-    return int(n), flat, offsets, None if k is None else int(k)
+    return int(n), flat.astype(np.int64, copy=False), offsets, None if k is None else int(k)
 
 
 def _scan_block(raw: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The letters of one block of whole relator lines, and the count of
     tokens up to each line end; None unless every line is in the form `_scan`
     takes.  Every temporary as long as the block is of bytes or booleans."""
+    b = np.frombuffer(raw, np.uint8)
+    if len(b) % 3 == 0:
+        cells = _one_digit_cells(b)
+        if cells is not None:
+            return cells
     if raw.translate(None, b"gG0123456789 \n"):
         return None
-    b = np.frombuffer(raw, np.uint8)
     # of those bytes, g and G lie at or above G, and blank and \n at or below blank
     letter = b >= _CAPITAL_G
     digit = (b >= _ZERO) ^ letter
@@ -273,6 +278,23 @@ def _scan_block(raw: bytes) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return None
     values *= 1 - 2 * (b[at] == _CAPITAL_G).view(np.int8)  # G<i> is the inverse of g<i>
     return values, np.searchsorted(at, np.flatnonzero(b == _LINE_END))
+
+
+def _one_digit_cells(b: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """`_scan_block` of a block whose every token has one digit, so that it
+    is a run of 3-byte cells `[gG][1-9][ \n]`, read a column at a time, with
+    int8 letters; None for any other block."""
+    sign, digit, gap = b.reshape(-1, 3).T.copy()
+    end = gap == _LINE_END
+    if not (
+        ((sign | 0x20) == _SMALL_G).all()  # g or G
+        and (digit - _ONE < 9).all()
+        and (end | (gap == _BLANK)).all()
+    ):
+        return None
+    values = (digit - _ZERO).view(np.int8)
+    values *= 1 - 2 * (sign == _CAPITAL_G).view(np.int8)  # G<i> is the inverse of g<i>
+    return values, np.flatnonzero(end) + 1
 
 
 @dataclass(frozen=True)
@@ -317,8 +339,11 @@ def _link_edges(p: Presentation, k: int):
     cyclically reduced, so each piece is a reduced word: a vertex.
     """
     letters, offsets = p.letters, p.offsets
-    starts = offsets[:-1][np.diff(offsets) == k]
-    rel = letters[starts[:, None] + np.arange(k)]
+    used = np.diff(offsets) == k
+    if used.all():  # the relators are the rows of the letters
+        rel = letters.reshape(-1, k)
+    else:
+        rel = letters[offsets[:-1][used][:, None] + np.arange(k)]
     a, b, c = W.split_lengths(k)
     z_at = W.word_count(p.n, a) if c != a else 0
     (x, x_inv), (y, y_inv), (z, z_inv) = W.rank_pieces(p.n, rel, [(0, a), (a, a + b), (a + b, k)])

@@ -74,6 +74,7 @@ class MultiGraph:
         self._vertices: tuple[str, ...] = vertices
         self._u, self._v, self._mult = map(_frozen, _canonical(len(vertices), u, v, mult))
         self._side: Optional[np.ndarray] = None
+        self._degrees: Optional[np.ndarray] = None
         if side is not None:
             side = np.array(side, dtype=bool)
             side.flags.writeable = False
@@ -123,11 +124,13 @@ class MultiGraph:
         return self.degrees().get(v, 0)
 
     def degree_array(self) -> np.ndarray:
-        """Degrees in vertex order."""
-        ends = self._u != self._v
-        idx = np.concatenate([self._u, self._v[ends]])
-        weights = np.concatenate([self._mult, self._mult[ends]])
-        return np.bincount(idx, weights, len(self._vertices)).astype(np.int64)
+        """Read-only degrees in vertex order, counted on the first call."""
+        if self._degrees is None:
+            ends = self._u != self._v
+            idx = np.concatenate([self._u, self._v[ends]])
+            weights = np.concatenate([self._mult, self._mult[ends]])
+            self._degrees = _frozen(np.bincount(idx, weights, len(self._vertices)))
+        return self._degrees
 
     def degrees(self) -> dict[str, int]:
         return dict(zip(self._vertices, self.degree_array().tolist()))
@@ -151,22 +154,27 @@ class MultiGraph:
 
         Label propagation: every root is hooked to the smallest root it shares
         an edge with, then pointer jumping flattens the forest again, until no
-        edge joins two roots.
+        edge joins two roots.  An edge whose ends share a root is dropped: it
+        joins them in every later round too.
         """
         ids = np.arange(len(self._vertices))
         root = ids
+        u, v = self._u, self._v
+        ru, rv = u, v  # the roots of u and v
         while True:
-            ru, rv = root[self._u], root[self._v]
             split = ru != rv
             if not split.any():
                 return int(np.count_nonzero(root == ids))
+            if not split.all():
+                u, v, ru, rv = u[split], v[split], ru[split], rv[split]
             root = root.copy()
-            np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+            np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
             while True:
                 jumped = root[root]
                 if np.array_equal(jumped, root):
                     break
                 root = jumped
+            ru, rv = root[u], root[v]
 
     def _label_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a, b, order): the endpoints of each edge as its edge_key orders
@@ -218,6 +226,8 @@ def _canonical(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct (u, v) pairs with u <= v, sorted, multiplicities summed."""
     keys = np.minimum(u, v) * m + np.maximum(u, v)
+    if m * m <= 2**31:  # int32 keys sort about twice as fast
+        keys = keys.astype(np.int32)
     if (keys[1:] > keys[:-1]).all():  # already distinct and sorted
         total = np.ones(len(keys), np.int64) if mult is None else mult.copy()
     elif mult is None:
@@ -226,6 +236,7 @@ def _canonical(
         keys, inverse = np.unique(keys, return_inverse=True)
         total = np.zeros(len(keys), dtype=np.int64)
         np.add.at(total, inverse, mult)
+    keys = keys.astype(np.int64, copy=False)
     m = max(m, 1)
     return keys // m, keys % m, total
 

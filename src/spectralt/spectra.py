@@ -16,6 +16,7 @@ above LANCZOS_MAX_RESIDUAL.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,11 +45,20 @@ LANCZOS_TOL = LANCZOS_MAX_RESIDUAL / 20
 # Lanczos steps: at most the vertex count, so the basis takes no more bytes
 # than the dense solve's matrix, but at least LANCZOS_MIN_STEPS (a small
 # graph takes a few more steps than it has vertices) and at most
-# LANCZOS_MAX_STEPS; the smallest Ritz pair is tested every
+# LANCZOS_MAX_STEPS; the smallest Ritz pair is tested at multiples of
 # LANCZOS_CHECK_STEPS steps
 LANCZOS_MIN_STEPS = 100
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_CHECK_STEPS = 8
+# from the second test on, a test is skipped when its estimate could pass it
+# only by falling faster than LANCZOS_FALL_MARGIN times the fastest fall seen
+# between two tests, or LANCZOS_MIN_FALL decades per LANCZOS_CHECK_STEPS
+# steps if that is more.  The estimate falls faster as the recurrence goes
+# on, up to ~3.8 decades per LANCZOS_CHECK_STEPS steps on small link graphs;
+# with these values every test graph and link graph up to n = 2, k = 21
+# stops at the step a test every LANCZOS_CHECK_STEPS steps stops at
+LANCZOS_MIN_FALL = 1.5
+LANCZOS_FALL_MARGIN = 4
 # least sigma_2^2 whose square root the bipartite solve takes: below it a
 # rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1
 BIPARTITE_MIN_SIGMA2_SQ = 1e-8
@@ -169,15 +179,16 @@ def _sparse_laplacian(g: MultiGraph):
     off = -mult * scale[u] * scale[v]
     loop = u == v
     diag = np.ones(size)
-    diag[u[loop]] += off[loop]  # a loop's term joins the diagonal
-    cross = ~loop
-    u, v, off = u[cross], v[cross], off[cross]
-    at = np.arange(size)
+    if loop.any():
+        diag[u[loop]] += off[loop]  # a loop's term joins the diagonal
+        cross = ~loop
+        u, v, off = u[cross], v[cross], off[cross]
     # each row's entries in column order, below the diagonal, on it and above
     # it, none repeated, so the CSR is canonical without a sort; int32
     # indices make each product ~12% faster than int64 ones
-    rows = np.concatenate([v, at, u]).astype(np.int32)
-    cols = np.concatenate([u, at, v]).astype(np.int32)
+    u, v, at = u.astype(np.int32), v.astype(np.int32), np.arange(size, dtype=np.int32)
+    rows = np.concatenate([v, at, u])
+    cols = np.concatenate([u, at, v])
     lap = csr_array((np.concatenate([off, diag, off]), (rows, cols)), shape=(size, size))
     return lap, root / np.linalg.norm(root)
 
@@ -192,9 +203,11 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
     lambda_1 is the smallest eigenvalue: one Ritz pair to converge, only as
     far as the residual gate needs.  The basis is not reorthogonalised: an
     extreme Ritz pair converges without it (Paige 1980), and the residual
-    gate checks the pair it gives.
+    gate checks the pair it gives.  The pair is tested on the schedule that
+    LANCZOS_MIN_FALL describes, and at once where beta_j <= LANCZOS_TOL: the
+    basis then (nearly) spans an invariant subspace, and the estimate may
+    drop at a step it could not be predicted at.
     """
-    from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.blas import daxpy, ddot, dnrm2
 
     size = g.num_vertices()
@@ -204,6 +217,9 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
     alpha, beta = np.empty(steps), np.empty(steps)
     q = _start_vector(size)
     basis[0] = q / np.linalg.norm(q)
+    test = LANCZOS_CHECK_STEPS  # the step of the next scheduled test
+    tested = None  # (step, decades the estimate was above its bound) at the last test
+    fall = 0.0  # the fastest fall of the estimate between two tests, in decades per check
     for j in range(steps):
         q = basis[j]
         # w = A q - beta_{j-1} q_{j-1} - alpha_j q, updated in place by BLAS
@@ -215,23 +231,49 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
         daxpy(q, w, a=-alpha[j])
         beta[j] = dnrm2(w)
         last = j + 1 == steps or not beta[j] > 0
-        if last or (j + 1) % LANCZOS_CHECK_STEPS == 0:
-            theta, s = eigh_tridiagonal(
-                alpha[: j + 1], beta[:j], select="i", select_range=(0, 0)
-            )
+        if last or j + 1 == test or beta[j] <= LANCZOS_TOL:
+            ritz = _smallest_ritz_pair(alpha[: j + 1], beta[:j])
+            if ritz is None:
+                return None
+            theta, s = ritz
             # beta_j |s_j| estimates ||A x - theta x|| for x = Q^T s
-            if beta[j] * abs(s[j, 0]) <= LANCZOS_TOL * abs(theta[0]):
+            estimate, bound = beta[j] * abs(s[j]), LANCZOS_TOL * abs(theta)
+            if estimate <= bound:
                 break
             if last:
                 return None
+            decades = math.log10(estimate / bound) if bound > 0 else 0.0
+            skip = 1
+            if tested is not None:
+                fall = max(fall, (tested[1] - decades) / (j + 1 - tested[0]) * LANCZOS_CHECK_STEPS)
+                skip = max(1, int(decades // max(LANCZOS_MIN_FALL, LANCZOS_FALL_MARGIN * fall)))
+            tested = (j + 1, decades)
+            test = ((j + 1) // LANCZOS_CHECK_STEPS + skip) * LANCZOS_CHECK_STEPS
         np.divide(w, beta[j], out=basis[j + 1])
-    x = basis[: j + 1].T @ s[:, 0]
+    x = basis[: j + 1].T @ s
     x /= np.linalg.norm(x)
-    value = float(theta[0])
+    value = float(theta)
     residual = float(np.linalg.norm(lap @ x - value * x))
     if not residual <= LANCZOS_MAX_RESIDUAL:
         return None
     return Lambda1Solve(value, "lanczos", residual, j + 1)
+
+
+def _smallest_ritz_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The smallest eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, and a unit eigenvector, from LAPACK's
+    bisection (dstebz) and inverse iteration (dstein), as
+    `scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))`
+    finds them; None if LAPACK reports a failure."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    if len(d) == 1:
+        return float(d[0]), np.ones(1)
+    _, w, block, split, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info:
+        return None
+    s, info = dstein(d, e, w[:1], block, split)
+    return None if info else (float(w[0]), s[:, 0])
 
 
 def _lower_laplacian(g: MultiGraph) -> np.ndarray:

@@ -90,25 +90,30 @@ def rank_pieces(
     digit, and each later letter as a base-(2n-1) digit, its code less one if
     it follows the previous letter's inverse, which cannot come next.  Every
     piece and inverse piece takes its digits from two arrays over all the
-    rows' letters.
+    rows' letters, laid out one contiguous row per letter position.
     """
-    # 0-based flattened code of the letters -n..n (0 is no letter), int8
-    # while every code and digit fits it
-    code = np.concatenate([np.arange(2 * n - 1, n - 1, -1), [0], np.arange(n)])
-    code = code.astype(np.int8 if 2 * n < 127 else np.int64)
-    codes, inverses = code[words + n], code[n - words]
+    # int8 while every code and digit fits it
+    small = np.int8 if 2 * n < 127 else np.int64
+    letters = words.astype(small).T.copy()
+    # 0-based flattened codes of the letters (a_i -> i - 1, a_i^-1 -> n + i - 1)
+    # and of their inverses
+    first = np.abs(letters) - small(1)
+    codes = first + (letters < 0).view(np.int8) * small(n)
+    inverses = first + (letters > 0).view(np.int8) * small(n)
     # the digit of letter j after letter j - 1, and of the inverse of letter
     # j - 1 after the inverse of letter j
-    forward = codes[:, 1:] - (codes[:, 1:] > inverses[:, :-1])
-    backward = inverses[:, :-1] - (inverses[:, :-1] > codes[:, 1:])
+    forward = codes[1:] - (codes[1:] > inverses[:-1])
+    backward = inverses[:-1] - (inverses[:-1] > codes[1:])
     ranks = []
     for lo, hi in bounds:
-        rank = codes[:, lo].astype(np.int64)
+        rank = codes[lo].astype(np.int64)
         for j in range(lo + 1, hi):
-            rank = rank * (2 * n - 1) + forward[:, j - 1]
-        inverse_rank = inverses[:, hi - 1].astype(np.int64)
+            rank *= 2 * n - 1
+            rank += forward[j - 1]
+        inverse_rank = inverses[hi - 1].astype(np.int64)
         for j in range(hi - 2, lo - 1, -1):
-            inverse_rank = inverse_rank * (2 * n - 1) + backward[:, j]
+            inverse_rank *= 2 * n - 1
+            inverse_rank += backward[j]
         ranks.append((rank, inverse_rank))
     return ranks
 

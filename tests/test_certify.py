@@ -13,7 +13,7 @@ from spectralt.certify import (
 )
 from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import HypothesisViolation, InputError, ResourceCapError
-from spectralt.randmodels import Seed, sample_gamma_p
+from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
 from spectralt.words import enumerate_cyclically_reduced
 
 from graphs import graph
@@ -157,6 +157,27 @@ class TestPipeline:
         a = certify_via_decomposition(p, 6)
         b = certify_via_decomposition(p, 6)
         assert a == b
+
+    def test_no_target_fits_the_degree_caps(self):
+        # a Sigma_2 layer allows no t >= 1, so no target is tried
+        p = sample_gamma_strict(2, 10, 0.55, Seed(9))
+        cert = certify_via_decomposition(p, 10)
+        assert cert.pipeline_bound is None
+        assert cert.diagnostics[-1] == (
+            "pipeline: no target t >= 1 fits the degree caps "
+            "(V1 allows t <= 1, Sigma_2 layers t <= 0, V2 t <= 1)"
+        )
+        same_vertices = certify_via_decomposition(Presentation(2, ((1, 2, 1), (2, 2, 2))), 3)
+        assert same_vertices.diagnostics[-1] == (
+            "pipeline: no target t >= 1 fits the degree caps "
+            "(Sigma_1, Sigma_2, Sigma_3 layers allow t <= 0, 0, 0)"
+        )
+
+    @pytest.mark.parametrize("k", [4, 7, 8])
+    def test_targets_tried_keep_their_line(self, k):
+        cert = certify_via_decomposition(sample_gamma_p(2, k, 0.5, Seed(0, k)), k)
+        assert cert.pipeline_bound is None
+        assert cert.diagnostics[-1] == "pipeline: no regular factors found in the attempted target range"
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
     def test_lambda1_is_the_direct_value(self, k):

@@ -231,13 +231,14 @@ class TestSweep:
         (1000, 3, 8, 3), (1000, 10, 4, 4), (2, 10, 4, 2), (4, 10, None, None),
     ])
     def test_pool_size(self, capsys, monkeypatch, jobs, trials, cpus, workers):
-        started = []
+        started, contexts = [], []
 
         class Pool:
             """Records its size and runs the tasks in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
                 started.append(max_workers)
+                contexts.append(mp_context.get_start_method())
 
             def __enter__(self):
                 return self
@@ -254,6 +255,83 @@ class TestSweep:
                            "--trials", str(trials), "--jobs", str(jobs))
         assert code == 0 and len(out.splitlines()) == trials + 2
         assert started == ([workers] if workers else [])
+        assert contexts == (["spawn"] if workers else [])
+
+
+class TestPoolWorkers:
+    def test_csv_is_the_same_for_any_job_count(self, capsys, tmp_path):
+        paths = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (1, 2)}
+        for jobs, path in paths.items():
+            code, _, _ = run(capsys, "sweep", "--n", "2", "--k", "6", "--d-grid", "0.35,0.45",
+                             "--trials", "3", "--seed", "8", "--jobs", str(jobs), "--out", str(path))
+            assert code == 0
+        assert paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        for name in cli.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        before = dict(os.environ)
+        with cli._one_blas_thread():
+            assert all(os.environ[name] == "1" for name in cli.BLAS_THREAD_VARIABLES)
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("name", cli.BLAS_THREAD_VARIABLES)
+    def test_a_thread_count_the_user_set_is_kept(self, monkeypatch, name):
+        for other in cli.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, "3")
+        before = dict(os.environ)
+        with cli._one_blas_thread():
+            assert dict(os.environ) == before
+        assert dict(os.environ) == before
+
+    def test_workers_read_the_thread_count(self, monkeypatch):
+        # spawned workers see the environment the pool starts them in
+        for name in cli.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with cli._one_blas_thread(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            seen = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result()
+        assert seen == "1" and "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+class TestParserOnce:
+    def test_main_matches_a_fresh_process(self, capsys, aba_file):
+        """Calls that share one parser print what a fresh process prints for
+        each command line, errors and help included."""
+        commands = [
+            ["certify", aba_file, "--diagnostics"],
+            ["sample", "--model", "gnp", "--m", "4", "--p", "0.5", "--seed", "2"],
+            ["verify", "regularity"],
+            ["sweep", "--n", "2"],
+            ["sample", "--model", "nope"],
+            ["certify", "--k", "x"],
+            [],
+            ["certify", "--help"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        fresh = {}
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "spectralt.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+        for argv in commands + commands[::-1]:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == fresh[tuple(argv)], argv
+
+    def test_the_parser_is_built_once(self, capsys, aba_file):
+        cli.build_parser.cache_clear()
+        assert main(["certify", aba_file]) == 0
+        assert main(["verify", "regularity"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestDiagnostics:

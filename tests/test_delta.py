@@ -452,6 +452,21 @@ class TestLinkEdgesAgainstOracle:
         self.assert_same(Presentation(2, ((1, 2, 1),)), 6)
         self.assert_same(Presentation(2, ()), 4)
 
+    @pytest.mark.parametrize("n,k", [(2, 9), (2, 21), (3, 7), (64, 5)])
+    def test_the_rows_view_and_the_gather_give_the_same_edges(self, n, k):
+        # every relator of length k: the letters are reshaped; relators of
+        # other lengths in between: the length-k ones are gathered
+        p = sample(n, k, 5)
+        assert (p.lengths == k).all()
+        relators = list(p.relators)
+        for at in (0, len(relators) // 2, len(relators)):
+            relators.insert(at, (1, 2) if n > 1 else (1,))
+        mixed = Presentation(n, relators)
+        assert not (mixed.lengths == k).all()
+        for (u, v), (mu, mv) in zip(D._link_edges(p, k), D._link_edges(mixed, k)):
+            assert np.array_equal(u, mu) and np.array_equal(v, mv)
+        self.assert_same(p, k)
+
 
 TOKENS = ["g1", "G1", "g2", "G2", "g3", "g0", "G0", "x", "n", "k", "2", "3", "#", "g01",
           "g99999999999999999999", "G99999999999999999999"]
@@ -682,3 +697,88 @@ class TestDumpFormAgainstLineParse:
     def test_same_presentation_or_message(self, text, block):
         with patch.object(D, "_PARSE_BLOCK", block):
             assert parsed(text) == line_parsed(text)
+
+
+@st.composite
+def relator_blocks(draw, index=st.one_of(st.integers(1, 9), st.integers(1, 9), st.integers(0, 10**12))):
+    """Whole relator lines as `dump` writes them, by default each index of
+    one digit (1..9), of several digits, or 0, so that lines of one-digit
+    tokens, wider tokens and `g0` mix in one block."""
+    token = st.tuples(st.sampled_from("gG"), index)
+    lines = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=8))
+    return "".join(" ".join(f"{c}{i}" for c, i in line) + "\n" for line in lines), lines
+
+
+# bytes next to those each column of a one-digit cell holds: letter, digit, gap
+NEAR_CELL_BYTES = ("fhFH1 \n", "0/:g \n", "\t\r!\x1f1g")
+
+
+@st.composite
+def corrupted_blocks(draw):
+    """A block of one-digit indices with one byte but the last replaced: in
+    one column of the cells by a byte next to those that column holds, or
+    anywhere by any of them."""
+    text, _ = draw(relator_blocks(st.integers(1, 9)))
+    column = draw(st.sampled_from([0, 1, 2, None]))
+    cells = range(column or 0, len(text) - 1, 1 if column is None else 3)
+    at = draw(st.sampled_from(cells)) if cells else 0
+    near = "".join(NEAR_CELL_BYTES) if column is None else NEAR_CELL_BYTES[column]
+    return text[:at] + draw(st.sampled_from(near)) + text[at + 1 :]
+
+
+def general_branch(raw):
+    with patch.object(D, "_one_digit_cells", lambda b: None):
+        return D._scan_block(raw)
+
+
+class TestOneDigitCells:
+    """The column branch of `_scan_block` reads a block of one-digit tokens as
+    its general branch and the line parser do, and no other block."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(relator_blocks())
+    def test_blocks(self, case):
+        text, lines = case
+        raw = text.encode()
+        one_digit = all(1 <= i <= 9 for line in lines for _, i in line)
+        cells = D._one_digit_cells(np.frombuffer(raw, np.uint8)) if len(raw) % 3 == 0 else None
+        assert (cells is not None) == one_digit
+        general = general_branch(raw)
+        assert (general is None) == any(i == 0 for line in lines for _, i in line)
+        if cells is not None:
+            assert cells[0].dtype == np.int8
+            assert cells[0].tolist() == general[0].tolist() and cells[1].tolist() == general[1].tolist()
+            assert D._scan_block(raw)[0].tolist() == general[0].tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_blocks())
+    def test_corrupted_blocks(self, text):
+        # whatever the column branch takes, the general branch takes as well
+        raw = text.encode()
+        cells = D._one_digit_cells(np.frombuffer(raw, np.uint8)) if len(raw) % 3 == 0 else None
+        if cells is not None:
+            general = general_branch(raw)
+            assert general is not None
+            assert cells[0].tolist() == general[0].tolist() and cells[1].tolist() == general[1].tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(dump_texts(), st.sampled_from([1, 5, 24, D._PARSE_BLOCK]))
+    def test_texts(self, text, block):
+        # n <= 9 and n >= 10, edits, g0, and blocks of one line up to all
+        with patch.object(D, "_PARSE_BLOCK", block):
+            scanned = D._scan(text)
+            with patch.object(D, "_one_digit_cells", lambda b: None):
+                general = D._scan(text)
+            assert parsed(text) == line_parsed(text)
+        assert (scanned is None) == (general is None)
+        if scanned is not None:
+            n, letters, offsets, k = scanned
+            assert (n, k) == (general[0], general[3]) and letters.dtype == np.int64
+            assert letters.tolist() == general[1].tolist() and offsets.tolist() == general[2].tolist()
+
+    def test_a_dump_of_one_digit_tokens_takes_the_column_branch(self, monkeypatch):
+        p = sample_gamma_strict(3, 7, 0.5, Seed(4))
+        taken = []
+        cells = D._one_digit_cells
+        monkeypatch.setattr(D, "_one_digit_cells", lambda b: taken.append(cells(b) is not None) or cells(b))
+        assert Presentation.parse(p.dump()) == p and taken and all(taken)

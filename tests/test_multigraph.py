@@ -87,6 +87,15 @@ class TestDegrees:
         assert a.dtype == np.int64
         assert a[0, 1] == a[1, 0] == 3
 
+    def test_degree_array_is_counted_once_and_read_only(self):
+        g = graph("abcd", {("a", "b"): 2, ("b", "c"): 1, ("c", "c"): 3})
+        deg = g.degree_array()
+        assert deg is g.degree_array() and deg.dtype == np.int64
+        assert deg.tolist() == [2, 3, 4, 0]
+        with pytest.raises(ValueError):
+            deg[0] = 7
+        assert g.degree_profile().max == 4 and g.degrees() == dict(zip("abcd", [2, 3, 4, 0]))
+
 
 class TestOps:
     def test_collapse(self):

@@ -10,7 +10,7 @@ from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_bipartite_gnp, sample_gamma_strict, sample_gnp
 
 from graphs import graph
-from oracles import eigsh_lambda1
+from oracles import eigsh_lambda1, every_check_lambda1
 
 
 def complete_graph(m):
@@ -227,28 +227,67 @@ class TestLanczos:
     def test_one_ritz_pair_to_a_tolerance_inside_the_gate(self, lanczos_everywhere, monkeypatch):
         # the estimate is relative to |theta| <= 2: 2 tol must stay well
         # inside the residual gate checked afterwards
-        from scipy import linalg
-
         calls = []
-        eigh_tridiagonal = linalg.eigh_tridiagonal
+        smallest_ritz_pair = spectra._smallest_ritz_pair
 
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return eigh_tridiagonal(*args, **kwargs)
+        def recording(d, e):
+            pair = smallest_ritz_pair(d, e)
+            calls.append((d.copy(), e.copy(), pair))
+            return pair
 
-        monkeypatch.setattr(linalg, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(spectra, "_smallest_ritz_pair", recording)
         g = CONNECTED["delta n2k18"]()
         solve = spectra.lambda1(g, report=True)
         assert solve.solver == "lanczos" and calls
-        assert all(c["select"] == "i" and c["select_range"] == (0, 0) for c in calls)
+        for d, e, (theta, s) in calls:  # the smallest Ritz pair, and only it
+            t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            assert theta == pytest.approx(np.linalg.eigvalsh(t)[0], abs=1e-12)
+            assert s.shape == d.shape and np.linalg.norm(s) == pytest.approx(1.0)
+            assert np.linalg.norm(t @ s - theta * s) <= 1e-12
         assert 2 * spectra.LANCZOS_TOL <= spectra.LANCZOS_MAX_RESIDUAL / 10
         # and it is the tolerance the recurrence stops at: a looser one stops
         # it at an earlier test (and leaves the gate to the dense solve)
-        checks = len(calls)
         calls.clear()
         monkeypatch.setattr(spectra, "LANCZOS_TOL", 1e-3)
         spectra.lambda1(g)
-        assert 0 < len(calls) < checks
+        assert calls and len(calls[-1][0]) < solve.matvecs
+
+    def test_the_ritz_pair_is_eigh_tridiagonals(self):
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 8, 64, 209):
+            d, e = 1 + rng.random(size), rng.random(size - 1) / 2
+            theta, s = spectra._smallest_ritz_pair(d, e)
+            w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+            assert theta == w[0] and np.array_equal(s, v[:, 0])
+
+    @pytest.mark.parametrize("name", [*CONNECTED, *(f"delta n2k{k}" for k in (17, 19, 20, 21))])
+    def test_skipped_tests_leave_lambda1(self, lanczos_everywhere, monkeypatch, name):
+        # against the recurrence that solved for the Ritz pair at every
+        # multiple of LANCZOS_CHECK_STEPS steps
+        g = {**CONNECTED, **LARGE}[name]()
+        solves = []
+        smallest_ritz_pair = spectra._smallest_ritz_pair
+        monkeypatch.setattr(
+            spectra, "_smallest_ritz_pair", lambda d, e: solves.append(len(d)) or smallest_ritz_pair(d, e)
+        )
+        solve = spectra.lambda1(g, report=True)
+        every, every_solves = every_check_lambda1(g)
+        assert solve.solver == every.solver == "lanczos"
+        assert abs(solve.value - every.value) <= 1e-12
+        assert solve.matvecs <= every.matvecs + spectra.LANCZOS_CHECK_STEPS
+        assert len(solves) <= every_solves
+        if name in LARGE:  # 144 to 208 steps: at most 60% of the solves
+            assert len(solves) <= 0.6 * every_solves
+
+    def test_a_near_breakdown_is_tested_at_once(self, lanczos_everywhere):
+        # L + 2 x0 x0^T of C40 has 20 distinct eigenvalues (lambda_0 moves
+        # onto the eigenvalue 2), so beta_20 falls to rounding level, off the
+        # schedule, and the pair passes there
+        g = CONNECTED["C40"]()
+        solve = spectra.lambda1(g, report=True)
+        assert solve.matvecs == 20 and solve.value == pytest.approx(dense_lambda1(g), abs=1e-12)
 
     def test_matvecs_are_counted_and_repeat(self, monkeypatch):
         g = random_delta(2, 18, 0.45)
