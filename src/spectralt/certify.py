@@ -281,6 +281,10 @@ def _pipeline_bipartite(
         diags.append(
             f"pipeline union lambda1={check.lhs:.6f} bound={check.rhs:.6f}"
         )
+        if not check.holds:
+            diags.append(
+                "pipeline: union lambda1 is below the bound: a solver or construction bug"
+            )
         return check.rhs, diags
     diags.append("pipeline: no regular factors found in the attempted target range")
     return None, diags

@@ -251,12 +251,14 @@ def _universe_sizes(n: int, lo: int, hi: int) -> list[int]:
     )
 
 
-def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """`size` distinct ranks of a universe of `total` words, drawn uniformly.
+def _uniform_ranks(total: int, size: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """`size` distinct ranks of a universe of `total` words of at most
+    `length` letters, drawn uniformly.
 
     `Generator.choice` draws them with Floyd's algorithm in O(size) memory
     when total > 10^4 and size <= total // 50, and otherwise shuffles all of
-    `arange(total)`: the caps bound what it allocates, before it does.
+    `arange(total)`; the words unranked from them take up to size * length
+    letters.  The caps bound what both allocate, before they do.
     """
     if size > total:
         raise InputError(
@@ -268,6 +270,11 @@ def _uniform_ranks(total: int, size: int, rng: np.random.Generator) -> np.ndarra
     if size > total // 50 and total > cap:
         raise ResourceCapError(
             f"drawing {size} of {total} words shuffles all {total}, above enumeration cap {cap}"
+        )
+    if size * length > cap:
+        raise ResourceCapError(
+            f"{size} relators of up to {length} letters: {size * length} letters "
+            f"exceed enumeration cap {cap}"
         )
     return np.sort(rng.choice(total, size=size, replace=False))
 
@@ -283,7 +290,7 @@ def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
     if n < 2 or k < 3 or not 0.0 < d < 1.0:
         raise InputError("need n >= 2, k >= 3, d in (0, 1)")
     (total,) = _universe_sizes(n, k, k)
-    ranks = _uniform_ranks(total, strict_model_size(n, k, d), seed.rng())
+    ranks = _uniform_ranks(total, strict_model_size(n, k, d), k, seed.rng())
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
@@ -297,7 +304,7 @@ def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
     (total,) = _universe_sizes(n, k, k)
     rng = seed.rng()
-    ranks = _uniform_ranks(total, int(rng.binomial(total, p)), rng)
+    ranks = _uniform_ranks(total, int(rng.binomial(total, p)), k, rng)
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
@@ -311,7 +318,7 @@ def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
     lengths = range(params.k - params.f, params.k + params.f + 1)
     offsets = np.cumsum([0] + _universe_sizes(n, lengths[0], lengths[-1]))
     size = strict_model_size(n, params.k, params.d)
-    ranks = _uniform_ranks(int(offsets[-1]), size, seed.rng())
+    ranks = _uniform_ranks(int(offsets[-1]), size, lengths[-1], seed.rng())
     letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0
     for l, lo, hi in zip(lengths, offsets, offsets[1:]):
         words = W.unrank_cyclically_reduced_letters(n, l, ranks[(lo <= ranks) & (ranks < hi)] - lo)

@@ -118,9 +118,31 @@ def normalized_laplacian(g: MultiGraph) -> np.ndarray:
     if isolated:
         raise DegenerateGraphError(f"isolated vertices: {isolated}")
     _check_cap(len(deg))
-    scale = 1.0 / np.sqrt(deg)
-    a = g.adjacency_matrix(float)
-    return np.eye(len(deg)) - scale[:, None] * a * scale[None, :]
+    return _dense_laplacian(g, lower=False)
+
+
+def _laplacian_entries(g: MultiGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, off, diag) of L, no isolated vertex allowed: off = -((s_v m) s_u), s = deg^{-1/2},
+    at (v, u) and (u, v) for each distinct edge u < v; diag = 1 plus the loop terms."""
+    u, v, mult = g.edge_arrays  # distinct, u <= v, sorted by (u, v)
+    scale = 1.0 / np.sqrt(g.degree_array())
+    off = -((scale[v] * mult) * scale[u])
+    diag = np.ones(len(scale))
+    loop = u == v
+    if loop.any():
+        diag[u[loop]] += off[loop]
+        u, v, off = u[~loop], v[~loop], off[~loop]
+    return u, v, off, diag
+
+
+def _dense_laplacian(g: MultiGraph, *, lower: bool) -> np.ndarray:
+    """L, or with lower=True its lower triangle: all `spectrum(lower=True)` reads."""
+    u, v, off, diag = _laplacian_entries(g)
+    lap = np.diag(diag)
+    lap[v, u] = off
+    if not lower:
+        lap[u, v] = off
+    return lap
 
 
 def spectrum(m: np.ndarray, *, lower: bool = False) -> np.ndarray:
@@ -172,24 +194,15 @@ def _sparse_laplacian(g: MultiGraph):
     scipy CSR array, and x0 = D^{1/2} 1 / ||D^{1/2} 1||."""
     from scipy.sparse import csr_array
 
-    u, v, mult = g.edge_arrays  # distinct, u <= v, sorted by (u, v)
-    size = g.num_vertices()
-    root = np.sqrt(g.degree_array())
-    scale = 1.0 / root
-    off = -mult * scale[u] * scale[v]
-    loop = u == v
-    diag = np.ones(size)
-    if loop.any():
-        diag[u[loop]] += off[loop]  # a loop's term joins the diagonal
-        cross = ~loop
-        u, v, off = u[cross], v[cross], off[cross]
+    u, v, off, diag = _laplacian_entries(g)
     # each row's entries in column order, below the diagonal, on it and above
     # it, none repeated, so the CSR is canonical without a sort; int32
     # indices make each product ~12% faster than int64 ones
-    u, v, at = u.astype(np.int32), v.astype(np.int32), np.arange(size, dtype=np.int32)
+    u, v, at = u.astype(np.int32), v.astype(np.int32), np.arange(len(diag), dtype=np.int32)
     rows = np.concatenate([v, at, u])
     cols = np.concatenate([u, at, v])
-    lap = csr_array((np.concatenate([off, diag, off]), (rows, cols)), shape=(size, size))
+    lap = csr_array((np.concatenate([off, diag, off]), (rows, cols)), shape=(len(at),) * 2)
+    root = np.sqrt(g.degree_array())
     return lap, root / np.linalg.norm(root)
 
 
@@ -276,19 +289,6 @@ def _smallest_ritz_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray
     return None if info else (float(w[0]), s[:, 0])
 
 
-def _lower_laplacian(g: MultiGraph) -> np.ndarray:
-    """The lower triangle of `normalized_laplacian(g)`, entry for entry the
-    same products, with zeros above the diagonal: all `spectrum(lower=True)`
-    reads, built without the full adjacency matrix.  Requires min degree
-    >= 1."""
-    u, v, mult = g.edge_arrays  # u <= v: (v, u) lies on or below the diagonal
-    scale = 1.0 / np.sqrt(g.degree_array())
-    lap = np.zeros((len(scale), len(scale)))
-    lap[v, u] = -((scale[v] * mult) * scale[u])
-    lap.flat[:: len(lap) + 1] += 1.0  # the diagonal
-    return lap
-
-
 def _bipartite_lambda1(g: MultiGraph) -> float | None:
     """lambda_1 of a connected graph with a bipartition, as 1 - sigma_2(C) for
     C = D1^{-1/2} B D2^{-1/2}, B the bi-adjacency block with the smaller side
@@ -304,11 +304,10 @@ def _bipartite_lambda1(g: MultiGraph) -> float | None:
     if size < 2:
         return None
     at = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1  # index on its side
-    u, v, mult = g.edge_arrays  # every edge crosses: a is a row, b a column
-    a, b = np.where(rows[u], u, v), np.where(rows[u], v, u)
-    scale = 1.0 / np.sqrt(g.degree_array())
+    u, v, off, _ = _laplacian_entries(g)  # every edge crosses: no loop
+    a, b = np.where(rows[u], u, v), np.where(rows[u], v, u)  # a row, b a column
     c = np.zeros((size, len(rows) - size))
-    c[at[a], at[b]] = (scale[a] * mult) * scale[b]
+    c[at[a], at[b]] = -off
     sigma2_sq = spectrum(c @ c.T, lower=True)[-2]
     if sigma2_sq < BIPARTITE_MIN_SIGMA2_SQ:
         return None
@@ -332,7 +331,7 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         if solve is None:
             value = _bipartite_lambda1(g) if g.side is not None else None
             if value is None:
-                value = float(spectrum(_lower_laplacian(g), lower=True)[1])
+                value = float(spectrum(_dense_laplacian(g, lower=True), lower=True)[1])
             solve = Lambda1Solve(
                 value, "dense", lambda: _dense_residual(normalized_laplacian(g), value)
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -151,6 +152,24 @@ class TestPipeline:
         cert = certify_via_decomposition(Presentation(2, rels), 5)
         assert cert.pipeline_bound is not None
         assert cert.pipeline_bound <= cert.lambda1 + 1e-6
+
+    def test_a_falsified_union_bound_is_reported(self, monkeypatch):
+        # one diagnostics line more, after the union line; the JSON is unchanged
+        p = Presentation(2, tuple(enumerate_cyclically_reduced(2, 5)))
+        held = certify_via_decomposition(p, 5)
+        check = C.union_bound_empirical_check
+        monkeypatch.setattr(
+            C, "union_bound_empirical_check",
+            lambda *args: dataclasses.replace(check(*args), holds=False),
+        )
+        falsified = certify_via_decomposition(p, 5)
+        assert falsified.to_json() == held.to_json()
+        at = next(i for i, line in enumerate(held.diagnostics) if line.startswith("pipeline union"))
+        assert falsified.diagnostics == (
+            *held.diagnostics[: at + 1],
+            "pipeline: union lambda1 is below the bound: a solver or construction bug",
+            *held.diagnostics[at + 1 :],
+        )
 
     def test_deterministic(self):
         p = sample_gamma_p(2, 6, 0.5, Seed(26, 0))

@@ -666,6 +666,28 @@ class TestHugeK:
         assert code == 3 and "= 3^999998+3+...+3^1000002+3 exceeds" in err
 
 
+class Unranked(Exception):
+    pass
+
+
+class TestLetterCap:
+    def test_strict_letters_are_capped_before_the_unrank(self, capsys, monkeypatch):
+        # n = 2, d = 0.45: k = 26 draws 382,224 relators, 9,937,824 letters,
+        # under the cap of 10^7; k = 27 draws 626,647, 16,919,469 letters
+        def unrank(n, k, ranks):
+            raise Unranked(f"{len(ranks)} words of length {k}")
+
+        monkeypatch.setattr(W, "unrank_cyclically_reduced_letters", unrank)
+        argv = ["sample", "--model", "strict", "--n", "2", "--d", "0.45", "--k"]
+        with pytest.raises(Unranked, match="382224 words of length 26"):
+            main(argv + ["26"])
+        code, out, err = run(capsys, *argv, "27")
+        assert (code, out, err) == (
+            3, "", "resource cap: 626647 relators of up to 27 letters: 16919469 letters "
+                   "exceed enumeration cap 10000000\n"
+        )
+
+
 class TestEigensolveCapRows:
     @pytest.mark.parametrize("pipeline", [False, True])
     @pytest.mark.parametrize("d", [0.1, 0.45])

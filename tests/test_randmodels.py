@@ -401,11 +401,11 @@ class TestStreamIdentity:
         universe = W.enumerate_cyclically_reduced(2, 4)
         total = len(universe)
         a, b = Seed(50).rng(), Seed(50).rng()
-        ranks = _uniform_ranks(total, total, a)
+        ranks = _uniform_ranks(total, total, 4, a)
         words = W.unrank_cyclically_reduced_letters(2, 4, ranks).tolist()
         assert tuple(map(tuple, words)) == old_uniform_subset(universe, total, b)
         with pytest.raises(InputError) as new:
-            _uniform_ranks(total, total + 1, a)
+            _uniform_ranks(total, total + 1, 4, a)
         with pytest.raises(InputError) as old:
             old_uniform_subset(universe, total + 1, b)
         assert str(new.value) == str(old.value)
@@ -525,3 +525,35 @@ class TestEnumerationCap:
         with pytest.raises(ResourceCapError) as err:
             call()
         assert str(err.value) == message
+
+
+# a draw under the relator and shuffle caps whose letters are above a cap
+# of 100: model -> (call, relators drawn, longest relator length)
+LETTER_CAPPED = {
+    "strict": (lambda: sample_gamma_strict(2, 8, 0.45, Seed(0)), 52, 8),
+    "p": (lambda: sample_gamma_p(2, 8, 0.01, Seed(0)), 85, 8),
+    "lax": (lambda: sample_gamma_lax(2, LaxParams(8, 0.45, 1), Seed(0)), 52, 9),
+}
+
+
+class TestLetterCap:
+    """strict, p and lax refuse more than ENUMERATION_CAP letters, relators
+    times the longest relator length, before a word is unranked."""
+
+    @pytest.mark.parametrize("model", LETTER_CAPPED)
+    def test_patched_cap(self, monkeypatch, model):
+        call, size, length = LETTER_CAPPED[model]
+        monkeypatch.setattr(W, "ENUMERATION_CAP", size * length)
+        assert len(call().relators) == size
+        monkeypatch.setattr(W, "ENUMERATION_CAP", size * length - 1)
+
+        def refuse(*args):
+            raise AssertionError("unranked above the letter cap")
+
+        monkeypatch.setattr(W, "unrank_cyclically_reduced_letters", refuse)
+        with pytest.raises(ResourceCapError) as err:
+            call()
+        assert str(err.value) == (
+            f"{size} relators of up to {length} letters: {size * length} letters "
+            f"exceed enumeration cap {size * length - 1}"
+        )

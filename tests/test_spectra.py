@@ -154,6 +154,13 @@ LARGE = {
 }
 
 
+# the corpus and the other n = 2 link graphs of the dense solve, k <= 15
+DENSE_DELTAS = {
+    **CONNECTED,
+    **{f"delta n2k{k}": (lambda k=k: random_delta(2, k, 0.45)) for k in (13, 14, 15)},
+}
+
+
 def dense_lambda1(g):
     return float(np.linalg.eigvalsh(spectra.normalized_laplacian(g))[1])
 
@@ -211,9 +218,17 @@ class TestLanczos:
     def test_dense_solve_reads_the_same_lower_triangle(self, name):
         g = CONNECTED[name]()
         full = spectra.normalized_laplacian(g)
-        lower = spectra._lower_laplacian(g)
+        lower = spectra._dense_laplacian(g, lower=True)
         assert np.array_equal(lower, np.tril(full)) and not np.triu(lower, 1).any()
         assert spectra.spectrum(lower, lower=True).tolist() == np.linalg.eigvalsh(full).tolist()
+
+    @pytest.mark.parametrize("name", DENSE_DELTAS)
+    def test_sparse_and_dense_laplacians_are_equal(self, name):
+        # entry for entry: both are filled from the one walk over the edges
+        g = DENSE_DELTAS[name]()
+        full = spectra.normalized_laplacian(g)
+        lap, _ = spectra._sparse_laplacian(g)
+        assert np.array_equal(lap.toarray(), full) and np.array_equal(full, full.T)
 
     def test_lower_spectrum_ignores_the_upper_triangle(self):
         m = np.array([[2.0, 7.0], [1.0, 2.0]])
@@ -390,7 +405,7 @@ class TestLanczos:
 
         monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", dense_max)
         monkeypatch.setattr(spectra, "_lanczos", allocation)
-        monkeypatch.setattr(MultiGraph, "adjacency_matrix", allocation)
+        monkeypatch.setattr(spectra, "_laplacian_entries", allocation)
         monkeypatch.setenv("SPECTRAL_T_MAX_VERTICES", "5")
         with pytest.raises(ResourceCapError, match="matrix size 6 exceeds eigensolve cap 5"):
             spectra.lambda1(complete_graph(6))
@@ -463,6 +478,21 @@ class TestBipartite:
         assert solve.solver == "dense"
         assert abs(solve.value - dense_lambda1(g)) <= 1e-12
         assert solve.residual <= 1e-10  # of the full L, read on demand
+
+    @pytest.mark.parametrize("name", BIPARTITE)
+    def test_the_gram_block_is_minus_the_laplacians(self, monkeypatch, name):
+        # C is -L on (rows, columns), entry for entry, so C C^T is that
+        # block's Gram matrix to the bit
+        g = BIPARTITE[name]()
+        grams = []
+        spectrum = spectra.spectrum
+        monkeypatch.setattr(
+            spectra, "spectrum", lambda m, **kw: grams.append(m) or spectrum(m, **kw)
+        )
+        spectra.lambda1(g)
+        rows = g.side if 2 * np.count_nonzero(g.side) <= len(g.side) else ~g.side
+        block = -spectra.normalized_laplacian(g)[np.ix_(rows, ~rows)]
+        assert len(grams) == 1 and np.array_equal(grams[0], block @ block.T)
 
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 5), (7, 4)])
     def test_complete_bipartite_falls_back(self, solve_orders, a, b):

@@ -65,6 +65,38 @@ def test_every_public_definition_has_a_reader():
     assert unread == []
 
 
+def _private_definitions(tree):
+    """The private top-level defs and classes of a module, and the private
+    methods of its top-level classes; dunder names are not private."""
+    def private(node):
+        return (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not node.name.endswith("__")
+        )
+
+    for node in tree.body:
+        if private(node):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from filter(private, node.body)
+
+
+def test_every_private_definition_has_a_reader():
+    """Each private top-level def or class, and each private method, of the
+    package is read somewhere in it outside its own body; tests and the
+    benchmark do not count."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    defs = [(name, node) for name, tree in trees.items() for node in _private_definitions(tree)]
+    assert len(defs) > 50  # the walk found the package
+    unread = [
+        f"{name}:{node.name}"
+        for name, node in defs
+        if not any(node.name in _references(tree, node) for tree in trees.values())
+    ]
+    assert unread == []
+
+
 def _library_snippet():
     text = (ROOT / "README.md").read_text()
     match = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S)
