@@ -244,9 +244,11 @@ def _parse_grid(args: argparse.Namespace, cfg: dict, trials: int) -> list[float]
             grid_text = [tok for tok in grid_text.split(",") if tok.strip()]
         try:
             grid = [float(x) for x in grid_text]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             grid = None
-        if grid is None or any(isinstance(x, bool) for x in grid_text):
+        if grid is None or not all(map(math.isfinite, grid)) or any(
+            isinstance(x, bool) for x in grid_text
+        ):
             raise InputError(f"malformed density grid {grid_text!r}")
         _check_sweep_size(len(grid), trials)
         return grid
@@ -303,6 +305,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if not grid:
         raise InputError("empty density grid")
     jobs = _num(args, cfg, "jobs", int, os.cpu_count() or 1)
+    if jobs < 1:
+        raise InputError("--jobs must be >= 1")
     out_path = _path(args, cfg, "out")
     if model not in SWEEP_MODELS:
         raise InputError(f"unknown sweep model {model!r}")

@@ -352,8 +352,6 @@ def _link_edges(p: Presentation, k: int):
 
 def build_delta_k(p: Presentation, k: int) -> MultiGraph:
     """Delta_k on the full word sets; relators of other lengths are ignored."""
-    if k < 3:
-        raise InputError("need k >= 3")
     l_k, L_k = sigma_vertex_lengths(k)
     vertices = W.reduced_labels(p.n, l_k)
     if L_k != l_k:
@@ -380,8 +378,6 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
     with a bipartition tag; Sigma_2 lives on W_{l_k} alone (the side holding
     r_x and r_y).
     """
-    if k < 3:
-        raise InputError("need k >= 3")
     case = k % 3
     xy_len, _, z_len = W.split_lengths(k)
     xy_labels = W.reduced_labels(p.n, xy_len)

@@ -16,7 +16,6 @@ above LANCZOS_MAX_RESIDUAL.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,15 +49,6 @@ LANCZOS_TOL = LANCZOS_MAX_RESIDUAL / 20
 LANCZOS_MIN_STEPS = 100
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_CHECK_STEPS = 8
-# from the second test on, a test is skipped when its estimate could pass it
-# only by falling faster than LANCZOS_FALL_MARGIN times the fastest fall seen
-# between two tests, or LANCZOS_MIN_FALL decades per LANCZOS_CHECK_STEPS
-# steps if that is more.  The estimate falls faster as the recurrence goes
-# on, up to ~3.8 decades per LANCZOS_CHECK_STEPS steps on small link graphs;
-# with these values every test graph and link graph up to n = 2, k = 21
-# stops at the step a test every LANCZOS_CHECK_STEPS steps stops at
-LANCZOS_MIN_FALL = 1.5
-LANCZOS_FALL_MARGIN = 4
 # least sigma_2^2 whose square root the bipartite solve takes: below it a
 # rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1
 BIPARTITE_MIN_SIGMA2_SQ = 1e-8
@@ -216,10 +206,10 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
     lambda_1 is the smallest eigenvalue: one Ritz pair to converge, only as
     far as the residual gate needs.  The basis is not reorthogonalised: an
     extreme Ritz pair converges without it (Paige 1980), and the residual
-    gate checks the pair it gives.  The pair is tested on the schedule that
-    LANCZOS_MIN_FALL describes, and at once where beta_j <= LANCZOS_TOL: the
-    basis then (nearly) spans an invariant subspace, and the estimate may
-    drop at a step it could not be predicted at.
+    gate checks the pair it gives.  The pair is tested every
+    LANCZOS_CHECK_STEPS steps, at the last step, and at once where beta_j <=
+    LANCZOS_TOL: the basis then (nearly) spans an invariant subspace, and the
+    estimate may drop at any step.
     """
     from scipy.linalg.blas import daxpy, ddot, dnrm2
 
@@ -230,9 +220,6 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
     alpha, beta = np.empty(steps), np.empty(steps)
     q = _start_vector(size)
     basis[0] = q / np.linalg.norm(q)
-    test = LANCZOS_CHECK_STEPS  # the step of the next scheduled test
-    tested = None  # (step, decades the estimate was above its bound) at the last test
-    fall = 0.0  # the fastest fall of the estimate between two tests, in decades per check
     for j in range(steps):
         q = basis[j]
         # w = A q - beta_{j-1} q_{j-1} - alpha_j q, updated in place by BLAS
@@ -244,24 +231,16 @@ def _lanczos(g: MultiGraph) -> Lambda1Solve | None:
         daxpy(q, w, a=-alpha[j])
         beta[j] = dnrm2(w)
         last = j + 1 == steps or not beta[j] > 0
-        if last or j + 1 == test or beta[j] <= LANCZOS_TOL:
+        if last or (j + 1) % LANCZOS_CHECK_STEPS == 0 or beta[j] <= LANCZOS_TOL:
             ritz = _smallest_ritz_pair(alpha[: j + 1], beta[:j])
             if ritz is None:
                 return None
             theta, s = ritz
             # beta_j |s_j| estimates ||A x - theta x|| for x = Q^T s
-            estimate, bound = beta[j] * abs(s[j]), LANCZOS_TOL * abs(theta)
-            if estimate <= bound:
+            if beta[j] * abs(s[j]) <= LANCZOS_TOL * abs(theta):
                 break
             if last:
                 return None
-            decades = math.log10(estimate / bound) if bound > 0 else 0.0
-            skip = 1
-            if tested is not None:
-                fall = max(fall, (tested[1] - decades) / (j + 1 - tested[0]) * LANCZOS_CHECK_STEPS)
-                skip = max(1, int(decades // max(LANCZOS_MIN_FALL, LANCZOS_FALL_MARGIN * fall)))
-            tested = (j + 1, decades)
-            test = ((j + 1) // LANCZOS_CHECK_STEPS + skip) * LANCZOS_CHECK_STEPS
         np.divide(w, beta[j], out=basis[j + 1])
     x = basis[: j + 1].T @ s
     x /= np.linalg.norm(x)

@@ -140,19 +140,15 @@ def word_count_exceeds(n: int, l: int, cap: int) -> bool:
     return word_count(n, l) > cap
 
 
-def word_count_text(n: int, lo: int, hi: int) -> str:
-    """|W_lo| + ... + |W_hi| in digits or, when it has too many digits to
-    print, as its terms 2n*(2n-1)^(l-1)."""
-    q = 2 * n - 1
-    if not _log10_above(n, hi, _PRINT_DIGITS):
-        # the geometric sum, without a term per length
-        total = 2 * (hi - lo + 1) if q == 1 else 2 * n * (q**hi - q ** (lo - 1)) // (q - 1)
+def word_count_text(n: int, l: int) -> str:
+    """|W_l| in digits or, when it has too many digits to print, as
+    2n*(2n-1)^(l-1)."""
+    if not _log10_above(n, l, _PRINT_DIGITS):
         try:
-            return str(total)
+            return str(word_count(n, l))
         except ValueError:  # above the interpreter's int -> str digit limit
             pass
-    first, last = (f"{2 * n}*{q}^{l - 1}" for l in (lo, hi))
-    return first if lo == hi else f"{first}+...+{last}"
+    return f"{2 * n}*{2 * n - 1}^{l - 1}"
 
 
 def cyclic_count_text(n: int, lo: int, hi: int) -> str:
@@ -180,7 +176,7 @@ def check_enumerable(n: int, l: int, advice: str = "") -> None:
     cap = ENUMERATION_CAP
     if word_count_exceeds(n, l, cap):
         raise ResourceCapError(
-            f"|W_{l}| = {word_count_text(n, l, l)} exceeds enumeration cap {cap}{advice}"
+            f"|W_{l}| = {word_count_text(n, l)} exceeds enumeration cap {cap}{advice}"
         )
     if n == 1 and 2 * l > cap:
         raise ResourceCapError(f"W_{l} has {2 * l} letters, above enumeration cap {cap}")

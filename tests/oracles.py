@@ -2,8 +2,7 @@
 oracles: a 2n x k x 2n table of completion counts that unranks C(n, k) with a
 cumsum over all 2n letters per digit, a ranking of W_l that takes each piece
 of Delta_k's relators apart, lambda_1 from ARPACK's restarted Lanczos
-(`eigsh`), and the Lanczos recurrence that tested its Ritz pair with
-`eigh_tridiagonal` at every multiple of LANCZOS_CHECK_STEPS steps."""
+(`eigsh`)."""
 
 import numpy as np
 
@@ -121,45 +120,3 @@ def eigsh_lambda1(g):
     if not residual <= spectra.LANCZOS_MAX_RESIDUAL:
         return None
     return spectra.Lambda1Solve(float(vals[0]), "lanczos", residual, matvecs)
-
-
-def every_check_lambda1(g):
-    """(`spectra._lanczos(g)`, the Ritz pairs it solved for) as the recurrence
-    was before it skipped tests: the pair found by `eigh_tridiagonal` and
-    tested at every multiple of LANCZOS_CHECK_STEPS steps, on the last step
-    and on a breakdown; None in the first place where it gave None."""
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.blas import daxpy, ddot, dnrm2
-
-    size = g.num_vertices()
-    steps = min(spectra.LANCZOS_MAX_STEPS, max(size, spectra.LANCZOS_MIN_STEPS))
-    lap, x0 = spectra._sparse_laplacian(g)
-    basis = np.empty((steps, size))
-    alpha, beta = np.empty(steps), np.empty(steps)
-    q = spectra._start_vector(size)
-    basis[0] = q / np.linalg.norm(q)
-    solves = 0
-    for j in range(steps):
-        q = basis[j]
-        w = lap @ q
-        daxpy(x0, w, a=2 * ddot(x0, q))
-        if j:
-            daxpy(basis[j - 1], w, a=-beta[j - 1])
-        alpha[j] = ddot(q, w)
-        daxpy(q, w, a=-alpha[j])
-        beta[j] = dnrm2(w)
-        last = j + 1 == steps or not beta[j] > 0
-        if last or (j + 1) % spectra.LANCZOS_CHECK_STEPS == 0:
-            solves += 1
-            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(0, 0))
-            if beta[j] * abs(s[j, 0]) <= spectra.LANCZOS_TOL * abs(theta[0]):
-                break
-            if last:
-                return None, solves
-        np.divide(w, beta[j], out=basis[j + 1])
-    x = basis[: j + 1].T @ s[:, 0]
-    x /= np.linalg.norm(x)
-    residual = float(np.linalg.norm(lap @ x - theta[0] * x))
-    if not residual <= spectra.LANCZOS_MAX_RESIDUAL:
-        return None, solves
-    return spectra.Lambda1Solve(float(theta[0]), "lanczos", residual, j + 1), solves

@@ -15,11 +15,33 @@ from spectralt.certify import (
 from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import HypothesisViolation, InputError, ResourceCapError
 from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
+from spectralt.regularity import RegularityParams
 from spectralt.words import enumerate_cyclically_reduced
 
 from graphs import graph
 
 SQRT2 = math.sqrt(2.0)
+
+
+def full_presentation(k):
+    """Every cyclically reduced word of length k over 2 generators."""
+    return Presentation(2, tuple(enumerate_cyclically_reduced(2, k)))
+
+
+def failing_call(fn, at, result=None):
+    """fn, except that its call number `at` (from 1) returns `result`, or
+    raises it if it is an exception."""
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        if len(calls) != at:
+            return fn(*args)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    return wrapper
 
 
 def hexagon_triple():
@@ -97,6 +119,16 @@ class TestEmpiricalCheck:
         with pytest.raises(HypothesisViolation, match="vertex sets do not align"):
             union_bound_empirical_check(g1, g2, g3, 2, 2)
 
+    def test_irregular_bipartite_factor_rejected(self):
+        g1, g2, g3 = hexagon_triple()
+        with pytest.raises(HypothesisViolation, match=r"^clause ii\): G2 is not \(2,3\)-regular$"):
+            union_bound_empirical_check(g1, g2, g3, 2, 3)
+        # x1 and y3 of G3 get degree 3, G1 and G2 stay regular
+        v1, v2 = ["x1", "x2", "x3"], ["y1", "y2", "y3"]
+        g3 = graph(v1 + v2, {**g3.edges, ("x1", "y3"): 1}, partition=(v1, v2))
+        with pytest.raises(HypothesisViolation, match=r"^clause ii\): G3 is not \(2,2\)-regular$"):
+            union_bound_empirical_check(g1, g2, g3, 2, 2)
+
     def test_sides_compared_as_sets(self):
         # g3 lists both sides in another order: the sides still align, and
         # the combined graph keeps g1's order then the sorted second side
@@ -170,6 +202,61 @@ class TestPipeline:
             "pipeline: union lambda1 is below the bound: a solver or construction bug",
             *held.diagnostics[at + 1 :],
         )
+
+    @pytest.mark.parametrize("at", [1, 2, 3], ids=["sigma1", "sigma2", "sigma3"])
+    def test_same_vertex_set_route_retries_a_smaller_target(self, monkeypatch, at):
+        # k = 9: the first target is t = 9 with delta = 0 and t = 8 with
+        # delta = 0.1; a factor missing at t = 9 leaves what t = 8 finds
+        p = full_presentation(9)
+        at_8 = certify_via_decomposition(p, 9, RegularityParams(delta=0.1))
+        monkeypatch.setattr(C, "layer_factor_union", failing_call(C.layer_factor_union, at))
+        retried = certify_via_decomposition(p, 9, RegularityParams(delta=0.0))
+        assert "pipeline: factors at t=8, regular degree 48" in at_8.diagnostics
+        assert retried == at_8 and retried.diagnostics == at_8.diagnostics
+
+    def test_same_vertex_set_route_without_factors(self, monkeypatch):
+        # t = 7 down to 1 tried, one factor each; the direct verdict stands
+        p = full_presentation(9)
+        direct = certify_via_decomposition(p, 9)
+        targets = []
+        monkeypatch.setattr(C, "layer_factor_union", lambda g, layers, a, t: targets.append(t))
+        cert = certify_via_decomposition(p, 9)
+        assert targets == [7, 6, 5, 4, 3, 2, 1]
+        assert (cert.pipeline_bound, cert.certified) == (None, direct.certified)
+        assert cert.diagnostics[-1] == "pipeline: no regular factors found in the attempted target range"
+
+    def test_a_disconnected_factor_invalidates_the_bound(self, monkeypatch):
+        two_triangles = graph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"),
+                                         ("d", "e"), ("e", "f"), ("f", "d")])
+        monkeypatch.setattr(C, "layer_factor_union", failing_call(C.layer_factor_union, 3, two_triangles))
+        cert = certify_via_decomposition(full_presentation(9), 9)
+        assert cert.pipeline_bound is None
+        assert cert.diagnostics[-2:] == (
+            "pipeline: factors at t=7, regular degree 42",
+            "pipeline: a factor is disconnected (c_i >= 1); bound invalid",
+        )
+
+    @pytest.mark.parametrize("fn,at,result", [
+        ("extract_regular_subgraph", 1, None),
+        ("extract_regular_subgraph", 2, None),
+        ("layer_factor_union", 1, None),
+        ("union_bound_empirical_check", 1, HypothesisViolation("clause ii): G2 is not (27,81)-regular")),
+    ], ids=["pi1", "pi3", "pi2", "hypothesis"])
+    def test_bipartite_route_retries_a_smaller_target(self, monkeypatch, fn, at, result):
+        # k = 11: the first target is t = 9 with delta = 0 and t = 8 with
+        # delta = 0.1; a failure at t = 9 leaves what t = 8 finds, after the
+        # violation's line
+        p = full_presentation(11)
+        at_8 = certify_via_decomposition(p, 11, RegularityParams(delta=0.1))
+        monkeypatch.setattr(C, fn, failing_call(getattr(C, fn), at, result))
+        retried = certify_via_decomposition(p, 11, RegularityParams(delta=0.0))
+        first = next(i for i, line in enumerate(at_8.diagnostics) if line.startswith("pipeline"))
+        assert at_8.diagnostics[first] == "pipeline: factors at t=8, (d1,d2)=(24,72)"
+        violation = [f"pipeline: hypothesis violation at t=9: {result}"] if result else []
+        assert retried.diagnostics == (
+            *at_8.diagnostics[:first], *violation, *at_8.diagnostics[first:]
+        )
+        assert retried.to_json() == at_8.to_json()
 
     def test_deterministic(self):
         p = sample_gamma_p(2, 6, 0.5, Seed(26, 0))

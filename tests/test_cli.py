@@ -23,6 +23,16 @@ def run(capsys, *args):
     return code, out.out, out.err
 
 
+def with_options(tmp_path, argv, options):
+    """argv with `options` appended if they are flags, or read from a
+    --config file if they are a dict."""
+    if not isinstance(options, dict):
+        return [*argv, *options]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(options))
+    return ["--config", str(path), *argv]
+
+
 @pytest.fixture
 def aba_file(tmp_path):
     path = tmp_path / "aba.txt"
@@ -191,11 +201,26 @@ class TestSweep:
         ["--d-min", "0.3", "--d-max", "0.5", "--d-step", "-0.1"],
         ["--d-min", "0.3", "--d-max", "inf"],
         ["--d-grid", "0.3,x"],
+        ["--d-grid", "nan"],
+        ["--d-grid", "0.4,inf"],
+        {"d_grid": [float("nan")]},  # the config's NaN, Infinity and -Infinity
+        {"d_grid": [0.4, float("inf")]},
+        {"d_grid": [float("-inf")]},
+        {"d_grid": [10**400]},  # no float
     ])
-    def test_unbounded_or_malformed_grid(self, capsys, grid):
-        code, out, err = run(capsys, "sweep", "--n", "2", "--k", "3", *grid)
+    def test_unbounded_or_malformed_grid(self, capsys, monkeypatch, tmp_path, grid):
+        # refused with one line before any trial runs
+        monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
+        code, out, err = run(capsys, *with_options(tmp_path, ["sweep", "--n", "2", "--k", "3"], grid))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("jobs", [["--jobs", "0"], ["--jobs", "-3"], {"jobs": 0}])
+    def test_jobs_below_one(self, capsys, monkeypatch, tmp_path, jobs):
+        # refused like --trials 0, before any trial runs
+        monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
+        argv = with_options(tmp_path, ["sweep", "--n", "2", "--k", "3", "--d-grid", "0.3"], jobs)
+        assert run(capsys, *argv) == (2, "", "error: --jobs must be >= 1\n")
 
     @pytest.mark.parametrize("model", ["gnp", ["p"], 3])
     def test_unknown_model_from_config(self, capsys, monkeypatch, tmp_path, model):

@@ -159,6 +159,13 @@ class TestDelta:
         with pytest.raises(InputError):
             build_delta3(Presentation(2, ((1, 2, 1, 2),)))
 
+    @pytest.mark.parametrize("k", [2, 0, -5])
+    @pytest.mark.parametrize("build", [build_delta_k, sigma_decomposition])
+    def test_k_below_3_is_refused(self, build, k):
+        # by the piece lengths, before any word set or edge is built
+        with pytest.raises(InputError, match="^need k >= 3$"):
+            build(Presentation(2, ((1, 2, 1),)), k)
+
 
 class TestSigma:
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])

@@ -10,7 +10,7 @@ from spectralt.multigraph import MultiGraph
 from spectralt.randmodels import Seed, sample_bipartite_gnp, sample_gamma_strict, sample_gnp
 
 from graphs import graph
-from oracles import eigsh_lambda1, every_check_lambda1
+from oracles import eigsh_lambda1
 
 
 def complete_graph(m):
@@ -279,22 +279,32 @@ class TestLanczos:
 
     @pytest.mark.parametrize("name", [*CONNECTED, *(f"delta n2k{k}" for k in (17, 19, 20, 21))])
     def test_skipped_tests_leave_lambda1(self, lanczos_everywhere, monkeypatch, name):
-        # against the recurrence that solved for the Ritz pair at every
-        # multiple of LANCZOS_CHECK_STEPS steps
+        # the pair is tested at every multiple of LANCZOS_CHECK_STEPS steps,
+        # at the last step and where beta_j <= LANCZOS_TOL, and nowhere else;
+        # testing it at every step stops less than LANCZOS_CHECK_STEPS steps
+        # earlier, at the same lambda_1
+        from scipy.linalg import blas
+
         g = {**CONNECTED, **LARGE}[name]()
-        solves = []
-        smallest_ritz_pair = spectra._smallest_ritz_pair
+        tested, betas = [], []
+        smallest_ritz_pair, dnrm2 = spectra._smallest_ritz_pair, blas.dnrm2
         monkeypatch.setattr(
-            spectra, "_smallest_ritz_pair", lambda d, e: solves.append(len(d)) or smallest_ritz_pair(d, e)
+            spectra, "_smallest_ritz_pair", lambda d, e: tested.append(len(d)) or smallest_ritz_pair(d, e)
         )
+        monkeypatch.setattr(blas, "dnrm2", lambda w: betas.append(dnrm2(w)) or betas[-1])
         solve = spectra.lambda1(g, report=True)
-        every, every_solves = every_check_lambda1(g)
-        assert solve.solver == every.solver == "lanczos"
+        check = spectra.LANCZOS_CHECK_STEPS
+        steps = min(spectra.LANCZOS_MAX_STEPS, max(g.num_vertices(), spectra.LANCZOS_MIN_STEPS))
+        assert solve.solver == "lanczos" and solve.matvecs == len(betas)
+        assert tested == [
+            j + 1 for j, beta in enumerate(betas)
+            if (j + 1) % check == 0 or j + 1 == steps or not beta > spectra.LANCZOS_TOL
+        ]
+        monkeypatch.setattr(spectra, "LANCZOS_CHECK_STEPS", 1)
+        every = spectra.lambda1(g, report=True)
+        assert every.solver == "lanczos"
+        assert every.matvecs <= solve.matvecs < every.matvecs + check
         assert abs(solve.value - every.value) <= 1e-12
-        assert solve.matvecs <= every.matvecs + spectra.LANCZOS_CHECK_STEPS
-        assert len(solves) <= every_solves
-        if name in LARGE:  # 144 to 208 steps: at most 60% of the solves
-            assert len(solves) <= 0.6 * every_solves
 
     def test_a_near_breakdown_is_tested_at_once(self, lanczos_everywhere):
         # L + 2 x0 x0^T of C40 has 20 distinct eigenvalues (lambda_0 moves

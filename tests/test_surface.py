@@ -1,5 +1,5 @@
-"""The package's public surface: no public name without a reader, and the
-README's library example runs and prints what it says."""
+"""The package's public surface: no definition or constant without a reader,
+and the README's library example runs and prints what it says."""
 
 import ast
 import io
@@ -93,6 +93,32 @@ def test_every_private_definition_has_a_reader():
         f"{name}:{node.name}"
         for name, node in defs
         if not any(node.name in _references(tree, node) for tree in trees.values())
+    ]
+    assert unread == []
+
+
+def _constants(tree):
+    """(name, statement) for each UPPER_CASE name a module-level assignment
+    of the module binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.isupper():
+                        yield name.id, node
+
+
+def test_every_constant_has_a_reader():
+    """Each module-level UPPER_CASE constant of the package is read somewhere
+    in it outside its own assignment; tests and the benchmark do not count."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    constants = [(name, *const) for name, tree in trees.items() for const in _constants(tree)]
+    assert len(constants) > 30  # the walk found the package
+    unread = [
+        f"{name}:{const}"
+        for name, const, node in constants
+        if not any(const in _references(tree, node) for tree in trees.values())
     ]
     assert unread == []
 

@@ -238,16 +238,15 @@ class TestCountCaps:
         assert W.word_count_exceeds(2, 10**100, 10**7)
         assert not W.word_count_exceeds(1, 10**100, 10**7)
         assert W.word_count_exceeds(10**400, 1, 10**7)
-        assert W.word_count_text(2, 10**12, 10**12) == "4*3^999999999999"
-        assert W.word_count_text(2, 10**6, 10**6 + 4) == "4*3^999999+...+4*3^1000003"
+        assert W.word_count_text(2, 10**12) == "4*3^999999999999"
+        assert W.word_count_text(2, 10**6) == "4*3^999999"
 
     def test_printable_counts_keep_their_digits(self):
-        for n, lo, hi in [(2, 5, 5), (3, 4, 9), (2, 9000, 9000), (2, 3000, 3004)]:
-            total = sum(W.word_count(n, l) for l in range(lo, hi + 1))
-            assert W.word_count_text(n, lo, hi) == str(total)
-        assert W.word_count_text(1, 10**12, 10**12 + 2) == "6"
+        for n, l in [(2, 5), (3, 9), (2, 3000), (2, 9000)]:
+            assert W.word_count_text(n, l) == str(W.word_count(n, l))
+        assert W.word_count_text(1, 10**12) == "2"
         # 4343 digits: past the interpreter's int -> str limit
-        assert W.word_count_text(2, 9100, 9100) == "4*3^9099"
+        assert W.word_count_text(2, 9100) == "4*3^9099"
 
     def test_enumeration_caps(self):
         message = f"|W_50| = {W.word_count(2, 50)} exceeds enumeration cap 10000000"
