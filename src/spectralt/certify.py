@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,9 +54,22 @@ def union_bound(c1: float, c2: float, c3: float) -> float:
 
 @dataclass(frozen=True)
 class UnionCheck:
-    lhs: float
+    """Both sides of the union-of-three-graphs bound: rhs from the c_i, and
+    lhs = lambda_1 of the union, given as a number or as a function computing
+    it on first read (a dense solve of the whole vertex set, which only a
+    printed diagnostics line or a caller of `lhs` needs)."""
+
     rhs: float
-    holds: bool
+    _lhs: float | Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def lhs(self) -> float:
+        x = self._lhs
+        return x() if callable(x) else x
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs >= self.rhs - 1e-6
 
 
 def _regular_degree(g: MultiGraph) -> Optional[int]:
@@ -66,10 +80,12 @@ def _regular_degree(g: MultiGraph) -> Optional[int]:
 def union_bound_empirical_check(
     g1: MultiGraph, g2: MultiGraph, g3: MultiGraph, d1: int, d2: int
 ) -> UnionCheck:
-    """Compute both sides of the union-of-three-graphs bound with real spectra.
+    """Both sides of the union-of-three-graphs bound with real spectra.
 
-    Raises HypothesisViolation naming the failed clause; on valid input,
-    holds must be true (a falsification is a solver or construction bug).
+    Raises HypothesisViolation naming the failed clause.  The clauses and the
+    three c_i are checked here; the union graph and its lambda_1 (`lhs`) are
+    computed on first read of `lhs` or `holds`.  On valid input holds must be
+    true (a falsification is a solver or construction bug).
     """
     for i, g in ((2, g2), (3, g3)):
         if g.side is None:
@@ -89,11 +105,15 @@ def union_bound_empirical_check(
         if c >= 1.0:
             raise HypothesisViolation(f"clause iii): c_{i} >= 1 (lambda1(G{i}) <= 0)")
         cs.append(c)
-    g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
-    combined = union(g1_full, g2, g3)
-    lhs = lambda1(combined)
-    rhs = union_bound(cs[0], cs[1], cs[2])
-    return UnionCheck(lhs, rhs, lhs >= rhs - 1e-6)
+
+    def lhs() -> float:
+        # cannot raise: by clause i g1_full's labels are distinct and the
+        # union's vertices are G2's, which clause iii found connected (so
+        # within the eigensolve cap); g1_full has no bipartition to conflict
+        g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
+        return lambda1(union(g1_full, g2, g3))
+
+    return UnionCheck(union_bound(cs[0], cs[1], cs[2]), lhs)
 
 
 @dataclass(frozen=True)
@@ -108,13 +128,14 @@ class Certificate:
     audit: DoubleEdgeAudit
     threshold: float = THRESHOLD
     seed_info: Optional[str] = None
-    # diagnostic lines; a Lambda1Solve stands for its solver line, rendered
-    # (and its residual computed) only when `diagnostics` is read
-    notes: tuple[str | Lambda1Solve, ...] = field(default=())
+    # diagnostic lines; a Lambda1Solve stands for its solver line and a
+    # UnionCheck for its one or two lines, rendered (and the residual or the
+    # union lambda_1 computed) only when `diagnostics` is read
+    notes: tuple[str | Lambda1Solve | UnionCheck, ...] = field(default=())
 
     @property
     def diagnostics(self) -> tuple[str, ...]:
-        return tuple(x if isinstance(x, str) else _solve_line(x) for x in self.notes)
+        return tuple(line for note in self.notes for line in _note_lines(note))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -146,6 +167,18 @@ def _solve_line(solve: Lambda1Solve) -> str:
         f"lambda1 solver={solve.solver} residual={solve.residual:.3e} "
         f"matvecs={solve.matvecs} margin={solve.value - THRESHOLD:.12g}"
     )
+
+
+def _note_lines(note: str | Lambda1Solve | UnionCheck) -> tuple[str, ...]:
+    """The diagnostics lines one of `Certificate.notes` stands for."""
+    if isinstance(note, str):
+        return (note,)
+    if isinstance(note, Lambda1Solve):
+        return (_solve_line(note),)
+    line = f"pipeline union lambda1={note.lhs:.6f} bound={note.rhs:.6f}"
+    if note.holds:
+        return (line,)
+    return (line, "pipeline: union lambda1 is below the bound: a solver or construction bug")
 
 
 def zuk_certificate(
@@ -240,10 +273,10 @@ def _pipeline_bipartite(
     n: int,
     case: int,
     delta_shave: float,
-) -> tuple[Optional[float], list[str]]:
+) -> tuple[Optional[float], list[str | UnionCheck]]:
     """k not divisible by 3: bipartite factors from Sigma_1/Sigma_3, a matching
     2d1-regular union from Sigma_2, then the union-of-three-graphs bound."""
-    diags: list[str] = []
+    diags: list[str | UnionCheck] = []
     q = 2 * n - 1
     # both Sigma graphs list W_{l_k} then W_{L_k}, the first side first
     low = np.minimum(dec_sigma1.degree_array(), dec_sigma3.degree_array())
@@ -278,13 +311,7 @@ def _pipeline_bipartite(
             diags.append(f"pipeline: hypothesis violation at t={t}: {exc}")
             continue
         diags.append(f"pipeline: factors at t={t}, (d1,d2)=({d1},{d2})")
-        diags.append(
-            f"pipeline union lambda1={check.lhs:.6f} bound={check.rhs:.6f}"
-        )
-        if not check.holds:
-            diags.append(
-                "pipeline: union lambda1 is below the bound: a solver or construction bug"
-            )
+        diags.append(check)
         return check.rhs, diags
     diags.append("pipeline: no regular factors found in the attempted target range")
     return None, diags

@@ -25,6 +25,9 @@ from .multigraph import MultiGraph
 from .randmodels import (
     LaxParams,
     Seed,
+    check_lax_params,
+    check_p_params,
+    check_strict_params,
     sample_bipartite_gnp,
     sample_bred,
     sample_gamma_lax,
@@ -125,9 +128,10 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     diagnostics = _num(args, cfg, "diagnostics", bool, False)
     if _num(args, cfg, "pipeline", bool, False):
         params = RegularityParams(delta=_num(args, cfg, "delta", float, 0.2))
-        cert = certify_via_decomposition(
-            pres, k, params, m_bound=_num(args, cfg, "m_bound", int, 3)
-        )
+        m_bound = _num(args, cfg, "m_bound", int, 3)
+        if m_bound < 0:
+            raise InputError("--m-bound must be >= 0")
+        cert = certify_via_decomposition(pres, k, params, m_bound=m_bound)
     else:
         cert = zuk_certificate(pres, k)
     print(cert.to_json())
@@ -197,6 +201,25 @@ def cmd_sample(args: argparse.Namespace, cfg: dict) -> int:
 
 # ------------------------------------------------------------------ sweep
 
+def _density_p(n: int, k: int, d: float) -> float:
+    """The p-model's probability (2n-1)^(k(d-1)) for density d."""
+    try:
+        return (2 * n - 1) ** (k * (d - 1.0))
+    except OverflowError:  # no float: 0 below d = 1, and no probability above
+        return 0.0 if d < 1 else math.inf
+
+
+def _check_sweep_point(model: str, n: int, k: int, f: int, d: float) -> None:
+    """The sampler's checks that no seed changes, for the trials at density d."""
+    if model == "strict":
+        check_strict_params(n, k, d)
+    elif model == "p":
+        check_p_params(n, k, _density_p(n, k, d))
+    else:
+        LaxParams(k, d, f)
+        check_lax_params(n)
+
+
 def _sweep_trial(task: tuple) -> tuple:
     """One sweep trial; top-level so it pickles for process pools."""
     model, n, k, f, d, trial, seed_value, stream_id, pipeline = task
@@ -205,11 +228,7 @@ def _sweep_trial(task: tuple) -> tuple:
         if model == "strict":
             pres = sample_gamma_strict(n, k, d, seed)
         elif model == "p":
-            try:
-                p = (2 * n - 1) ** (k * (d - 1.0))
-            except OverflowError:  # no float: 0 below d = 1, and no probability above
-                p = 0.0 if d < 1 else math.inf
-            pres = sample_gamma_p(n, k, p, seed)
+            pres = sample_gamma_p(n, k, _density_p(n, k, d), seed)
         else:
             pres = sample_gamma_lax(n, LaxParams(k, d, f), seed)
         if pipeline:
@@ -310,6 +329,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     out_path = _path(args, cfg, "out")
     if model not in SWEEP_MODELS:
         raise InputError(f"unknown sweep model {model!r}")
+    for d in grid:  # before any trial starts
+        _check_sweep_point(model, n, k, f, d)
 
     tasks = [
         (model, n, k, f, d, trial, seed_value, di * trials + trial, pipeline)

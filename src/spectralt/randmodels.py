@@ -285,10 +285,28 @@ def _of_length(n: int, k: int, words: np.ndarray) -> Presentation:
     return Presentation._from_arrays(n, words.reshape(-1), offsets, k)
 
 
-def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
-    """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
+def check_strict_params(n: int, k: int, d: float) -> None:
+    """The checks of `sample_gamma_strict` that no seed changes."""
     if n < 2 or k < 3 or not 0.0 < d < 1.0:
         raise InputError("need n >= 2, k >= 3, d in (0, 1)")
+
+
+def check_p_params(n: int, k: int, p: float) -> None:
+    """The checks of `sample_gamma_p` that no seed changes."""
+    if n < 2 or k < 3 or not 0.0 <= p <= 1.0:
+        raise InputError("need n >= 2, k >= 3, p in [0, 1]")
+
+
+def check_lax_params(n: int) -> None:
+    """The check of `sample_gamma_lax` that no seed changes, besides those a
+    LaxParams makes when it is built."""
+    if n < 2:
+        raise InputError("need n >= 2")
+
+
+def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
+    """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
+    check_strict_params(n, k, d)
     (total,) = _universe_sizes(n, k, k)
     ranks = _uniform_ranks(total, strict_model_size(n, k, d), k, seed.rng())
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
@@ -300,8 +318,7 @@ def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
     Drawn as the same law in O(kept words): a count K ~ Binomial(|C(n, k)|, p),
     then a uniform K-subset, as the strict model draws its subset.
     """
-    if n < 2 or k < 3 or not 0.0 <= p <= 1.0:
-        raise InputError("need n >= 2, k >= 3, p in [0, 1]")
+    check_p_params(n, k, p)
     (total,) = _universe_sizes(n, k, k)
     rng = seed.rng()
     ranks = _uniform_ranks(total, int(rng.binomial(total, p)), k, rng)
@@ -313,8 +330,7 @@ def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
 
     The universe is C(n, k-f), ..., C(n, k+f) concatenated in that order.
     """
-    if n < 2:
-        raise InputError("need n >= 2")
+    check_lax_params(n)
     lengths = range(params.k - params.f, params.k + params.f + 1)
     offsets = np.cumsum([0] + _universe_sizes(n, lengths[0], lengths[-1]))
     size = strict_model_size(n, params.k, params.d)

@@ -1,11 +1,10 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
 from spectralt import certify as C
-from spectralt import spectra
+from spectralt import cli, spectra
 from spectralt.certify import (
     certify_via_decomposition,
     union_bound,
@@ -186,22 +185,28 @@ class TestPipeline:
         assert cert.pipeline_bound <= cert.lambda1 + 1e-6
 
     def test_a_falsified_union_bound_is_reported(self, monkeypatch):
-        # one diagnostics line more, after the union line; the JSON is unchanged
+        # a deferred lhs below rhs: one diagnostics line more, after the union
+        # line; the JSON is unchanged and does not read lhs
         p = Presentation(2, tuple(enumerate_cyclically_reduced(2, 5)))
         held = certify_via_decomposition(p, 5)
-        check = C.union_bound_empirical_check
-        monkeypatch.setattr(
-            C, "union_bound_empirical_check",
-            lambda *args: dataclasses.replace(check(*args), holds=False),
-        )
+        check, reads = C.union_bound_empirical_check, []
+
+        def falsified_check(*args):
+            rhs = check(*args).rhs
+            return C.UnionCheck(rhs, lambda: reads.append(rhs) or rhs - 0.01)
+
+        monkeypatch.setattr(C, "union_bound_empirical_check", falsified_check)
         falsified = certify_via_decomposition(p, 5)
-        assert falsified.to_json() == held.to_json()
+        assert falsified.to_json() == held.to_json() and reads == []
         at = next(i for i, line in enumerate(held.diagnostics) if line.startswith("pipeline union"))
+        rhs = falsified.pipeline_bound
         assert falsified.diagnostics == (
-            *held.diagnostics[: at + 1],
+            *held.diagnostics[:at],
+            f"pipeline union lambda1={rhs - 0.01:.6f} bound={rhs:.6f}",
             "pipeline: union lambda1 is below the bound: a solver or construction bug",
             *held.diagnostics[at + 1 :],
         )
+        assert reads == [rhs]
 
     @pytest.mark.parametrize("at", [1, 2, 3], ids=["sigma1", "sigma2", "sigma3"])
     def test_same_vertex_set_route_retries_a_smaller_target(self, monkeypatch, at):
@@ -362,6 +367,60 @@ class TestLazyResidual:
         assert residual_calls == [cert.lambda1]
         assert line.startswith("lambda1 solver=dense residual=")
         assert cert.diagnostics[1] == line and len(residual_calls) == 1
+
+
+class TestLazyUnionCheck:
+    """The union graph of the three-graph check and its lambda_1 are computed
+    on the first read of `lhs` or `holds`, which only `diagnostics` makes."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Vertex counts of the lambda_1 solves `certify` makes, with "union"
+        for each union graph built."""
+        calls = []
+        real_union, real_lambda1 = C.union, C.lambda1
+
+        def counted_union(*graphs):
+            calls.append("union")
+            return real_union(*graphs)
+
+        def counted_lambda1(g, **kwargs):
+            calls.append(g.num_vertices())
+            return real_lambda1(g, **kwargs)
+
+        monkeypatch.setattr(C, "union", counted_union)
+        monkeypatch.setattr(C, "lambda1", counted_lambda1)
+        return calls
+
+    @pytest.mark.parametrize("k,presentation", [
+        (5, lambda: full_presentation(5)),
+        (7, lambda: sample_gamma_strict(2, 7, 0.8, Seed(0))),
+    ], ids=["k=2 mod 3", "k=1 mod 3"])
+    def test_only_read_diagnostics_pay_for_it(self, solves, k, presentation):
+        cert = certify_via_decomposition(presentation(), k)
+        assert cert.to_json() and cert.pipeline_bound is not None
+        # Delta_k, then the three factors; no union graph
+        assert "union" not in solves and len(solves) == 4
+        vertices = solves[0]
+        lines = cert.diagnostics
+        assert solves[4:] == ["union", vertices]
+        assert any(line.startswith("pipeline union lambda1=") for line in lines)
+        assert cert.diagnostics == lines and len(solves) == 6
+
+    def test_sweep_rows_do_not_pay_for_it(self, solves, capsys):
+        # k = 7 and k = 8 (mod 3: 1 and 2), one trial each with a bound
+        for k, d in ((7, "0.8"), (8, "0.75")):
+            code = cli.main(["sweep", "--n", "2", "--k", str(k), "--d-grid", d,
+                             "--trials", "1", "--jobs", "1", "--pipeline"])
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert code == 0 and row[7] != "" and row[9] == "ok"
+        assert "union" not in solves and len(solves) == 8
+
+    def test_lhs_is_computed_once(self, solves):
+        res = union_bound_empirical_check(*hexagon_triple(), 2, 2)
+        assert solves == [3, 6, 6]
+        assert res.holds and res.lhs == 0.9084936490538902
+        assert solves == [3, 6, 6, "union", 6]
 
 
 class TestCapBeforeBuild:

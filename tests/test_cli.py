@@ -14,6 +14,7 @@ from spectralt import certify as C
 from spectralt import cli
 from spectralt import words as W
 from spectralt.cli import main
+from spectralt.delta import Presentation
 from spectralt.randmodels import Seed, sample_gamma_strict
 
 
@@ -78,6 +79,38 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", aba_file, "--k", "4")
         assert code == 0
         assert json.loads(out)["lambda1"] == 0.0
+
+    @pytest.mark.parametrize("m_bound", [["--m-bound", "-1"], {"m_bound": -1}])
+    def test_m_bound_below_zero(self, capsys, tmp_path, aba_file, m_bound):
+        argv = with_options(tmp_path, ["certify", aba_file, "--pipeline"], m_bound)
+        assert run(capsys, *argv) == (2, "", "error: --m-bound must be >= 0\n")
+
+    def test_m_bound_zero(self, capsys, aba_file):
+        code, _, err = run(capsys, "certify", aba_file, "--pipeline", "--m-bound", "0",
+                           "--diagnostics")
+        assert code == 0 and "(M=0: ok)\n" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestPipelineGolden:
+    """`certify FILE --pipeline` stdout and its `--diagnostics` stderr, byte
+    for byte, for one presentation in each k mod 3 case (tests/golden)."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7], ids=["k=2 mod 3", "k=0 mod 3", "k=1 mod 3"])
+    def test_outputs_are_pinned(self, capsys, tmp_path, k):
+        if k == 7:
+            pres = sample_gamma_strict(2, 7, 0.8, Seed(0))
+        else:
+            pres = Presentation(2, tuple(W.enumerate_cyclically_reduced(2, k)))
+        path = tmp_path / "pres.txt"
+        path.write_text(pres.dump())
+        argv = ["certify", str(path), "--k", str(k), "--pipeline"]
+        stdout = (GOLDEN / f"pipeline_k{k}.stdout").read_text()
+        assert run(capsys, *argv) == (0, stdout, "")
+        stderr = (GOLDEN / f"pipeline_k{k}.stderr").read_text()
+        assert run(capsys, *argv, "--diagnostics") == (0, stdout, stderr)
 
 
 class TestSample:
@@ -221,6 +254,25 @@ class TestSweep:
         monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
         argv = with_options(tmp_path, ["sweep", "--n", "2", "--k", "3", "--d-grid", "0.3"], jobs)
         assert run(capsys, *argv) == (2, "", "error: --jobs must be >= 1\n")
+
+    @pytest.mark.parametrize("options,message", [
+        (["--n", "0", "--d-grid", "0.4"], "need n >= 2, k >= 3, d in (0, 1)"),
+        (["--n", "2", "--k", "2", "--d-grid", "0.4"], "need n >= 2, k >= 3, d in (0, 1)"),
+        (["--n", "2", "--d-grid", "0.4,1.5"], "need n >= 2, k >= 3, d in (0, 1)"),
+        ({"n": 2, "d_grid": [0.0]}, "need n >= 2, k >= 3, d in (0, 1)"),
+        (["--model", "p", "--n", "1", "--d-grid", "0.4"], "need n >= 2, k >= 3, p in [0, 1]"),
+        (["--model", "p", "--n", "-3", "--d-grid", "0.4"], "need n >= 2, k >= 3, p in [0, 1]"),
+        (["--model", "p", "--n", "2", "--d-grid", "1.5"], "need n >= 2, k >= 3, p in [0, 1]"),
+        (["--model", "lax", "--n", "2", "--f", "-1", "--d-grid", "0.4"], "need 0 <= f(k) < k"),
+        ({"model": "lax", "n": 2, "f": 4, "d_grid": [0.4]}, "need 0 <= f(k) < k"),
+        (["--model", "lax", "--n", "2", "--f", "1", "--d-grid", "0.4"], "need k - f(k) >= 3"),
+        (["--model", "lax", "--n", "1", "--d-grid", "0.4"], "need n >= 2"),
+    ])
+    def test_parameters_no_trial_can_run(self, capsys, monkeypatch, tmp_path, options, message):
+        # refused with the sampler's message, before any trial runs
+        monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
+        argv = with_options(tmp_path, ["sweep", "--k", "3", "--trials", "2", "--jobs", "1"], options)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("model", ["gnp", ["p"], 3])
     def test_unknown_model_from_config(self, capsys, monkeypatch, tmp_path, model):
@@ -747,8 +799,6 @@ class TestSweepBeyondTheEnumerationCap:
 
 class TestCertifyBuildsNoTuples:
     def test_relators_never_read(self, capsys, monkeypatch, tmp_path):
-        from spectralt.delta import Presentation
-
         path = tmp_path / "p.txt"
         pres = cli.sample_gamma_strict(2, 7, 0.5, cli.Seed(3))
         path.write_text("# sampled\n" + pres.dump())
