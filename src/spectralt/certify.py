@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -181,6 +181,27 @@ def _note_lines(note: str | Lambda1Solve | UnionCheck) -> tuple[str, ...]:
     return (line, "pipeline: union lambda1 is below the bound: a solver or construction bug")
 
 
+def _certificate(
+    method: str, k: int, delta: MultiGraph, solve: Lambda1Solve, audit: DoubleEdgeAudit,
+    bound: Optional[float], seed_info: Optional[str], lines: Iterable[str | UnionCheck],
+) -> Certificate:
+    """The certificate of a solved Delta_k: its size and solver lines, then
+    the route's own `lines`; the verdict reads the direct lambda_1 only."""
+    v, e = delta.num_vertices(), delta.num_edges()
+    return Certificate(
+        method=method,
+        k=k,
+        lambda1=solve.value,
+        pipeline_bound=bound,
+        certified=_certified(solve.value),
+        vertices=v,
+        edges=e,
+        audit=audit,
+        seed_info=seed_info,
+        notes=(f"delta_k vertices={v} edges={e}", solve, *lines),
+    )
+
+
 def zuk_certificate(
     p: Presentation, k: int, seed_info: Optional[str] = None
 ) -> Certificate:
@@ -191,27 +212,14 @@ def zuk_certificate(
     _check_cap(delta_k_order(p.n, k))  # before Delta_k is built
     delta = build_delta_k(p, k)
     solve = lambda1(delta, report=True)
-    lam = solve.value
-    audit = double_edge_audit(delta)
     used = int(np.count_nonzero(p.lengths == k))
     prof = delta.degree_profile()
-    diags = [
-        f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
-        solve,
+    lines = [
         f"relators used={used} ignored={p.num_relators - used}",
         f"degree min={prof.min} max={prof.max}",
     ]
-    return Certificate(
-        method="direct-delta-k",
-        k=k,
-        lambda1=lam,
-        pipeline_bound=None,
-        certified=_certified(lam),
-        vertices=delta.num_vertices(),
-        edges=delta.num_edges(),
-        audit=audit,
-        seed_info=seed_info,
-        notes=tuple(diags),
+    return _certificate(
+        "direct-delta-k", k, delta, solve, double_edge_audit(delta), None, seed_info, lines
     )
 
 
@@ -231,22 +239,26 @@ def _layer_target_cap(layers: dict[int, MultiGraph], n: int) -> int:
     return cap or 0
 
 
+def _targets(cap: int, delta_shave: float) -> range:
+    """The targets a pipeline route tries, largest first: from
+    t0 = max(floor((1 - delta) cap), 1) down, at most MAX_TARGET_ATTEMPTS."""
+    t0 = max(int((1 - delta_shave) * cap), 1)
+    return range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1)
+
+
 def _pipeline_case0(
     sigmas: list[MultiGraph], n: int, delta_shave: float
 ) -> tuple[Optional[float], list[str]]:
     """Same-vertex-set route: three 2a-regular unions, bound 1 - max c_i."""
-    diags: list[str] = []
     layers = [red_class_layers(g, n) for g in sigmas]
     caps = [_layer_target_cap(ls, n) for ls in layers]
     cap = min(caps)
     if cap < 1:
-        diags.append(
+        return None, [
             "pipeline: no target t >= 1 fits the degree caps "
             f"(Sigma_1, Sigma_2, Sigma_3 layers allow t <= {caps[0]}, {caps[1]}, {caps[2]})"
-        )
-        return None, diags
-    t0 = max(int((1 - delta_shave) * cap), 1)
-    for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
+        ]
+    for t in _targets(cap, delta_shave):
         pis = []
         for g, ls in zip(sigmas, layers):
             pi = layer_factor_union(g, ls, (2 * n - 1) * t, t)
@@ -256,14 +268,11 @@ def _pipeline_case0(
         if len(pis) != 3:
             continue
         cs = [max(0.0, 1.0 - lambda1(pi)) for pi in pis]
-        diags.append(f"pipeline: factors at t={t}, regular degree {2 * (2 * n - 1) * t}")
+        found = f"pipeline: factors at t={t}, regular degree {2 * (2 * n - 1) * t}"
         if max(cs) >= 1.0:
-            diags.append("pipeline: a factor is disconnected (c_i >= 1); bound invalid")
-            return None, diags
-        diags.append(f"pipeline c=({cs[0]:.4f},{cs[1]:.4f},{cs[2]:.4f})")
-        return 1.0 - max(cs), diags
-    diags.append("pipeline: no regular factors found in the attempted target range")
-    return None, diags
+            return None, [found, "pipeline: a factor is disconnected (c_i >= 1); bound invalid"]
+        return 1.0 - max(cs), [found, f"pipeline c=({cs[0]:.4f},{cs[1]:.4f},{cs[2]:.4f})"]
+    return None, ["pipeline: no regular factors found in the attempted target range"]
 
 
 def _pipeline_bipartite(
@@ -293,8 +302,7 @@ def _pipeline_bipartite(
             f"(V1 allows t <= {v1_cap}, Sigma_2 layers t <= {sigma2_cap // q}, V2 t <= {v2_cap})"
         )
         return None, diags
-    t0 = max(int((1 - delta_shave) * t_cap), 1)
-    for t in range(t0, max(t0 - MAX_TARGET_ATTEMPTS, 0), -1):
+    for t in _targets(t_cap, delta_shave):
         d1, d2 = q * t, d2_unit * t
         pi1 = extract_regular_subgraph(dec_sigma1, d1, d2)
         if pi1 is None:
@@ -329,7 +337,6 @@ def certify_via_decomposition(
     dec = sigma_decomposition(p, k)
     delta = dec.delta()
     solve = lambda1(delta, report=True)
-    lam = solve.value
     audits = [double_edge_audit(s, m_bound) for s in (dec.sigma1, dec.sigma2, dec.sigma3)]
     overall_audit = DoubleEdgeAudit(
         max_multiplicity=max(a.max_multiplicity for a in audits),
@@ -338,9 +345,7 @@ def certify_via_decomposition(
         max_doubles_per_vertex=max(a.max_doubles_per_vertex for a in audits),
         within_m_bound=all(a.within_m_bound for a in audits),
     )
-    diags = [
-        f"delta_k vertices={delta.num_vertices()} edges={delta.num_edges()}",
-        solve,
+    lines = [
         f"relators ignored={dec.ignored_relators}",
         f"sigma audits: max_mult={overall_audit.max_multiplicity} "
         f"doubles_matching={overall_audit.doubles_form_matching} "
@@ -361,16 +366,6 @@ def certify_via_decomposition(
             dec.case,
             params.delta,
         )
-    diags.extend(extra)
-    return Certificate(
-        method="union-bound-pipeline",
-        k=k,
-        lambda1=lam,
-        pipeline_bound=bound,
-        certified=_certified(lam),
-        vertices=delta.num_vertices(),
-        edges=delta.num_edges(),
-        audit=overall_audit,
-        seed_info=seed_info,
-        notes=tuple(diags),
+    return _certificate(
+        "union-bound-pipeline", k, delta, solve, overall_audit, bound, seed_info, lines + extra
     )

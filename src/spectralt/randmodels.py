@@ -51,6 +51,8 @@ class LaxParams:
             raise InputError("need 0 <= f(k) < k")
         if self.k - self.f < 3:
             raise InputError("need k - f(k) >= 3")
+        if not 0.0 < self.d < 1.0:  # NaN too
+            raise InputError("need d in (0, 1)")
 
 
 def _pair_labels(prefix: str, m: int) -> list[str]:

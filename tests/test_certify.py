@@ -294,7 +294,12 @@ class TestPipeline:
     def test_lambda1_is_the_direct_value(self, k):
         # Delta_k comes from the Sigma split here, so this pins it bit for bit
         p = sample_gamma_p(2, k, 0.5, Seed(27, k))
-        assert certify_via_decomposition(p, k).lambda1 == zuk_certificate(p, k).lambda1
+        pipeline, direct = certify_via_decomposition(p, k), zuk_certificate(p, k)
+        assert pipeline.lambda1 == direct.lambda1
+        # and both routes report the same Delta_k, solve and verdict
+        assert pipeline.certified == direct.certified
+        assert (pipeline.vertices, pipeline.edges) == (direct.vertices, direct.edges)
+        assert pipeline.diagnostics[:2] == direct.diagnostics[:2]
 
 
 class TestJson:

@@ -145,6 +145,13 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--model", "red", "--n", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("d", ["1.5", "-0.5", "nan"])
+    def test_lax_density_outside_unit_interval(self, capsys, d):
+        # refused as the strict model refuses it, before anything is drawn
+        code, out, err = run(capsys, "sample", "--model", "lax", "--n", "2", "--k", "5",
+                             "--f", "1", "--d", d)
+        assert (code, out, err) == (2, "", "error: need d in (0, 1)\n")
+
     @pytest.mark.parametrize("model,required", [
         ("gnp", ["m", "p"]),
         ("bgnp", ["m1", "m2", "p"]),
@@ -267,6 +274,8 @@ class TestSweep:
         ({"model": "lax", "n": 2, "f": 4, "d_grid": [0.4]}, "need 0 <= f(k) < k"),
         (["--model", "lax", "--n", "2", "--f", "1", "--d-grid", "0.4"], "need k - f(k) >= 3"),
         (["--model", "lax", "--n", "1", "--d-grid", "0.4"], "need n >= 2"),
+        (["--model", "lax", "--n", "2", "--d-grid", "0.4,1.5"], "need d in (0, 1)"),
+        ({"model": "lax", "n": 2, "d_grid": [-0.5]}, "need d in (0, 1)"),
     ])
     def test_parameters_no_trial_can_run(self, capsys, monkeypatch, tmp_path, options, message):
         # refused with the sampler's message, before any trial runs

@@ -221,6 +221,9 @@ class TestGamma:
             LaxParams(4, 0.3, 2)  # k - f < 3
         with pytest.raises(InputError):
             LaxParams(4, 0.3, -1)
+        for d in (0.0, 1.0, 1.5, -0.5, float("nan")):
+            with pytest.raises(InputError, match=r"need d in \(0, 1\)"):
+                LaxParams(5, d, 1)
 
 
 class TestBernoulliLaw:
