@@ -30,7 +30,6 @@ from .errors import (
 )
 from .multigraph import MultiGraph, union
 from .randmodels import (
-    LaxParams,
     Seed,
     coupled_bred_extension,
     coupled_red_extension,
@@ -44,7 +43,6 @@ from .randmodels import (
     strict_model_size,
 )
 from .regularity import (
-    RegularityParams,
     extract_red_regular_union,
     extract_regular_subgraph,
     ore_ryser_feasible,

@@ -26,12 +26,7 @@ from .delta import (
 )
 from .errors import HypothesisViolation, InputError
 from .multigraph import MultiGraph, union
-from .regularity import (
-    RegularityParams,
-    extract_regular_subgraph,
-    layer_factor_union,
-    red_class_layers,
-)
+from .regularity import extract_regular_subgraph, layer_factor_union, red_class_layers
 from .spectra import CERT_MARGIN, Lambda1Solve, _check_cap, lambda1
 
 THRESHOLD = 0.5
@@ -328,11 +323,15 @@ def _pipeline_bipartite(
 def certify_via_decomposition(
     p: Presentation,
     k: int,
-    params: RegularityParams = RegularityParams(),
+    delta_shave: float = 0.2,
     seed_info: Optional[str] = None,
     m_bound: int = 3,
 ) -> Certificate:
     """Full pipeline certificate; certification always uses the direct value."""
+    if not 0.0 <= delta_shave < 1.0:  # NaN too
+        raise InputError("need 0 <= delta < 1")
+    if m_bound < 0:
+        raise InputError("--m-bound must be >= 0")
     _check_cap(delta_k_order(p.n, k))  # before Delta_k is built
     dec = sigma_decomposition(p, k)
     delta = dec.delta()
@@ -354,9 +353,7 @@ def certify_via_decomposition(
     ]
     if dec.case == 0:
         # layer splitting reads multiplicities, so pass the raw sigma graphs
-        bound, extra = _pipeline_case0(
-            [dec.sigma1, dec.sigma2, dec.sigma3], p.n, params.delta
-        )
+        bound, extra = _pipeline_case0([dec.sigma1, dec.sigma2, dec.sigma3], p.n, delta_shave)
     else:
         bound, extra = _pipeline_bipartite(
             dec.sigma1.collapse_multi_edges(),
@@ -364,7 +361,7 @@ def certify_via_decomposition(
             dec.sigma3.collapse_multi_edges(),
             p.n,
             dec.case,
-            params.delta,
+            delta_shave,
         )
     return _certificate(
         "union-bound-pipeline", k, delta, solve, overall_audit, bound, seed_info, lines + extra

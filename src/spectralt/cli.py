@@ -23,7 +23,6 @@ from .delta import Presentation, build_delta_k, double_edge_audit
 from .errors import HypothesisViolation, InputError, ResourceCapError, SpectralTError
 from .multigraph import MultiGraph
 from .randmodels import (
-    LaxParams,
     Seed,
     check_lax_params,
     check_p_params,
@@ -36,7 +35,7 @@ from .randmodels import (
     sample_gnp,
     sample_red,
 )
-from .regularity import RegularityParams, extract_regular_subgraph, ore_ryser_feasible
+from .regularity import extract_regular_subgraph, ore_ryser_feasible
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -127,11 +126,9 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
         raise InputError("k not given and not recorded in the file")
     diagnostics = _num(args, cfg, "diagnostics", bool, False)
     if _num(args, cfg, "pipeline", bool, False):
-        params = RegularityParams(delta=_num(args, cfg, "delta", float, 0.2))
+        delta_shave = _num(args, cfg, "delta", float, 0.2)
         m_bound = _num(args, cfg, "m_bound", int, 3)
-        if m_bound < 0:
-            raise InputError("--m-bound must be >= 0")
-        cert = certify_via_decomposition(pres, k, params, m_bound=m_bound)
+        cert = certify_via_decomposition(pres, k, delta_shave, m_bound=m_bound)
     else:
         cert = zuk_certificate(pres, k)
     print(cert.to_json())
@@ -142,10 +139,6 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
 
 
 # ----------------------------------------------------------------- sample
-
-def _sample_lax(n: int, k: int, d: float, f: int, seed: Seed) -> Presentation:
-    return sample_gamma_lax(n, LaxParams(k, d, f), seed)
-
 
 def _samplers() -> dict:
     """model -> (the options it requires, its sampler taking them in that
@@ -158,7 +151,7 @@ def _samplers() -> dict:
         "bred": (("n", "l", "p"), sample_bred),
         "strict": (("n", "k", "d"), sample_gamma_strict),
         "p": (("n", "k", "p"), sample_gamma_p),
-        "lax": (("n", "k", "d", "f"), _sample_lax),
+        "lax": (("n", "k", "d", "f"), sample_gamma_lax),
     }
 
 
@@ -209,15 +202,15 @@ def _density_p(n: int, k: int, d: float) -> float:
         return 0.0 if d < 1 else math.inf
 
 
-def _check_sweep_point(model: str, n: int, k: int, f: int, d: float) -> None:
-    """The sampler's checks that no seed changes, for the trials at density d."""
+def _sweep_model(model: str, n: int, k: int, f: int, d: float) -> tuple:
+    """(sampler, check, args) of a sweep model at density d: a trial draws
+    `sampler(*args, seed)`, and `check(*args)` makes the sampler's checks that
+    no seed changes.  Names are read on each call, as in `_samplers`."""
     if model == "strict":
-        check_strict_params(n, k, d)
-    elif model == "p":
-        check_p_params(n, k, _density_p(n, k, d))
-    else:
-        LaxParams(k, d, f)
-        check_lax_params(n)
+        return sample_gamma_strict, check_strict_params, (n, k, d)
+    if model == "p":
+        return sample_gamma_p, check_p_params, (n, k, _density_p(n, k, d))
+    return sample_gamma_lax, check_lax_params, (n, k, d, f)
 
 
 def _sweep_trial(task: tuple) -> tuple:
@@ -225,12 +218,8 @@ def _sweep_trial(task: tuple) -> tuple:
     model, n, k, f, d, trial, seed_value, stream_id, pipeline = task
     seed = Seed(seed_value, stream_id)
     try:
-        if model == "strict":
-            pres = sample_gamma_strict(n, k, d, seed)
-        elif model == "p":
-            pres = sample_gamma_p(n, k, _density_p(n, k, d), seed)
-        else:
-            pres = sample_gamma_lax(n, LaxParams(k, d, f), seed)
+        sampler, _, sample_args = _sweep_model(model, n, k, f, d)
+        pres = sampler(*sample_args, seed)
         if pipeline:
             cert = certify_via_decomposition(pres, k, seed_info=str(seed))
         else:
@@ -330,44 +319,39 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     if model not in SWEEP_MODELS:
         raise InputError(f"unknown sweep model {model!r}")
     for d in grid:  # before any trial starts
-        _check_sweep_point(model, n, k, f, d)
+        _, check, check_args = _sweep_model(model, n, k, f, d)
+        check(*check_args)
 
     tasks = [
         (model, n, k, f, d, trial, seed_value, di * trials + trial, pipeline)
         for di, d in enumerate(grid)
         for trial in range(trials)
     ]
-    # start no more workers than can run
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # spawned workers load numpy afresh, so they read the environment the
-        # pool starts them in; forked ones would keep this process's BLAS
-        spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-            rows = list(pool.map(_sweep_trial, tasks))
-    else:
-        rows = [_sweep_trial(t) for t in tasks]
-
-    # rate footer: certification fraction per grid point, in grid order
-    footer = []
-    for di, d in enumerate(grid):
-        chunk = rows[di * trials : (di + 1) * trials]
-        certified = sum(1 for r in chunk if r[8] == "true")
-        footer.append(
-            f"# rate d={_fmt(d)} certified {certified}/{trials} "
-            f"({certified / trials:.3f})"
-        )
-
-    fh = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
+    # opened before the first trial, so a path that cannot be written fails
+    # the sweep before any trial runs
+    out = open(out_path, "w", newline="") if out_path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        # start no more workers than can run
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            # spawned workers load numpy afresh, so they read the environment the
+            # pool starts them in; forked ones would keep this process's BLAS
+            spawn = multiprocessing.get_context("spawn")
+            with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                rows = list(pool.map(_sweep_trial, tasks))
+        else:
+            rows = [_sweep_trial(t) for t in tasks]
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         writer.writerows(rows)
-        for line in footer:
-            fh.write(line + "\n")
-    finally:
-        if out_path:
-            fh.close()
+        # rate footer: certification fraction per grid point, in grid order
+        for di, d in enumerate(grid):
+            chunk = rows[di * trials : (di + 1) * trials]
+            certified = sum(1 for r in chunk if r[8] == "true")
+            fh.write(
+                f"# rate d={_fmt(d)} certified {certified}/{trials} "
+                f"({certified / trials:.3f})\n"
+            )
     return EXIT_OK
 
 
@@ -531,7 +515,7 @@ def _verify_models(seed: Seed) -> list[Check]:
 
     ok = True
     for i in range(20):
-        pres = sample_gamma_lax(2, LaxParams(5, 0.3, 1), Seed(seed.value, 3200 + i))
+        pres = sample_gamma_lax(2, 5, 0.3, 1, Seed(seed.value, 3200 + i))
         ok = ok and bool(np.all((4 <= pres.lengths) & (pres.lengths <= 6)))
     checks.append(("lax-length-window", ok, "20 seeds, k=5 f=1"))
     return checks
@@ -582,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print diagnostics to stderr")
 
     ps = sub.add_parser("sample", help="sample a random model")
-    ps.add_argument("--model",
-                    choices=["gnp", "bgnp", "red", "bred", "strict", "p", "lax"])
+    ps.add_argument("--model", choices=list(_samplers()))
     for flag, typ in [("--n", int), ("--k", int), ("--l", int), ("--m", int),
                       ("--m1", int), ("--m2", int), ("--f", int),
                       ("--p", float), ("--d", float)]:

@@ -303,8 +303,6 @@ class SigmaDecomposition:
     sigma2: MultiGraph
     sigma3: MultiGraph
     case: int
-    l_k: int
-    L_k: int
     ignored_relators: int = 0
 
     def delta(self) -> MultiGraph:
@@ -396,8 +394,7 @@ def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
         sigma3 = MultiGraph(both, *e3, side=side)
     used = len(e1[0])
     return SigmaDecomposition(
-        sigma1, sigma2, sigma3, case, xy_len, z_len,
-        ignored_relators=p.num_relators - used,
+        sigma1, sigma2, sigma3, case, ignored_relators=p.num_relators - used
     )
 
 

@@ -40,21 +40,6 @@ class Seed:
         return f"{self.value}:{self.stream_id}"
 
 
-@dataclass(frozen=True)
-class LaxParams:
-    k: int
-    d: float
-    f: int
-
-    def __post_init__(self):
-        if self.f < 0 or self.f >= self.k:
-            raise InputError("need 0 <= f(k) < k")
-        if self.k - self.f < 3:
-            raise InputError("need k - f(k) >= 3")
-        if not 0.0 < self.d < 1.0:  # NaN too
-            raise InputError("need d in (0, 1)")
-
-
 def _pair_labels(prefix: str, m: int) -> list[str]:
     width = len(str(m))
     return [f"{prefix}{i:0{width}d}" for i in range(1, m + 1)]
@@ -299,9 +284,14 @@ def check_p_params(n: int, k: int, p: float) -> None:
         raise InputError("need n >= 2, k >= 3, p in [0, 1]")
 
 
-def check_lax_params(n: int) -> None:
-    """The check of `sample_gamma_lax` that no seed changes, besides those a
-    LaxParams makes when it is built."""
+def check_lax_params(n: int, k: int, d: float, f: int) -> None:
+    """The checks of `sample_gamma_lax` that no seed changes."""
+    if f < 0 or f >= k:
+        raise InputError("need 0 <= f(k) < k")
+    if k - f < 3:
+        raise InputError("need k - f(k) >= 3")
+    if not 0.0 < d < 1.0:  # NaN too
+        raise InputError("need d in (0, 1)")
     if n < 2:
         raise InputError("need n >= 2")
 
@@ -327,15 +317,15 @@ def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
     return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
 
 
-def sample_gamma_lax(n: int, params: LaxParams, seed: Seed) -> Presentation:
+def sample_gamma_lax(n: int, k: int, d: float, f: int, seed: Seed) -> Presentation:
     """Lax model: uniform subset drawn from all lengths in [k-f, k+f].
 
     The universe is C(n, k-f), ..., C(n, k+f) concatenated in that order.
     """
-    check_lax_params(n)
-    lengths = range(params.k - params.f, params.k + params.f + 1)
+    check_lax_params(n, k, d, f)
+    lengths = range(k - f, k + f + 1)
     offsets = np.cumsum([0] + _universe_sizes(n, lengths[0], lengths[-1]))
-    size = strict_model_size(n, params.k, params.d)
+    size = strict_model_size(n, k, d)
     ranks = _uniform_ranks(int(offsets[-1]), size, lengths[-1], seed.rng())
     letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0
     for l, lo, hi in zip(lengths, offsets, offsets[1:]):

@@ -3,7 +3,6 @@ subgraphs of bipartite graphs via max flow."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -14,15 +13,6 @@ from .errors import InputError
 from .multigraph import MultiGraph, edge_key, union
 
 BRUTE_FORCE_VERTEX_CUTOFF = 16
-
-
-@dataclass(frozen=True)
-class RegularityParams:
-    delta: float = 0.2
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta < 1.0:
-            raise InputError("need 0 <= delta < 1")
 
 
 def _max_flow(

@@ -14,7 +14,6 @@ from spectralt.certify import (
 from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import HypothesisViolation, InputError, ResourceCapError
 from spectralt.randmodels import Seed, sample_gamma_p, sample_gamma_strict
-from spectralt.regularity import RegularityParams
 from spectralt.words import enumerate_cyclically_reduced
 
 from graphs import graph
@@ -178,6 +177,17 @@ class TestPipeline:
         assert not cert.certified
         assert cert.pipeline_bound is None or cert.pipeline_bound <= 0.5
 
+    def test_params_validation(self):
+        p = Presentation(2, ((1, 2, 1),))
+        for delta in (-0.1, 1.0, float("nan")):
+            with pytest.raises(InputError, match="^need 0 <= delta < 1$"):
+                certify_via_decomposition(p, 3, delta)
+        with pytest.raises(InputError, match="^--m-bound must be >= 0$"):
+            certify_via_decomposition(p, 3, m_bound=-1)
+        # the delta check comes first
+        with pytest.raises(InputError, match="^need 0 <= delta < 1$"):
+            certify_via_decomposition(p, 3, 2.0, m_bound=-1)
+
     def test_bipartite_case_bound_below_direct(self):
         rels = tuple(enumerate_cyclically_reduced(2, 5))
         cert = certify_via_decomposition(Presentation(2, rels), 5)
@@ -213,9 +223,9 @@ class TestPipeline:
         # k = 9: the first target is t = 9 with delta = 0 and t = 8 with
         # delta = 0.1; a factor missing at t = 9 leaves what t = 8 finds
         p = full_presentation(9)
-        at_8 = certify_via_decomposition(p, 9, RegularityParams(delta=0.1))
+        at_8 = certify_via_decomposition(p, 9, 0.1)
         monkeypatch.setattr(C, "layer_factor_union", failing_call(C.layer_factor_union, at))
-        retried = certify_via_decomposition(p, 9, RegularityParams(delta=0.0))
+        retried = certify_via_decomposition(p, 9, 0.0)
         assert "pipeline: factors at t=8, regular degree 48" in at_8.diagnostics
         assert retried == at_8 and retried.diagnostics == at_8.diagnostics
 
@@ -252,9 +262,9 @@ class TestPipeline:
         # delta = 0.1; a failure at t = 9 leaves what t = 8 finds, after the
         # violation's line
         p = full_presentation(11)
-        at_8 = certify_via_decomposition(p, 11, RegularityParams(delta=0.1))
+        at_8 = certify_via_decomposition(p, 11, 0.1)
         monkeypatch.setattr(C, fn, failing_call(getattr(C, fn), at, result))
-        retried = certify_via_decomposition(p, 11, RegularityParams(delta=0.0))
+        retried = certify_via_decomposition(p, 11, 0.0)
         first = next(i for i, line in enumerate(at_8.diagnostics) if line.startswith("pipeline"))
         assert at_8.diagnostics[first] == "pipeline: factors at t=8, (d1,d2)=(24,72)"
         violation = [f"pipeline: hypothesis violation at t=9: {result}"] if result else []

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -84,6 +85,15 @@ class TestCertify:
     def test_m_bound_below_zero(self, capsys, tmp_path, aba_file, m_bound):
         argv = with_options(tmp_path, ["certify", aba_file, "--pipeline"], m_bound)
         assert run(capsys, *argv) == (2, "", "error: --m-bound must be >= 0\n")
+
+    @pytest.mark.parametrize("delta", ["-0.1", "1", "nan"])
+    def test_delta_outside_unit_interval(self, capsys, aba_file, delta):
+        argv = ["certify", aba_file, "--pipeline", "--delta", delta]
+        assert run(capsys, *argv) == (2, "", "error: need 0 <= delta < 1\n")
+
+    def test_delta_is_checked_before_m_bound(self, capsys, aba_file):
+        argv = ["certify", aba_file, "--pipeline", "--delta", "2", "--m-bound", "-1"]
+        assert run(capsys, *argv) == (2, "", "error: need 0 <= delta < 1\n")
 
     def test_m_bound_zero(self, capsys, aba_file):
         code, _, err = run(capsys, "certify", aba_file, "--pipeline", "--m-bound", "0",
@@ -282,6 +292,26 @@ class TestSweep:
         monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
         argv = with_options(tmp_path, ["sweep", "--k", "3", "--trials", "2", "--jobs", "1"], options)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_unwritable_out_fails_before_a_trial(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_sweep_trial", lambda task: pytest.fail("a trial ran"))
+        path = str(tmp_path / "missing" / "x.csv")
+        argv = ["sweep", "--n", "2", "--k", "3", "--d-grid", "0.3", "--trials", "2",
+                "--jobs", "1", "--out", path]
+        assert run(capsys, *argv) == (
+            2, "", f"error: [Errno 2] No such file or directory: {path!r}\n"
+        )
+
+    @pytest.mark.parametrize("model", cli.SWEEP_MODELS)
+    def test_sweep_model_check_takes_the_sampler_arguments(self, model):
+        # check(*args) and sampler(*args, seed) take the same arguments
+        sampler, check, args = cli._sweep_model(model, 2, 6, 1, 0.45)
+        *params, seed = inspect.signature(sampler).parameters.values()
+        assert seed.name == "seed"
+        assert list(inspect.signature(check).parameters.values()) == params
+        assert len(args) == len(params)
+        check(*args)
+        assert sampler(*args, Seed(0)).num_relators > 0
 
     @pytest.mark.parametrize("model", ["gnp", ["p"], 3])
     def test_unknown_model_from_config(self, capsys, monkeypatch, tmp_path, model):

@@ -20,7 +20,7 @@ from spectralt.cli import main
 from spectralt.errors import InputError
 from spectralt.multigraph import edge_key, union
 from spectralt.randmodels import (
-    LaxParams, Seed, sample_gamma_lax, sample_gamma_p, sample_gamma_strict,
+    Seed, sample_gamma_lax, sample_gamma_p, sample_gamma_strict,
 )
 
 from graphs import graph, sides
@@ -187,7 +187,7 @@ class TestSigma:
             else:
                 assert dec.sigma1.side is not None
                 assert dec.sigma3.side is not None
-                assert dec.sigma2.num_vertices() == W.word_count(2, dec.l_k)
+                assert dec.sigma2.num_vertices() == W.word_count(2, W.split_lengths(k)[0])
 
     def test_same_class_never_adjacent(self):
         # Sigma edge endpoints always start with different letters: the link
@@ -453,7 +453,7 @@ class TestLinkEdgesAgainstOracle:
         self.assert_same(sample(n, k, 5), k)
 
     def test_mixed_lengths_and_none_of_length_k(self):
-        lax = sample_gamma_lax(2, LaxParams(9, 0.45, 2), Seed(3))
+        lax = sample_gamma_lax(2, 9, 0.45, 2, Seed(3))
         for k in range(6, 13):
             self.assert_same(lax, k)
         self.assert_same(Presentation(2, ((1, 2, 1),)), 6)

@@ -11,7 +11,6 @@ from spectralt.multigraph import edge_key
 from spectralt import randmodels
 from spectralt.randmodels import (
     PAIR_CAP,
-    LaxParams,
     Seed,
     _bernoulli,
     _uniform_ranks,
@@ -208,22 +207,22 @@ class TestGamma:
 
     def test_lax_lengths_in_window(self):
         for i in range(30):
-            p = sample_gamma_lax(2, LaxParams(5, 0.3, 1), Seed(19, i))
+            p = sample_gamma_lax(2, 5, 0.3, 1, Seed(19, i))
             assert all(4 <= len(r) <= 6 for r in p.relators)
 
     def test_lax_zero_slack_matches_strict(self):
-        a = sample_gamma_lax(2, LaxParams(4, 0.4, 0), Seed(20, 0))
+        a = sample_gamma_lax(2, 4, 0.4, 0, Seed(20, 0))
         assert all(len(r) == 4 for r in a.relators)
         assert len(a.relators) == strict_model_size(2, 4, 0.4)
 
     def test_lax_params_validation(self):
         with pytest.raises(InputError):
-            LaxParams(4, 0.3, 2)  # k - f < 3
+            sample_gamma_lax(2, 4, 0.3, 2, Seed(0))  # k - f < 3
         with pytest.raises(InputError):
-            LaxParams(4, 0.3, -1)
+            sample_gamma_lax(2, 4, 0.3, -1, Seed(0))
         for d in (0.0, 1.0, 1.5, -0.5, float("nan")):
             with pytest.raises(InputError, match=r"need d in \(0, 1\)"):
-                LaxParams(5, d, 1)
+                sample_gamma_lax(2, 5, d, 1, Seed(0))
 
 
 class TestBernoulliLaw:
@@ -274,7 +273,7 @@ class TestNoEnumeration:
         assert strict.num_relators == strict_model_size(2, 16, 0.45) == 2724
         p = sample_gamma_p(2, 16, 1e-4, Seed(1))
         assert abs(p.num_relators - total * 1e-4) <= 4 * math.sqrt(total * 1e-4)
-        lax = sample_gamma_lax(2, LaxParams(16, 0.45, 1), Seed(1))
+        lax = sample_gamma_lax(2, 16, 0.45, 1, Seed(1))
         assert lax.num_relators == 2724
         assert {len(r) for r in lax.relators} == {15, 16, 17}
         for pres in (strict, p):
@@ -321,10 +320,10 @@ def old_gamma_p(n, k, p, seed):
     return Presentation(n, old_uniform_subset(universe, rng.binomial(len(universe), p), rng), k)
 
 
-def old_gamma_lax(n, params, seed):
-    lengths = range(params.k - params.f, params.k + params.f + 1)
+def old_gamma_lax(n, k, d, f, seed):
+    lengths = range(k - f, k + f + 1)
     universe = [w for l in lengths for w in old_enumerate(n, l)]
-    size = strict_model_size(n, params.k, params.d)
+    size = strict_model_size(n, k, d)
     return Presentation(n, old_uniform_subset(universe, size, seed.rng()), None)
 
 
@@ -379,8 +378,8 @@ class TestStreamIdentity:
             seed = Seed(30 + i, i)
             for d in (0.3, 0.55):
                 assert sample_gamma_strict(n, k, d, seed) == old_gamma_strict(n, k, d, seed)
-                lax = LaxParams(k, d, 1 if k > 3 else 0)
-                assert sample_gamma_lax(n, lax, seed) == old_gamma_lax(n, lax, seed)
+                lax = (n, k, d, 1 if k > 3 else 0)
+                assert sample_gamma_lax(*lax, seed) == old_gamma_lax(*lax, seed)
             for p in (0.0, 0.2, 1.0):
                 assert sample_gamma_p(n, k, p, seed) == old_gamma_p(n, k, p, seed)
 
@@ -421,7 +420,7 @@ class TestStreamIdentity:
         runs = [
             (sample_gamma_strict, old_gamma_strict, (2, 6, 0.4)),  # 13 relators
             (sample_gamma_p, old_gamma_p, (2, 6, 0.01)),
-            (sample_gamma_lax, old_gamma_lax, (2, LaxParams(5, 0.5, 1))),  # 15
+            (sample_gamma_lax, old_gamma_lax, (2, 5, 0.5, 1)),  # 15
         ]
         old = [old_fn(*args, seed) for _, old_fn, args in runs]
         monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
@@ -433,7 +432,7 @@ class TestStreamIdentity:
              "drawing 52 of 732 words shuffles all 732, above enumeration cap 100"),
             (lambda: sample_gamma_p(2, 6, 0.3, seed),
              "210 relators exceed enumeration cap 100"),
-            (lambda: sample_gamma_lax(2, LaxParams(6, 0.65, 1), seed),
+            (lambda: sample_gamma_lax(2, 6, 0.65, 1, seed),
              "drawing 72 of 3164 words shuffles all 3164, above enumeration cap 100"),
         ]
         for call, message in capped:
@@ -507,7 +506,7 @@ CAPPED_CALLS = {
                             "377 relators exceed enumeration cap 100"),
     "sample_gamma_p": (lambda: sample_gamma_p(2, 6, 0.1, Seed(0)),
                        "drawing 93 of 732 words shuffles all 732, above enumeration cap 100"),
-    "sample_gamma_lax": (lambda: sample_gamma_lax(2, LaxParams(6, 0.9, 1), Seed(0)),
+    "sample_gamma_lax": (lambda: sample_gamma_lax(2, 6, 0.9, 1, Seed(0)),
                          "377 relators exceed enumeration cap 100"),
     "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5 + "; stream instead"),
     "enumerate_reduced-n1": (lambda: W.enumerate_reduced(1, 60),
@@ -535,7 +534,7 @@ class TestEnumerationCap:
 LETTER_CAPPED = {
     "strict": (lambda: sample_gamma_strict(2, 8, 0.45, Seed(0)), 52, 8),
     "p": (lambda: sample_gamma_p(2, 8, 0.01, Seed(0)), 85, 8),
-    "lax": (lambda: sample_gamma_lax(2, LaxParams(8, 0.45, 1), Seed(0)), 52, 9),
+    "lax": (lambda: sample_gamma_lax(2, 8, 0.45, 1, Seed(0)), 52, 9),
 }
 
 

@@ -13,7 +13,6 @@ from spectralt.randmodels import (
     sample_red,
 )
 from spectralt.regularity import (
-    RegularityParams,
     extract_red_regular_union,
     extract_regular_subgraph,
     ore_ryser_feasible,
@@ -134,10 +133,6 @@ class TestRedUnion:
         g = sample_red(2, 2, 0.9, Seed(25, 0))
         with pytest.raises(InputError):
             extract_red_regular_union(g, 2, 2, 2, 1)
-
-    def test_params_validation(self):
-        with pytest.raises(InputError):
-            RegularityParams(delta=-0.1)
 
 
 # ---- the label-keyed extraction this module replaced, kept as an oracle ----
