@@ -121,7 +121,6 @@ class Certificate:
     vertices: int
     edges: int
     audit: DoubleEdgeAudit
-    threshold: float = THRESHOLD
     seed_info: Optional[str] = None
     # diagnostic lines; a Lambda1Solve stands for its solver line and a
     # UnionCheck for its one or two lines, rendered (and the residual or the
@@ -139,7 +138,7 @@ class Certificate:
                 "k": self.k,
                 "lambda1": self.lambda1,
                 "pipeline_bound": self.pipeline_bound,
-                "threshold": self.threshold,
+                "threshold": THRESHOLD,
                 "certified": self.certified,
                 "vertices": self.vertices,
                 "edges": self.edges,
@@ -320,6 +319,14 @@ def _pipeline_bipartite(
     return None, diags
 
 
+def check_pipeline_params(delta_shave: float, m_bound: int) -> None:
+    """Refuse delta_shave outside [0, 1), NaN too, then m_bound below 0."""
+    if not 0.0 <= delta_shave < 1.0:
+        raise InputError("need 0 <= delta < 1")
+    if m_bound < 0:
+        raise InputError("--m-bound must be >= 0")
+
+
 def certify_via_decomposition(
     p: Presentation,
     k: int,
@@ -328,10 +335,7 @@ def certify_via_decomposition(
     m_bound: int = 3,
 ) -> Certificate:
     """Full pipeline certificate; certification always uses the direct value."""
-    if not 0.0 <= delta_shave < 1.0:  # NaN too
-        raise InputError("need 0 <= delta < 1")
-    if m_bound < 0:
-        raise InputError("--m-bound must be >= 0")
+    check_pipeline_params(delta_shave, m_bound)
     _check_cap(delta_k_order(p.n, k))  # before Delta_k is built
     dec = sigma_decomposition(p, k)
     delta = dec.delta()

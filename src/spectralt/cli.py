@@ -18,7 +18,12 @@ import numpy as np
 
 from . import spectra as SP
 from . import words as W
-from .certify import certify_via_decomposition, union_bound_empirical_check, zuk_certificate
+from .certify import (
+    certify_via_decomposition,
+    check_pipeline_params,
+    union_bound_empirical_check,
+    zuk_certificate,
+)
 from .delta import Presentation, build_delta_k, double_edge_audit
 from .errors import HypothesisViolation, InputError, ResourceCapError, SpectralTError
 from .multigraph import MultiGraph
@@ -125,9 +130,11 @@ def cmd_certify(args: argparse.Namespace, cfg: dict) -> int:
     if k is None:
         raise InputError("k not given and not recorded in the file")
     diagnostics = _num(args, cfg, "diagnostics", bool, False)
-    if _num(args, cfg, "pipeline", bool, False):
-        delta_shave = _num(args, cfg, "delta", float, 0.2)
-        m_bound = _num(args, cfg, "m_bound", int, 3)
+    pipeline = _num(args, cfg, "pipeline", bool, False)
+    delta_shave = _num(args, cfg, "delta", float, 0.2)
+    m_bound = _num(args, cfg, "m_bound", int, 3)
+    check_pipeline_params(delta_shave, m_bound)  # refused on either route
+    if pipeline:
         cert = certify_via_decomposition(pres, k, delta_shave, m_bound=m_bound)
     else:
         cert = zuk_certificate(pres, k)

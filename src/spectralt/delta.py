@@ -348,12 +348,16 @@ def _link_edges(p: Presentation, k: int):
     return ((x, z_inv + z_at), (y, x_inv), (z + z_at, y_inv))
 
 
+def _delta_labels(n: int, k: int) -> tuple[list[str], int]:
+    """Delta_k's vertex labels, W_{l_k} followed, when L_k != l_k, by
+    W_{L_k}, each in canonical order; and |W_{l_k}|."""
+    sets = [W.reduced_labels(n, l) for l in dict.fromkeys(sigma_vertex_lengths(k))]
+    return [x for labels in sets for x in labels], len(sets[0])
+
+
 def build_delta_k(p: Presentation, k: int) -> MultiGraph:
     """Delta_k on the full word sets; relators of other lengths are ignored."""
-    l_k, L_k = sigma_vertex_lengths(k)
-    vertices = W.reduced_labels(p.n, l_k)
-    if L_k != l_k:
-        vertices = vertices + W.reduced_labels(p.n, L_k)
+    vertices, _ = _delta_labels(p.n, k)
     ends = _link_edges(p, k)
     u = np.concatenate([e[0] for e in ends])
     v = np.concatenate([e[1] for e in ends])
@@ -372,29 +376,20 @@ def build_delta3(p: Presentation) -> MultiGraph:
 def sigma_decomposition(p: Presentation, k: int) -> SigmaDecomposition:
     """Split Delta_k into Sigma_1, Sigma_2, Sigma_3.
 
-    For k not divisible by 3, Sigma_1 and Sigma_3 live on W_{l_k} and W_{L_k}
-    with a bipartition tag; Sigma_2 lives on W_{l_k} alone (the side holding
-    r_x and r_y).
+    Sigma_1 and Sigma_3 live on Delta_k's vertices, bipartite between W_{l_k}
+    and W_{L_k} when 3 does not divide k; Sigma_2 lives on Delta_k's first
+    |W_{l_k}| vertices, W_{l_k} (the side holding r_x and r_y).
     """
     case = k % 3
-    xy_len, _, z_len = W.split_lengths(k)
-    xy_labels = W.reduced_labels(p.n, xy_len)
-    z_labels = W.reduced_labels(p.n, z_len) if z_len != xy_len else []
+    labels, first = _delta_labels(p.n, k)
+    side = np.arange(len(labels)) < first if case else None
     e1, e2, e3 = _link_edges(p, k)
-
-    if case == 0:
-        sigma1 = MultiGraph(xy_labels, *e1)
-        sigma2 = MultiGraph(xy_labels, *e2)
-        sigma3 = MultiGraph(xy_labels, *e3)
-    else:
-        both = xy_labels + z_labels
-        side = np.arange(len(both)) < len(xy_labels)
-        sigma1 = MultiGraph(both, *e1, side=side)
-        sigma2 = MultiGraph(xy_labels, *e2)
-        sigma3 = MultiGraph(both, *e3, side=side)
-    used = len(e1[0])
     return SigmaDecomposition(
-        sigma1, sigma2, sigma3, case, ignored_relators=p.num_relators - used
+        MultiGraph(labels, *e1, side=side),
+        MultiGraph(labels[:first], *e2),
+        MultiGraph(labels, *e3, side=side),
+        case,
+        ignored_relators=p.num_relators - len(e1[0]),
     )
 
 

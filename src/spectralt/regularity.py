@@ -10,7 +10,7 @@ import numpy as np
 
 from . import words as W
 from .errors import InputError
-from .multigraph import MultiGraph, edge_key, union
+from .multigraph import MultiGraph, edge_key
 
 BRUTE_FORCE_VERTEX_CUTOFF = 16
 
@@ -251,8 +251,8 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     """Split a reduced-model graph into 2n class-bipartite layers.
 
     Layer i is bipartite between S_i (words with class index i) and its
-    complement, with vertex order S_i then the rest, each in g's order.  A
-    multiplicity-2 (or higher) edge contributes one simple copy to each
+    complement: it has g's vertices in g's order, with side = (class == i).
+    A multiplicity-2 (or higher) edge contributes one simple copy to each
     endpoint's layer; a single edge, whose direction label is forgotten by
     the undirected type, is assigned to one endpoint's layer by a
     deterministic parity rule that keeps the layers balanced: with an even
@@ -274,32 +274,25 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     eu = np.concatenate([u[single], u[~single], u[~single]])
     ev = np.concatenate([v[single], v[~single], v[~single]])
     owner = cls[np.concatenate([ends, u[~single], v[~single]])]
-    layers = {}
-    for i in range(1, 2 * n + 1):
-        # S_i first, then the rest, each in g's order
-        order = np.argsort(cls != i, kind="stable")
-        at = np.empty(len(labels), dtype=np.int64)
-        at[order] = np.arange(len(labels))
-        mine = owner == i
-        layers[i] = MultiGraph(
-            [labels[x] for x in order.tolist()], at[eu[mine]], at[ev[mine]],
-            side=np.arange(len(labels)) < np.count_nonzero(cls == i),
-        )
-    return layers
+    return {
+        i: MultiGraph(labels, eu[owner == i], ev[owner == i], side=cls == i)
+        for i in range(1, 2 * n + 1)
+    }
 
 
 def layer_factor_union(
     g: MultiGraph, layers: dict[int, MultiGraph], target_d1: int, target_d2: int
 ) -> Optional[MultiGraph]:
     """Union, on g's vertices, of a (target_d1, target_d2)-regular factor of
-    each of g's class layers; None if any layer has no factor."""
-    factors = []
+    each of g's class layers, which share g's vertex order and so join by
+    their edge arrays; None if any layer has no factor."""
+    arrays = [(np.zeros(0, dtype=np.int64),) * 3]
     for _, layer in sorted(layers.items()):
         factor = extract_regular_subgraph(layer, target_d1, target_d2)
         if factor is None:
             return None
-        factors.append(factor)
-    return union(MultiGraph(g.vertices, [], []), *factors)
+        arrays.append(factor.edge_arrays)
+    return MultiGraph(g.vertices, *map(np.concatenate, zip(*arrays)))
 
 
 def extract_red_regular_union(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -323,6 +324,14 @@ class TestJson:
         assert list(data["audit"]) == ["max_multiplicity", "doubles_form_matching"]
         assert data["pipeline_bound"] is None
         assert data["seed_info"] == "9:0"
+
+    def test_threshold_is_the_verdicts(self):
+        # the JSON writes the threshold `certified` is decided against, and a
+        # certificate cannot be given another
+        cert = zuk_certificate(Presentation(2, ((1, 2, 1),)), 3)
+        assert json.loads(cert.to_json())["threshold"] == C.THRESHOLD == 0.5
+        with pytest.raises(TypeError):
+            dataclasses.replace(cert, threshold=0.4)
 
 
 class TestSolverDiagnostics:

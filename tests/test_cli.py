@@ -35,6 +35,16 @@ def with_options(tmp_path, argv, options):
     return ["--config", str(path), *argv]
 
 
+def on_both_routes(values, ids):
+    """(value, route) params: each value with `--pipeline`, under its id, and
+    without it, under its id and `-direct`."""
+    return [
+        pytest.param(value, route, id=f"{i}{suffix}")
+        for route, suffix in ((["--pipeline"], ""), ([], "-direct"))
+        for value, i in zip(values, ids)
+    ]
+
+
 @pytest.fixture
 def aba_file(tmp_path):
     path = tmp_path / "aba.txt"
@@ -81,18 +91,34 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["lambda1"] == 0.0
 
-    @pytest.mark.parametrize("m_bound", [["--m-bound", "-1"], {"m_bound": -1}])
-    def test_m_bound_below_zero(self, capsys, tmp_path, aba_file, m_bound):
-        argv = with_options(tmp_path, ["certify", aba_file, "--pipeline"], m_bound)
+    @pytest.mark.parametrize(
+        "m_bound,route",
+        on_both_routes([["--m-bound", "-1"], {"m_bound": -1}], ["m_bound0", "m_bound1"]),
+    )
+    def test_m_bound_below_zero(self, capsys, tmp_path, aba_file, m_bound, route):
+        argv = with_options(tmp_path, ["certify", aba_file, *route], m_bound)
         assert run(capsys, *argv) == (2, "", "error: --m-bound must be >= 0\n")
 
-    @pytest.mark.parametrize("delta", ["-0.1", "1", "nan"])
-    def test_delta_outside_unit_interval(self, capsys, aba_file, delta):
-        argv = ["certify", aba_file, "--pipeline", "--delta", delta]
+    @pytest.mark.parametrize(
+        "delta,route",
+        on_both_routes(
+            [["--delta", "-0.1"], ["--delta", "1"], ["--delta", "nan"], {"delta": -0.1}],
+            ["-0.1", "1", "nan", "config"],
+        ),
+    )
+    def test_delta_outside_unit_interval(self, capsys, tmp_path, aba_file, delta, route):
+        argv = with_options(tmp_path, ["certify", aba_file, *route], delta)
         assert run(capsys, *argv) == (2, "", "error: need 0 <= delta < 1\n")
 
-    def test_delta_is_checked_before_m_bound(self, capsys, aba_file):
-        argv = ["certify", aba_file, "--pipeline", "--delta", "2", "--m-bound", "-1"]
+    @pytest.mark.parametrize(
+        "options,route",
+        on_both_routes(
+            [["--delta", "2", "--m-bound", "-1"], {"delta": 2, "m_bound": -1}],
+            ["flags", "config"],
+        ),
+    )
+    def test_delta_is_checked_before_m_bound(self, capsys, tmp_path, aba_file, options, route):
+        argv = with_options(tmp_path, ["certify", aba_file, *route], options)
         assert run(capsys, *argv) == (2, "", "error: need 0 <= delta < 1\n")
 
     def test_m_bound_zero(self, capsys, aba_file):
@@ -106,20 +132,26 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestPipelineGolden:
     """`certify FILE --pipeline` stdout and its `--diagnostics` stderr, byte
-    for byte, for one presentation in each k mod 3 case (tests/golden)."""
+    for byte, for one n = 2 presentation in each k mod 3 case and one n = 3
+    presentation with six class layers (tests/golden)."""
 
-    @pytest.mark.parametrize("k", [5, 6, 7], ids=["k=2 mod 3", "k=0 mod 3", "k=1 mod 3"])
-    def test_outputs_are_pinned(self, capsys, tmp_path, k):
-        if k == 7:
-            pres = sample_gamma_strict(2, 7, 0.8, Seed(0))
+    @pytest.mark.parametrize(
+        "n,k,name",
+        [(2, 5, "pipeline_k5"), (2, 6, "pipeline_k6"), (2, 7, "pipeline_k7"),
+         (3, 6, "pipeline_n3_k6")],
+        ids=["k=2 mod 3", "k=0 mod 3", "k=1 mod 3", "n=3 k=0 mod 3"],
+    )
+    def test_outputs_are_pinned(self, capsys, tmp_path, n, k, name):
+        if (n, k) in ((2, 7), (3, 6)):
+            pres = sample_gamma_strict(n, k, 0.8, Seed(0))
         else:
-            pres = Presentation(2, tuple(W.enumerate_cyclically_reduced(2, k)))
+            pres = Presentation(n, tuple(W.enumerate_cyclically_reduced(n, k)))
         path = tmp_path / "pres.txt"
         path.write_text(pres.dump())
         argv = ["certify", str(path), "--k", str(k), "--pipeline"]
-        stdout = (GOLDEN / f"pipeline_k{k}.stdout").read_text()
+        stdout = (GOLDEN / f"{name}.stdout").read_text()
         assert run(capsys, *argv) == (0, stdout, "")
-        stderr = (GOLDEN / f"pipeline_k{k}.stderr").read_text()
+        stderr = (GOLDEN / f"{name}.stderr").read_text()
         assert run(capsys, *argv, "--diagnostics") == (0, stdout, stderr)
 
 

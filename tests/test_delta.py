@@ -176,6 +176,8 @@ class TestSigma:
         assert dec.delta() == delta
         # MultiGraph equality ignores vertex order; bit-identical lambda1 needs it
         assert dec.delta().vertices == delta.vertices
+        assert dec.sigma1.vertices == dec.sigma3.vertices == delta.vertices
+        assert dec.sigma2.vertices == delta.vertices[: W.word_count(2, W.split_lengths(k)[0])]
 
     def test_case_dispatch(self):
         for k, case in [(3, 0), (4, 1), (5, 2), (6, 0)]:

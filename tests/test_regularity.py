@@ -110,6 +110,14 @@ class TestRedLayers:
         for i, layer in layers.items():
             assert np.count_nonzero(layer.side) == 3  # n=2, l=2: 4 classes of 3 words
 
+    @pytest.mark.parametrize("n,l", [(2, 2), (2, 3), (3, 2)])
+    def test_layers_keep_g_vertex_order(self, n, l):
+        g = sample_red(n, l, 0.6, Seed(23, l))
+        cls = np.array([W.class_index(W.word_from_label(v), n) for v in g.vertices])
+        for i, layer in red_class_layers(g, n).items():
+            assert layer.vertices == g.vertices
+            assert np.array_equal(layer.side, cls == i)
+
     def test_same_class_edge_rejected(self):
         g = graph(["g1g2", "g1G2"], [("g1g2", "g1G2")])
         with pytest.raises(InputError, match="same-class"):
@@ -319,7 +327,7 @@ def old_red_class_layers(g, n):
     for i in range(1, 2 * n + 1):
         side = [v for v in g.vertices if classes[v] == i]
         rest = [v for v in g.vertices if classes[v] != i]
-        layers[i] = graph(side + rest, layer_edges[i], partition=(side, rest))
+        layers[i] = graph(list(g.vertices), layer_edges[i], partition=(side, rest))
     return layers
 
 
