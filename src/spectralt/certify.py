@@ -50,17 +50,16 @@ def union_bound(c1: float, c2: float, c3: float) -> float:
 @dataclass(frozen=True)
 class UnionCheck:
     """Both sides of the union-of-three-graphs bound: rhs from the c_i, and
-    lhs = lambda_1 of the union, given as a number or as a function computing
-    it on first read (a dense solve of the whole vertex set, which only a
-    printed diagnostics line or a caller of `lhs` needs)."""
+    lhs = lambda_1 of the union, given as a function computing it on first
+    read (a dense solve of the whole vertex set, which only a printed
+    diagnostics line or a caller of `lhs` needs)."""
 
     rhs: float
-    _lhs: float | Callable[[], float] = field(repr=False, compare=False)
+    _lhs: Callable[[], float] = field(repr=False, compare=False)
 
     @cached_property
     def lhs(self) -> float:
-        x = self._lhs
-        return x() if callable(x) else x
+        return self._lhs()
 
     @property
     def holds(self) -> bool:

@@ -324,7 +324,7 @@ def delta_k_order(n: int, k: int) -> int:
     ResourceCapError that building those word sets would raise."""
     lengths = dict.fromkeys(sigma_vertex_lengths(k))
     for l in lengths:
-        W.check_enumerable(n, l, "; stream instead")
+        W.check_enumerable(n, l)
     return sum(W.word_count(n, l) for l in lengths)
 
 

@@ -139,9 +139,10 @@ class MultiGraph:
         deg = self.degree_array()
         return DegreeProfile(int(deg.min()), int(deg.max()), int(deg.sum()) / len(deg))
 
-    def adjacency_matrix(self, dtype=np.int64) -> np.ndarray:
+    def adjacency_matrix(self) -> np.ndarray:
+        """The int64 matrix of multiplicities, in vertex order."""
         m = len(self._vertices)
-        a = np.zeros((m, m), dtype=dtype)
+        a = np.zeros((m, m), dtype=np.int64)
         a[self._u, self._v] = self._mult
         a[self._v, self._u] = self._mult
         return a

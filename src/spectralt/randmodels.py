@@ -61,19 +61,13 @@ def _check_pairs(pairs: int, what: str) -> None:
 
 
 def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
-    """Erdos-Renyi G(m, p): each of the C(m,2) pairs independently, no loops."""
+    """Erdos-Renyi G(m, p): each of the C(m,2) pairs independently, no loops,
+    drawn a row (i, i+1..m-1) at a time as the reduced models draw theirs."""
     if m < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m >= 1 and p in [0, 1]")
     _check_pairs(m * (m - 1) // 2, f"C({m}, 2)")
     rng = seed.rng()
-    u = v = np.zeros(0, dtype=np.int64)
-    if m > 1:
-        # the draws run over the pairs i < j row by row; row i starts at `starts[i]`
-        hits = np.flatnonzero(_bernoulli(rng, m * (m - 1) // 2, p, f"G(m, p) on m = {m}"))
-        rows = np.arange(m)
-        starts = rows * m - rows * (rows + 1) // 2
-        u = np.searchsorted(starts, hits, side="right") - 1
-        v = hits - starts[u] + u + 1
+    u, v = _row_edges([_hits(rng, p, np.arange(i + 1, m)) for i in range(m)])
     return MultiGraph(_pair_labels("u", m), u, v)
 
 
@@ -90,7 +84,7 @@ def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
 
 def _universe_size(n: int, l: int) -> int:
     """|W_l|, or the ResourceCapError that enumerating W_l would raise."""
-    W.check_enumerable(n, l, "; stream instead")
+    W.check_enumerable(n, l)
     return W.word_count(n, l)
 
 
@@ -266,10 +260,22 @@ def _uniform_ranks(total: int, size: int, length: int, rng: np.random.Generator)
     return np.sort(rng.choice(total, size=size, replace=False))
 
 
-def _of_length(n: int, k: int, words: np.ndarray) -> Presentation:
-    """The presentation of the rows of `words`, all of length k."""
-    offsets = np.arange(len(words) + 1, dtype=np.int64) * k
-    return Presentation._from_arrays(n, words.reshape(-1), offsets, k)
+def _draw_window(
+    n: int, lo: int, sizes: list[int], count: int, rng: np.random.Generator, k: int | None
+) -> Presentation:
+    """`count` distinct words drawn uniformly from C(n, lo), C(n, lo + 1), ...,
+    whose sizes are `sizes`, concatenated in that order; the presentation
+    records the relator length k (None: lengths vary)."""
+    hi = lo + len(sizes) - 1
+    offsets = np.cumsum([0] + sizes)
+    ranks = _uniform_ranks(int(offsets[-1]), count, hi, rng)
+    letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0
+    for l, a, b in zip(range(lo, hi + 1), offsets, offsets[1:]):
+        words = W.unrank_cyclically_reduced_letters(n, l, ranks[(a <= ranks) & (ranks < b)] - a)
+        letters.append(words.reshape(-1))
+        starts.append(end + l * np.arange(1, len(words) + 1, dtype=np.int64))
+        end += words.size
+    return Presentation._from_arrays(n, np.concatenate(letters), np.concatenate(starts), k)
 
 
 def check_strict_params(n: int, k: int, d: float) -> None:
@@ -297,11 +303,11 @@ def check_lax_params(n: int, k: int, d: float, f: int) -> None:
 
 
 def sample_gamma_strict(n: int, k: int, d: float, seed: Seed) -> Presentation:
-    """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k)."""
+    """Strict model: a uniform size-floor((2n-1)^(kd)) subset of C(n, k), the
+    lax window at f = 0 with k recorded."""
     check_strict_params(n, k, d)
-    (total,) = _universe_sizes(n, k, k)
-    ranks = _uniform_ranks(total, strict_model_size(n, k, d), k, seed.rng())
-    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
+    sizes = _universe_sizes(n, k, k)
+    return _draw_window(n, k, sizes, strict_model_size(n, k, d), seed.rng(), k)
 
 
 def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
@@ -311,10 +317,9 @@ def sample_gamma_p(n: int, k: int, p: float, seed: Seed) -> Presentation:
     then a uniform K-subset, as the strict model draws its subset.
     """
     check_p_params(n, k, p)
-    (total,) = _universe_sizes(n, k, k)
+    sizes = _universe_sizes(n, k, k)
     rng = seed.rng()
-    ranks = _uniform_ranks(total, int(rng.binomial(total, p)), k, rng)
-    return _of_length(n, k, W.unrank_cyclically_reduced_letters(n, k, ranks))
+    return _draw_window(n, k, sizes, int(rng.binomial(sizes[0], p)), rng, k)
 
 
 def sample_gamma_lax(n: int, k: int, d: float, f: int, seed: Seed) -> Presentation:
@@ -323,14 +328,5 @@ def sample_gamma_lax(n: int, k: int, d: float, f: int, seed: Seed) -> Presentati
     The universe is C(n, k-f), ..., C(n, k+f) concatenated in that order.
     """
     check_lax_params(n, k, d, f)
-    lengths = range(k - f, k + f + 1)
-    offsets = np.cumsum([0] + _universe_sizes(n, lengths[0], lengths[-1]))
-    size = strict_model_size(n, k, d)
-    ranks = _uniform_ranks(int(offsets[-1]), size, lengths[-1], seed.rng())
-    letters, starts, end = [], [np.zeros(1, dtype=np.int64)], 0
-    for l, lo, hi in zip(lengths, offsets, offsets[1:]):
-        words = W.unrank_cyclically_reduced_letters(n, l, ranks[(lo <= ranks) & (ranks < hi)] - lo)
-        letters.append(words.reshape(-1))
-        starts.append(end + l * np.arange(1, len(words) + 1, dtype=np.int64))
-        end += words.size
-    return Presentation._from_arrays(n, np.concatenate(letters), np.concatenate(starts), None)
+    sizes = _universe_sizes(n, k - f, k + f)
+    return _draw_window(n, k - f, sizes, strict_model_size(n, k, d), seed.rng(), None)

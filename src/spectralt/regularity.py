@@ -263,21 +263,20 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
         (W.class_index(W.word_from_label(v), n) for v in labels), np.int64, len(labels)
     )
     u, v, mult = g.edge_arrays
-    same = np.flatnonzero(cls[u] == cls[v])
+    cu, cv = cls[u], cls[v]
+    same = np.flatnonzero(cu == cv)
     if len(same):
         # name the first such edge in (u, v) order
         key = edge_key(labels[u[same[0]]], labels[v[same[0]]])
         raise InputError(f"same-class edge {key}: not a reduced-model graph")
     a, b, _ = g._label_keys()
-    single = mult == 1
-    ends = np.where((a + b) % 2 == 0, a, b)[single]
-    eu = np.concatenate([u[single], u[~single], u[~single]])
-    ev = np.concatenate([v[single], v[~single], v[~single]])
-    owner = cls[np.concatenate([ends, u[~single], v[~single]])]
-    return {
-        i: MultiGraph(labels, eu[owner == i], ev[owner == i], side=cls == i)
-        for i in range(1, 2 * n + 1)
-    }
+    owner = cls[np.where((a + b) % 2 == 0, a, b)]  # of a single edge
+    layers = {}
+    for i in range(1, 2 * n + 1):
+        # masks of g's canonical arrays stay canonical
+        keep = np.where(mult > 1, (cu == i) | (cv == i), owner == i)
+        layers[i] = MultiGraph(labels, u[keep], v[keep], side=cls == i)
+    return layers
 
 
 def layer_factor_union(

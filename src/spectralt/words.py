@@ -165,7 +165,7 @@ def cyclic_count_text(n: int, lo: int, hi: int) -> str:
     return first if lo == hi else f"{first}+...+{last}"
 
 
-def check_enumerable(n: int, l: int, advice: str = "") -> None:
+def check_enumerable(n: int, l: int) -> None:
     """Raise ResourceCapError before W_l is built if it is too large.
 
     |W_l| is bounded by ENUMERATION_CAP, read on each call.  For n = 1,
@@ -176,7 +176,7 @@ def check_enumerable(n: int, l: int, advice: str = "") -> None:
     cap = ENUMERATION_CAP
     if word_count_exceeds(n, l, cap):
         raise ResourceCapError(
-            f"|W_{l}| = {word_count_text(n, l)} exceeds enumeration cap {cap}{advice}"
+            f"|W_{l}| = {word_count_text(n, l)} exceeds enumeration cap {cap}"
         )
     if n == 1 and 2 * l > cap:
         raise ResourceCapError(f"W_{l} has {2 * l} letters, above enumeration cap {cap}")
@@ -212,14 +212,14 @@ def iter_reduced(n: int, l: int) -> Iterator[Word]:
 
 def enumerate_reduced(n: int, l: int) -> list[Word]:
     """All freely reduced words of length l, canonical order."""
-    check_enumerable(n, l, "; stream instead")
+    check_enumerable(n, l)
     return list(iter_reduced(n, l))
 
 
 def reduced_labels(n: int, l: int) -> list[str]:
     """`[word_to_label(w) for w in enumerate_reduced(n, l)]`, built from the
     labels of W_{ceil(l/2)} and W_{floor(l/2)} instead of word by word."""
-    check_enumerable(n, l, "; stream instead")
+    check_enumerable(n, l)
     return _joined_labels(n, l)[0]
 
 

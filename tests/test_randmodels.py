@@ -7,7 +7,7 @@ import pytest
 from spectralt import words as W
 from spectralt.delta import Presentation, build_delta_k
 from spectralt.errors import InputError, ResourceCapError
-from spectralt.multigraph import edge_key
+from spectralt.multigraph import MultiGraph, edge_key
 from spectralt import randmodels
 from spectralt.randmodels import (
     PAIR_CAP,
@@ -69,7 +69,8 @@ class TestGnp:
         def refuse(*args):
             raise AssertionError("pairs drawn above the pair cap")
 
-        monkeypatch.setattr(randmodels, "_bernoulli", refuse)
+        monkeypatch.setattr(randmodels, "_hits", refuse)  # G(m, p)'s row draws
+        monkeypatch.setattr(randmodels, "_bernoulli", refuse)  # G(m1, m2, p)'s one draw
         with pytest.raises(ResourceCapError) as err:
             sample_gnp(10**12, 0.3, Seed(0))
         assert str(err.value) == (
@@ -210,10 +211,18 @@ class TestGamma:
             p = sample_gamma_lax(2, 5, 0.3, 1, Seed(19, i))
             assert all(4 <= len(r) <= 6 for r in p.relators)
 
-    def test_lax_zero_slack_matches_strict(self):
-        a = sample_gamma_lax(2, 4, 0.4, 0, Seed(20, 0))
-        assert all(len(r) == 4 for r in a.relators)
-        assert len(a.relators) == strict_model_size(2, 4, 0.4)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [3, 4, 8])
+    def test_lax_zero_slack_matches_strict(self, n, k):
+        # the same window draw: only the strict sample records k
+        for seed in (Seed(20, 0), Seed(21, 3)):
+            lax = sample_gamma_lax(n, k, 0.4, 0, seed)
+            strict = sample_gamma_strict(n, k, 0.4, seed)
+            assert np.array_equal(lax.letters, strict.letters)
+            assert np.array_equal(lax.offsets, strict.offsets)
+            assert (lax.k, strict.k) == (None, k)
+            assert all(len(r) == k for r in lax.relators)
+            assert len(lax.relators) == strict_model_size(n, k, 0.4)
 
     def test_lax_params_validation(self):
         with pytest.raises(InputError):
@@ -294,8 +303,8 @@ class TestNoEnumeration:
 # The samplers as they were when they enumerated their universe word by word
 # and drew one number per pair: the new ones must reproduce their streams.
 # The Bernoulli model is the enumerating form of its construction since it
-# draws a binomial count and then a uniform subset.  The universes are cached
-# only to keep the tests fast.
+# draws a binomial count and then a uniform subset.  G(m, p) drew all C(m, 2)
+# pairs at once.  The universes are cached only to keep the tests fast.
 old_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
 
 
@@ -325,6 +334,16 @@ def old_gamma_lax(n, k, d, f, seed):
     universe = [w for l in lengths for w in old_enumerate(n, l)]
     size = strict_model_size(n, k, d)
     return Presentation(n, old_uniform_subset(universe, size, seed.rng()), None)
+
+
+def old_gnp(m, p, seed):
+    # one draw of all C(m, 2) pairs, mapped back to (row, column)
+    hits = np.flatnonzero(seed.rng().random(m * (m - 1) // 2) < p)
+    rows = np.arange(m)
+    starts = rows * m - rows * (rows + 1) // 2
+    u = np.searchsorted(starts, hits, side="right") - 1
+    labels = [f"u{i:0{len(str(m))}d}" for i in range(1, m + 1)]
+    return MultiGraph(labels, u, hits - starts[u] + u + 1)
 
 
 def old_universe(n, l):
@@ -382,6 +401,13 @@ class TestStreamIdentity:
                 assert sample_gamma_lax(*lax, seed) == old_gamma_lax(*lax, seed)
             for p in (0.0, 0.2, 1.0):
                 assert sample_gamma_p(n, k, p, seed) == old_gamma_p(n, k, p, seed)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 50, 600])
+    def test_gnp(self, m):
+        for i in range(2):
+            seed = Seed(60 + i, i)
+            for p in (0.0, 0.3, 1.0):
+                assert same_graph(sample_gnp(m, p, seed), old_gnp(m, p, seed))
 
     @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2), (3, 3)])
     def test_reduced_graphs(self, n, l):
@@ -476,7 +502,7 @@ class TestPairCap:
 
     def test_enumeration_cap_comes_first(self, monkeypatch):
         monkeypatch.setattr(W, "ENUMERATION_CAP", 100)
-        message = r"\|W_9\| = 26244 exceeds enumeration cap 100; stream instead"
+        message = r"^\|W_9\| = 26244 exceeds enumeration cap 100$"
         with pytest.raises(ResourceCapError, match=message):
             sample_red(2, 9, 0.5, Seed(0))
         with pytest.raises(ResourceCapError, match=r"\|W_4\| = 108 exceeds enumeration cap 100"):
@@ -492,8 +518,8 @@ class TestPairCap:
             sample_red(2, 3, 0.5, Seed(0))
 
 
-W9 = "|W_9| = 26244 exceeds enumeration cap 100; stream instead"
-W4 = "|W_4| = 108 exceeds enumeration cap 100; stream instead"
+W9 = "|W_9| = 26244 exceeds enumeration cap 100"
+W4 = "|W_4| = 108 exceeds enumeration cap 100"
 W5 = "|W_5| = 324 exceeds enumeration cap 100"
 
 # entry point -> a call above a cap of 100, and the message it exits with
@@ -508,12 +534,12 @@ CAPPED_CALLS = {
                        "drawing 93 of 732 words shuffles all 732, above enumeration cap 100"),
     "sample_gamma_lax": (lambda: sample_gamma_lax(2, 6, 0.9, 1, Seed(0)),
                          "377 relators exceed enumeration cap 100"),
-    "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5 + "; stream instead"),
+    "enumerate_reduced": (lambda: W.enumerate_reduced(2, 5), W5),
     "enumerate_reduced-n1": (lambda: W.enumerate_reduced(1, 60),
                              "W_60 has 120 letters, above enumeration cap 100"),
-    "reduced_labels": (lambda: W.reduced_labels(2, 5), W5 + "; stream instead"),
+    "reduced_labels": (lambda: W.reduced_labels(2, 5), W5),
     "enumerate_cyclically_reduced": (lambda: W.enumerate_cyclically_reduced(2, 5), W5),
-    "build_delta_k": (lambda: build_delta_k(Presentation(2, ()), 15), W5 + "; stream instead"),
+    "build_delta_k": (lambda: build_delta_k(Presentation(2, ()), 15), W5),
 }
 
 
