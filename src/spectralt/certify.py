@@ -49,13 +49,18 @@ def union_bound(c1: float, c2: float, c3: float) -> float:
 
 @dataclass(frozen=True)
 class UnionCheck:
-    """Both sides of the union-of-three-graphs bound: rhs from the c_i, and
-    lhs = lambda_1 of the union, given as a function computing it on first
-    read (a dense solve of the whole vertex set, which only a printed
-    diagnostics line or a caller of `lhs` needs)."""
+    """Both sides of the union-of-three-graphs bound: rhs from the deficits
+    c = (c1, c2, c3) of G1, G2 and G3, and lhs = lambda_1 of the union, given
+    as a function computing it on first read (a dense solve of the whole
+    vertex set, which only a printed diagnostics line or a caller of `lhs`
+    needs)."""
 
-    rhs: float
+    c: tuple[float, float, float]
     _lhs: Callable[[], float] = field(repr=False, compare=False)
+
+    @property
+    def rhs(self) -> float:
+        return union_bound(*self.c)
 
     @cached_property
     def lhs(self) -> float:
@@ -107,7 +112,7 @@ def union_bound_empirical_check(
         g1_full = MultiGraph(list(g1.vertices) + sorted(v2a), *g1.edge_arrays)
         return lambda1(union(g1_full, g2, g3))
 
-    return UnionCheck(union_bound(cs[0], cs[1], cs[2]), lhs)
+    return UnionCheck(tuple(cs), lhs)
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,11 @@ def _solve_line(solve: Lambda1Solve) -> str:
         f"lambda1 solver={solve.solver} residual={solve.residual:.3e} "
         f"matvecs={solve.matvecs} margin={solve.value - THRESHOLD:.12g}"
     )
+
+
+def _c_line(cs: Iterable[float]) -> str:
+    """The diagnostics line of a pipeline route's three deficits c_i."""
+    return "pipeline c=(" + ",".join(f"{c:.4f}" for c in cs) + ")"
 
 
 def _note_lines(note: str | Lambda1Solve | UnionCheck) -> tuple[str, ...]:
@@ -264,7 +274,7 @@ def _pipeline_case0(
         found = f"pipeline: factors at t={t}, regular degree {2 * (2 * n - 1) * t}"
         if max(cs) >= 1.0:
             return None, [found, "pipeline: a factor is disconnected (c_i >= 1); bound invalid"]
-        return 1.0 - max(cs), [found, f"pipeline c=({cs[0]:.4f},{cs[1]:.4f},{cs[2]:.4f})"]
+        return 1.0 - max(cs), [found, _c_line(cs)]
     return None, ["pipeline: no regular factors found in the attempted target range"]
 
 
@@ -312,6 +322,7 @@ def _pipeline_bipartite(
             diags.append(f"pipeline: hypothesis violation at t={t}: {exc}")
             continue
         diags.append(f"pipeline: factors at t={t}, (d1,d2)=({d1},{d2})")
+        diags.append(_c_line(check.c))
         diags.append(check)
         return check.rhs, diags
     diags.append("pipeline: no regular factors found in the attempted target range")

@@ -137,8 +137,13 @@ class Presentation:
             bad |= lengths != self.k
         ends = lengths >= 2
         bad[ends] |= letters[offsets[:-1][ends]] == -letters[offsets[1:][ends] - 1]
-        outside = np.flatnonzero((np.abs(letters) > self.n) | (letters == 0))
-        bad[np.searchsorted(offsets, outside, side="right") - 1] = True
+        # the usual case, every letter inside the alphabet, from three passes
+        # that make no temporary as long as the letters
+        if letters.size and (
+            letters.min() < -self.n or letters.max() > self.n or not letters.all()
+        ):
+            outside = np.flatnonzero((np.abs(letters) > self.n) | (letters == 0))
+            bad[np.searchsorted(offsets, outside, side="right") - 1] = True
         if not reduced:
             first = W.first_unreduced(letters, offsets)
             bad[first : first + 1] = True  # empty when every relator is reduced
@@ -348,11 +353,11 @@ def _link_edges(p: Presentation, k: int):
     return ((x, z_inv + z_at), (y, x_inv), (z + z_at, y_inv))
 
 
-def _delta_labels(n: int, k: int) -> tuple[list[str], int]:
+def _delta_labels(n: int, k: int) -> tuple[tuple[str, ...], int]:
     """Delta_k's vertex labels, W_{l_k} followed, when L_k != l_k, by
     W_{L_k}, each in canonical order; and |W_{l_k}|."""
     sets = [W.reduced_labels(n, l) for l in dict.fromkeys(sigma_vertex_lengths(k))]
-    return [x for labels in sets for x in labels], len(sets[0])
+    return tuple(x for labels in sets for x in labels), len(sets[0])
 
 
 def build_delta_k(p: Presentation, k: int) -> MultiGraph:

@@ -13,6 +13,7 @@ Every walk over the graph is a numpy pass over these arrays; the label-keyed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -181,14 +182,12 @@ class MultiGraph:
         """(a, b, order): the endpoints of each edge as its edge_key orders
         them (label of a <= label of b), and the edge indices sorted by that
         key, which is the order of sorted(self.edges)."""
-        lab = self._vertices
-        rank = np.empty(len(lab), dtype=np.int64)
-        rank[sorted(range(len(lab)), key=lab.__getitem__)] = np.arange(len(lab))
+        rank = _label_rank(self._vertices)
         swap = rank[self._u] > rank[self._v]
         a = np.where(swap, self._v, self._u)
         b = np.where(swap, self._u, self._v)
         # edges are distinct, so the keys are, and any sort gives one order
-        return a, b, np.argsort(rank[a] * len(lab) + rank[b])
+        return a, b, np.argsort(rank[a] * len(rank) + rank[b])
 
     def dump(self) -> str:
         """Diff-stable text form: 'v <label>' lines, then sorted 'e' lines."""
@@ -220,6 +219,16 @@ class MultiGraph:
             f"MultiGraph({len(self._vertices)} vertices, "
             f"{self.num_edges()} edges)"
         )
+
+
+@lru_cache(maxsize=8)
+def _label_rank(labels: tuple[str, ...]) -> np.ndarray:
+    """Read-only: each label's rank among the sorted labels.  Derived once per
+    vertex tuple, which Delta_k, its Sigma graphs, their class layers and
+    factors share, and so do the ops of one (n, k)."""
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return _frozen(rank)
 
 
 def _canonical(

@@ -3,6 +3,7 @@ subgraphs of bipartite graphs via max flow."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -119,8 +120,8 @@ def _levels(
         # the slots of every frontier node's arcs, range by range
         slots = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
         heads = to[slots[res[slots] > 0]]
-        front = np.unique(heads[level[heads] < 0])
-        level[front] = depth
+        level[heads[level[heads] < 0]] = depth
+        front = np.flatnonzero(level == depth)
     return level
 
 
@@ -247,6 +248,18 @@ def ore_ryser_feasible(g: MultiGraph, d1: int, d2: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
+def _label_classes(labels: tuple[str, ...], n: int) -> np.ndarray:
+    """Read-only: the class index (first letter's flattened code) of each
+    word label.  Derived once per vertex tuple, which the three Sigma graphs
+    share when 3 divides k, and so do the ops of one (n, k)."""
+    cls = np.fromiter(
+        (W.class_index(W.word_from_label(v), n) for v in labels), np.int64, len(labels)
+    )
+    cls.flags.writeable = False
+    return cls
+
+
 def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     """Split a reduced-model graph into 2n class-bipartite layers.
 
@@ -259,9 +272,7 @@ def red_class_layers(g: MultiGraph, n: int) -> dict[int, MultiGraph]:
     index sum, the layer of the endpoint whose label sorts first.
     """
     labels = g.vertices
-    cls = np.fromiter(
-        (W.class_index(W.word_from_label(v), n) for v in labels), np.int64, len(labels)
-    )
+    cls = _label_classes(labels, n)
     u, v, mult = g.edge_arrays
     cu, cv = cls[u], cls[v]
     same = np.flatnonzero(cu == cv)

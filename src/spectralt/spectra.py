@@ -1,7 +1,10 @@
 """Normalized Laplacian spectra, lambda_1, and eigenvalue-ordering utilities.
 
 lambda_1 of a disconnected graph (or one with an isolated vertex) is 0 by
-convention, decided by component search before any solve.  Up to
+convention, decided by component search before any solve.  A graph without
+a bipartition whose vertices from p on form an independent set without loops,
+with 2p < m and 2p <= DENSE_LAMBDA1_MAX, takes it at any vertex count from a
+dense solve of order 2p (`_tail_lambda1`).  Otherwise, up to
 DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the lower triangle of
 the normalized Laplacian, or, on a graph with a bipartition, 1 - sigma_2 of
 its normalized bi-adjacency block C, from the smaller side's Gram matrix
@@ -35,7 +38,8 @@ SYMMETRY_TOL = 1e-9
 # at 200, 3.2 against 9.9 ms at 400, 5.4 against 23.7 ms at 600; n = 2
 # Delta_14, 432 vertices: 3.6 against 10.1 ms), but Lanczos imports scipy
 # (~0.35 s), which the link graphs and pipeline factors of n = 2, k <= 14
-# (at most 432 vertices) never pay for below this threshold
+# (at most 432 vertices) never pay for below this threshold.  It also bounds
+# the order 2p of the independent-tail solve, at any vertex count
 DENSE_LAMBDA1_MAX = 500
 LANCZOS_MAX_RESIDUAL = 1e-10
 # the Lanczos stopping tolerance, relative to |theta| <= 2: 2 tol stays 10x
@@ -50,7 +54,9 @@ LANCZOS_MIN_STEPS = 100
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_CHECK_STEPS = 8
 # least sigma_2^2 whose square root the bipartite solve takes: below it a
-# rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1
+# rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1.  The
+# independent-tail solve takes its Cholesky factor only where mu_2^2 is at
+# least this, since a rounding error e in B B^T moves mu_2 by about e / |mu_2|
 BIPARTITE_MIN_SIGMA2_SQ = 1e-8
 # seed of the fixed standard-normal start vectors; never the all-ones vector,
 # which on a regular graph is orthogonal to the lambda_1 eigenspace
@@ -293,6 +299,53 @@ def _bipartite_lambda1(g: MultiGraph) -> float | None:
     return float(1.0 - np.sqrt(sigma2_sq))
 
 
+def _tail_lambda1(g: MultiGraph) -> Lambda1Solve | None:
+    """lambda_1 of a connected graph whose vertices from p = u[-1] + 1 on form
+    an independent set without loops (the edge arrays are sorted by u), from
+    a dense solve of order 2p; None unless 2p < m and 2p <= DENSE_LAMBDA1_MAX.
+
+    N = I - L has the blocks N11 on the first p vertices, N12 = B and
+    N22 = 0.  With B^T = Q R and U = diag(I, [Q Q_perp]), U^T N U is
+    M = [[N11, R^T], [R, 0]] plus m - 2p >= 1 zeros on the diagonal, so
+    lambda_1 = 1 - max(mu_2(M), 0).  M's spectrum depends on R only through
+    R^T R = B B^T, so R is first the Cholesky factor of B B^T (about 10x
+    faster than the QR at 108 x 324); where that fails (B has rank < p) or
+    mu_2^2 < BIPARTITE_MIN_SIGMA2_SQ, R comes from the QR of B^T instead.
+    The residual is that of two inverse-iteration steps on I - M', M' being
+    M with one zero row and column added, which is the residual on L of the
+    vector U maps theirs to.
+    """
+    size = g.num_vertices()
+    p = int(g.edge_arrays[0][-1]) + 1
+    if 2 * p >= size or 2 * p > DENSE_LAMBDA1_MAX:
+        return None
+    u, v, off, diag = _laplacian_entries(g)
+    tail = v >= p  # and u < p
+    b = np.zeros((p, size - p))
+    b[u[tail], v[tail] - p] = -off[tail]
+    m = np.zeros((2 * p, 2 * p))  # its lower triangle
+    m[v[~tail], u[~tail]] = -off[~tail]
+    m[np.arange(p), np.arange(p)] = 1.0 - diag[:p]
+    try:
+        root = np.linalg.cholesky(b @ b.T).T
+    except np.linalg.LinAlgError:
+        root = None
+    if root is not None:
+        m[p:, :p] = root
+        mu2 = spectrum(m, lower=True)[-2]
+    if root is None or mu2 * mu2 < BIPARTITE_MIN_SIGMA2_SQ:
+        m[p:, :p] = np.linalg.qr(b.T, mode="r")
+        mu2 = spectrum(m, lower=True)[-2]
+    value = float(1.0 - max(mu2, 0.0))
+
+    def residual() -> float:
+        padded = np.zeros((2 * p + 1, 2 * p + 1))
+        padded[: 2 * p, : 2 * p] = m + np.tril(m, -1).T
+        return _dense_residual(np.eye(2 * p + 1) - padded, value)
+
+    return Lambda1Solve(value, "dense", residual)
+
+
 def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
     """Second-smallest normalized-Laplacian eigenvalue; 0 if disconnected.
 
@@ -306,7 +359,9 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         solve = Lambda1Solve(0.0, "components", 0.0)
     else:
         _check_cap(size)
-        solve = _lanczos(g) if size > DENSE_LAMBDA1_MAX else None
+        solve = _tail_lambda1(g) if g.side is None else None
+        if solve is None and size > DENSE_LAMBDA1_MAX:
+            solve = _lanczos(g)
         if solve is None:
             value = _bipartite_lambda1(g) if g.side is not None else None
             if value is None:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from spectralt import certify as C
-from spectralt import cli, spectra
+from spectralt import cli, multigraph, regularity, spectra
 from spectralt.certify import (
     certify_via_decomposition,
     union_bound,
@@ -195,6 +195,19 @@ class TestPipeline:
         assert cert.pipeline_bound is not None
         assert cert.pipeline_bound <= cert.lambda1 + 1e-6
 
+    @pytest.mark.parametrize("k,vertex_sets", [(6, 1), (7, 2)], ids=["k=0 mod 3", "k=1 mod 3"])
+    def test_label_work_once_per_vertex_set(self, k, vertex_sets):
+        # the Sigma graphs, their class layers and factors rank their labels
+        # once per vertex set (W_{l_k}, and Delta_k's when 3 does not divide
+        # k) and read the classes of Sigma_2's once
+        regularity._label_classes.cache_clear()
+        multigraph._label_rank.cache_clear()
+        cert = certify_via_decomposition(sample_gamma_strict(2, k, 0.8, Seed(0)), k)
+        assert cert.pipeline_bound is not None
+        rank = multigraph._label_rank.cache_info()
+        assert rank.misses == vertex_sets and rank.hits > 0
+        assert regularity._label_classes.cache_info().misses == 1
+
     def test_a_falsified_union_bound_is_reported(self, monkeypatch):
         # a deferred lhs below rhs: one diagnostics line more, after the union
         # line; the JSON is unchanged and does not read lhs
@@ -203,8 +216,8 @@ class TestPipeline:
         check, reads = C.union_bound_empirical_check, []
 
         def falsified_check(*args):
-            rhs = check(*args).rhs
-            return C.UnionCheck(rhs, lambda: reads.append(rhs) or rhs - 0.01)
+            real = check(*args)
+            return C.UnionCheck(real.c, lambda: reads.append(real.rhs) or real.rhs - 0.01)
 
         monkeypatch.setattr(C, "union_bound_empirical_check", falsified_check)
         falsified = certify_via_decomposition(p, 5)

@@ -67,6 +67,18 @@ class TestCertify:
         assert code == 2
         assert "g0" in err
 
+    @pytest.mark.parametrize("dump", [False, True], ids=["lines", "dump form"])
+    @pytest.mark.parametrize("letter", ["g3", "G3", "g12"])
+    def test_letter_outside_the_alphabet(self, capsys, tmp_path, dump, letter):
+        # after and before relators that pass, in the form `dump` writes (the
+        # array scan) and in a form only the line parse reads
+        good = "g1 g2 g1\n" * 50
+        path = tmp_path / "bad.txt"
+        path.write_text(("n 2\n" if dump else "n 2\n# comment\n") + good + f"g1 {letter} g1\n" + good)
+        code, out, err = run(capsys, "certify", str(path), "--k", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: relator letter outside alphabet of size 2\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "certify", "/nonexistent/file")
         assert code == 2
@@ -509,23 +521,33 @@ def test_small_commands_do_not_import_scipy(tmp_path):
     """The Lanczos path imports scipy; certify and sweep on link graphs below
     DENSE_LAMBDA1_MAX must not, since importing it costs about 0.4 s.  At
     k = 13 the pipeline takes lambda_1 of bipartite factors from their
-    smaller side, which must not import it either."""
+    smaller side, which must not import it either.  Nor must Delta_4 of
+    n = 12 (576 vertices), whose independent W_2 leaves a dense solve of
+    order 48."""
     path = tmp_path / "p.txt"
     path.write_text("n 2\nk 6\n" + "\n".join(
         W.word_to_text(w) for w in W.enumerate_cyclically_reduced(2, 6)[::7]) + "\n")
     bipartite = tmp_path / "k13.txt"
     bipartite.write_text(sample_gamma_strict(2, 13, 0.6, Seed(13)).dump())
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(sample_gamma_strict(12, 4, 0.62, Seed(12)).dump())
     code = (
         "import contextlib, io, sys\n"
         "import spectralt.cli as cli, spectralt.spectra as sp\n"
         "solves, gram = [], sp._bipartite_lambda1\n"
         "sp._bipartite_lambda1 = lambda g: solves.append(gram(g)) or solves[-1]\n"
+        "err = io.StringIO()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['certify', {str(path)!r}, '--pipeline']) == 0\n"
         f"    assert cli.main(['certify', {str(bipartite)!r}, '--pipeline']) == 0\n"
         "    assert cli.main(['sweep', '--n', '2', '--k', '12', '--d-grid', '0.45',"
         " '--jobs', '1', '--seed', '3']) == 0\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        f"        assert cli.main(['certify', {str(k4)!r}, '--diagnostics']) == 0\n"
         "assert any(s is not None for s in solves), solves\n"
+        "lines = err.getvalue().splitlines()\n"
+        "assert lines[0].startswith('delta_k vertices=576 '), lines\n"
+        "assert lines[1].startswith('lambda1 solver=dense '), lines\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))

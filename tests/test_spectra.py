@@ -522,3 +522,113 @@ class TestBipartite:
         g = bipartite(3, 4, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3)])
         assert spectra.lambda1(g, report=True) == spectra.Lambda1Solve(0.0, "components", 0.0)
         assert solve_orders == []
+
+
+def random_tail_graph(seed):
+    """A connected multigraph whose last q vertices (q > p, the prefix size)
+    form an independent set without loops: the prefix has loops and
+    multi-edges among itself, and each tail vertex one to three edges of
+    multiplicity 1 to 3 into it."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = int(rng.integers(1, 30))
+        q = int(rng.integers(p + 1, 3 * p + 8))
+        inner = int(rng.integers(0, 3 * p))
+        u = [rng.integers(0, p, inner)]
+        v = [rng.integers(0, p, inner)]  # loops among them
+        for w in range(p, p + q):
+            ends = rng.integers(0, p, int(rng.integers(1, 4)))
+            u.append(ends)
+            v.append(np.full(len(ends), w))
+        u, v = np.concatenate(u), np.concatenate(v)
+        g = MultiGraph([f"v{i}" for i in range(p + q)], u, v, rng.integers(1, 4, len(u)))
+        if g.components() == 1 and g.edge_arrays[0][-1] == p - 1:
+            return g
+
+
+# graphs whose vertices from p = u[-1] + 1 on form an independent set of more
+# than half of them: random multigraphs, n = 2 link graphs with k = 1 (mod 3)
+# (W_{l_k} then W_{L_k}, |W_{L_k}| = 3 |W_{l_k}|) and k = 4 at n = 3..12
+# (2n words of length 1, then 2n (2n - 1) of length 2)
+TAIL = {
+    **{f"random {seed}": (lambda seed=seed: random_tail_graph(seed)) for seed in range(16)},
+    **{f"delta n2k{k}": (lambda k=k: random_delta(2, k, 0.6)) for k in (7, 10, 13)},
+    **{f"delta n{n}k4": (lambda n=n: random_delta(n, 4, 0.7)) for n in range(3, 13)},
+}
+
+
+class TestIndependentTail:
+    @pytest.mark.parametrize("name", TAIL)
+    def test_agrees_with_the_full_solve(self, solve_orders, name):
+        g = TAIL[name]()
+        assert g.components() == 1 and g.side is None
+        p = int(g.edge_arrays[0][-1]) + 1
+        assert 2 * p < g.num_vertices()
+        solve = spectra.lambda1(g, report=True)
+        # one solve of order 2p, a second one if the Cholesky root was refused
+        assert solve_orders in ([2 * p], [2 * p, 2 * p])
+        assert solve.solver == "dense" and solve.matvecs == 0
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-12
+        assert solve.residual <= 1e-12
+
+    def test_above_the_dense_threshold_no_lanczos_runs(self, monkeypatch):
+        g = TAIL["delta n12k4"]()
+        assert g.num_vertices() == 576 > spectra.DENSE_LAMBDA1_MAX
+        monkeypatch.setattr(spectra, "_lanczos", lambda g: pytest.fail("Lanczos ran"))
+        assert abs(spectra.lambda1(g) - dense_lambda1(g)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 40])
+    def test_star_takes_lambda1_from_a_padded_zero(self, solve_orders, q):
+        # K_{1,q} with no side: M = [[0, 1], [1, 0]], whose mu_2 = -1 is below
+        # the zero the padding adds
+        g = graph(["c", *(f"l{j}" for j in range(q))], [("c", f"l{j}") for j in range(q)])
+        solve = spectra.lambda1(g, report=True)
+        assert solve.value == 1.0 and solve_orders == [2]
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-12
+        assert solve.residual <= 1e-12
+
+    def test_a_rank_deficient_block_takes_the_qr(self, solve_orders, monkeypatch):
+        # v0 meets only v1: B has a zero row, and B B^T no Cholesky factor
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: qrs.append(a.shape) or qr(a, **kw))
+        pairs = [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (2, 6), (3, 7), (1, 8)]
+        g = MultiGraph([f"v{i}" for i in range(9)], *zip(*pairs))
+        solve = spectra.lambda1(g, report=True)
+        assert solve_orders == [8] and qrs == [(5, 4)]
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-12
+        assert solve.residual <= 1e-12
+
+    @pytest.mark.parametrize("name", ["random 3", "delta n2k13", "delta n5k4"])
+    def test_a_small_mu2_takes_the_qr(self, solve_orders, monkeypatch, name):
+        # every mu_2^2 is below 4: each Cholesky solve is redone from the QR
+        g = TAIL[name]()
+        p = int(g.edge_arrays[0][-1]) + 1
+        cholesky = spectra.lambda1(g)
+        monkeypatch.setattr(spectra, "BIPARTITE_MIN_SIGMA2_SQ", 4.0)
+        solve_orders.clear()
+        qr = spectra.lambda1(g, report=True)
+        assert solve_orders == [2 * p, 2 * p]
+        assert abs(qr.value - dense_lambda1(g)) <= 1e-12 and abs(qr.value - cholesky) <= 1e-12
+        assert qr.residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [5, 6, 8, 9, 11, 12])
+    def test_declines_unless_k_is_1_mod_3(self, k):
+        # k = 0 (mod 3): one word length, with edges up to the last vertex;
+        # k = 2 (mod 3): W_{L_k} is the smaller set
+        g = random_delta(2, k, 0.6)
+        assert g.components() == 1
+        assert spectra._tail_lambda1(g) is None
+
+    def test_declines_unless_the_tail_is_more_than_half(self):
+        # K_{2,2} in side order and the path a-b-c: 2p = m
+        for g in (graph("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
+                  graph("abc", [("a", "b"), ("b", "c")]), cycle_graph(6)):
+            assert 2 * (g.edge_arrays[0][-1] + 1) >= g.num_vertices()
+            assert spectra._tail_lambda1(g) is None
+
+    def test_declines_above_the_dense_threshold(self, monkeypatch):
+        g = TAIL["delta n2k13"]()  # 2p = 216
+        assert spectra._tail_lambda1(g) is not None
+        monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", 215)
+        assert spectra._tail_lambda1(g) is None
