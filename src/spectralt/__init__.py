@@ -31,8 +31,6 @@ from .errors import (
 from .multigraph import MultiGraph, union
 from .randmodels import (
     Seed,
-    coupled_bred_extension,
-    coupled_red_extension,
     sample_bipartite_gnp,
     sample_bred,
     sample_gamma_lax,

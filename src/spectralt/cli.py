@@ -17,7 +17,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import spectra as SP
-from . import words as W
 from .certify import (
     certify_via_decomposition,
     check_pipeline_params,
@@ -40,7 +39,7 @@ from .randmodels import (
     sample_gnp,
     sample_red,
 )
-from .regularity import extract_regular_subgraph, ore_ryser_feasible
+from .regularity import _label_classes, extract_regular_subgraph, ore_ryser_feasible
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -502,8 +501,9 @@ def _verify_regularity(seed: Seed) -> list[Check]:
 
 def _edges_cross_classes(g: MultiGraph, n: int) -> bool:
     """Whether no edge joins two words of the same class (first letter)."""
-    classes = {v: W.class_index(W.word_from_label(v), n) for v in g.vertices}
-    return all(classes[u] != classes[v] for u, v in g.edges)
+    classes = _label_classes(g.vertices, n)
+    u, v, _ = g.edge_arrays
+    return bool(np.all(classes[u] != classes[v]))
 
 
 def _verify_models(seed: Seed) -> list[Check]:

@@ -17,7 +17,7 @@ from .delta import Presentation
 from .errors import InputError, ResourceCapError
 from .multigraph import MultiGraph
 
-# most vertex pairs the red and bred models, and their couplings, may draw
+# most vertex pairs the red, bred, gnp and bgnp models may draw
 PAIR_CAP = 10**8
 
 
@@ -72,14 +72,21 @@ def sample_gnp(m: int, p: float, seed: Seed) -> MultiGraph:
 
 
 def sample_bipartite_gnp(m1: int, m2: int, p: float, seed: Seed) -> MultiGraph:
-    """Erdos-Renyi bipartite G(m1, m2, p), partitioned output."""
+    """Erdos-Renyi bipartite G(m1, m2, p), partitioned output, drawn in blocks
+    of V1 rows of about 2^16 pairs: for PCG64 the numbers one m1 x m2 draw
+    yields, in O(m2 + 2^16) memory and few calls when m2 is small."""
     if m1 < 1 or m2 < 1 or not 0.0 <= p <= 1.0:
         raise InputError("need m1, m2 >= 1 and p in [0, 1]")
     _check_pairs(m1 * m2, f"{m1} * {m2}")
     rng = seed.rng()
-    i, j = np.nonzero(_bernoulli(rng, (m1, m2), p, f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"))
+    what = f"G(m1, m2, p) on m1 = {m1}, m2 = {m2}"
+    step = max(1, 2**16 // m2)  # V1 rows per block
+    starts = range(0, m1, step)
+    blocks = [np.nonzero(_bernoulli(rng, (min(step, m1 - a), m2), p, what)) for a in starts]
+    u = np.concatenate([a + i for a, (i, _) in zip(starts, blocks)])
+    v = np.concatenate([j for _, j in blocks])
     labels = _pair_labels("u", m1) + _pair_labels("v", m2)
-    return MultiGraph(labels, i, m1 + j, side=np.arange(m1 + m2) < m1)
+    return MultiGraph(labels, u, m1 + v, side=np.arange(m1 + m2) < m1)
 
 
 def _universe_size(n: int, l: int) -> int:
@@ -93,18 +100,6 @@ def _word_universe(n: int, l: int) -> tuple[list[str], np.ndarray]:
     words of each first letter fill one block of (2n-1)^(l-1)."""
     labels = W.reduced_labels(n, l)
     return labels, np.arange(len(labels)) // (2 * n - 1) ** (l - 1) + 1
-
-
-def _later_pairs(classes: np.ndarray, same: bool):
-    """For each i, the j > i whose class equals (same) or differs from class i.
-
-    A Bernoulli loop over the pairs (i, j), i < j, in row-major order draws
-    row i with one `rng.random` call: for PCG64 that yields the same numbers
-    as one scalar call per pair, and keeps the draws O(|W_l|) in memory.
-    """
-    for i in range(len(classes)):
-        later = classes[i + 1 :]
-        yield i, i + 1 + np.flatnonzero((later == classes[i]) == same)
 
 
 def _hits(rng: np.random.Generator, p: float, js: np.ndarray) -> np.ndarray:
@@ -123,28 +118,25 @@ def sample_red(n: int, l: int, p: float, seed: Seed) -> MultiGraph:
 
     Each unordered cross-class pair gets two independent Bernoulli(p) draws
     (one per direction), each success adding 1 to the multiplicity; same-class
-    pairs are forbidden.  Max multiplicity 2.
+    pairs are forbidden.  Max multiplicity 2.  Row i of the pairs (i, j > i)
+    is one `rng.random` call, which for PCG64 draws what one call per pair
+    would, in O(|W_l|) memory.
     """
-    g, _ = _red_with_rng(n, l, p, seed.rng())
-    return g
-
-
-def _red_with_rng(
-    n: int, l: int, p: float, rng: np.random.Generator
-) -> tuple[MultiGraph, tuple[list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
     size = _universe_size(n, l)
     _check_pairs(size * (size - 1) // 2, f"C(|W_{l}|, 2)")
     labels, classes = _word_universe(n, l)
+    rng = seed.rng()
     rows, mults = [], []
-    for i, js in _later_pairs(classes, same=False):
+    for i, c in enumerate(classes):
+        js = i + 1 + np.flatnonzero(classes[i + 1 :] != c)
         mult = (rng.random((len(js), 2)) < p).sum(axis=1)
         hit = mult > 0
         rows.append(js[hit])
         mults.append(mult[hit])
     u, v = _row_edges(rows)
-    return MultiGraph(labels, u, v, np.concatenate(mults)), (labels, classes)
+    return MultiGraph(labels, u, v, np.concatenate(mults))
 
 
 def sample_bred(n: int, l: int, p: float, seed: Seed) -> MultiGraph:
@@ -154,13 +146,6 @@ def sample_bred(n: int, l: int, p: float, seed: Seed) -> MultiGraph:
     class (the concatenation constraint inherited from cyclic reduction);
     all other cross pairs appear independently with probability p.
     """
-    g, _ = _bred_with_rng(n, l, p, seed.rng())
-    return g
-
-
-def _bred_with_rng(
-    n: int, l: int, p: float, rng: np.random.Generator
-) -> tuple[MultiGraph, tuple[list[str], np.ndarray, list[str], np.ndarray]]:
     if not 0.0 <= p <= 1.0:
         raise InputError("need p in [0, 1]")
     if l < 3:
@@ -169,44 +154,10 @@ def _bred_with_rng(
     _check_pairs(pairs, f"|W_{l}| * |W_{l + 1}|")
     labels1, classes1 = _word_universe(n, l)
     labels2, classes2 = _word_universe(n, l + 1)
+    rng = seed.rng()
     u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 != c)) for c in classes1])
     side = np.arange(len(labels1) + len(labels2)) < len(labels1)
-    graph = MultiGraph(labels1 + labels2, u, len(labels1) + v, side=side)
-    return graph, (labels1, classes1, labels2, classes2)
-
-
-def coupled_red_extension(
-    n: int, l: int, p: float, seed: Seed
-) -> tuple[MultiGraph, MultiGraph]:
-    """(G, G') with G ~ the reduced model and G' ~ G(|W_l|, 2p - p^2), G <= G'.
-
-    G' is built per the coupling: within-class graphs with edge probability
-    2p - p^2 are added, then duplicate edges are collapsed.
-    """
-    rng = seed.rng()
-    g, (labels, classes) = _red_with_rng(n, l, p, rng)
-    q = 2 * p - p * p
-    u, v = _row_edges([_hits(rng, q, js) for _, js in _later_pairs(classes, same=True)])
-    gu, gv, _ = g.edge_arrays
-    return g, MultiGraph(labels, np.concatenate([gu, u]), np.concatenate([gv, v]))
-
-
-def coupled_bred_extension(
-    n: int, l: int, p: float, seed: Seed
-) -> tuple[MultiGraph, MultiGraph]:
-    """(G, G') with G ~ the bipartite reduced model, G' the full bipartite
-    Erdos-Renyi extension obtained by filling the forbidden blocks."""
-    rng = seed.rng()
-    g, (labels1, classes1, labels2, classes2) = _bred_with_rng(n, l, p, rng)
-    u, v = _row_edges([_hits(rng, p, np.flatnonzero(classes2 == c)) for c in classes1])
-    gu, gv, _ = g.edge_arrays
-    gp = MultiGraph(
-        g.vertices,
-        np.concatenate([gu, u]),
-        np.concatenate([gv, len(labels1) + v]),
-        side=g.side,
-    )
-    return g, gp
+    return MultiGraph(labels1 + labels2, u, len(labels1) + v, side=side)
 
 
 def strict_model_size(n: int, k: int, d: float) -> int:

@@ -2,12 +2,16 @@
 oracles: a 2n x k x 2n table of completion counts that unranks C(n, k) with a
 cumsum over all 2n letters per digit, a ranking of W_l that takes each piece
 of Delta_k's relators apart, lambda_1 from ARPACK's restarted Lanczos
-(`eigsh`)."""
+(`eigsh`), and the reduced models drawn one pair at a time over an enumerated
+W_l together with the couplings that extend them to unrestricted ones."""
 
 import numpy as np
 
 from spectralt import spectra
 from spectralt import words as W
+from spectralt.multigraph import edge_key
+
+from graphs import graph
 
 
 def _completions(inverse, k, dtype):
@@ -120,3 +124,53 @@ def eigsh_lambda1(g):
     if not residual <= spectra.LANCZOS_MAX_RESIDUAL:
         return None
     return spectra.Lambda1Solve(float(vals[0]), "lanczos", residual, matvecs)
+
+
+def old_universe(n, l):
+    """Labels and class indices (first-letter codes) of W_l, enumerated word
+    by word."""
+    ws = W.enumerate_reduced(n, l)
+    return [W.word_to_label(w) for w in ws], [W.class_index(w, n) for w in ws]
+
+
+def old_coupled_red(n, l, p, seed):
+    """(G, G'): G the reduced model on W_l, two Bernoulli(p) draws per
+    cross-class pair, one scalar draw at a time in row-major order; G' the
+    coupling's G(|W_l|, 2p - p^2) >= G, G's edges collapsed to one copy and
+    then each same-class pair drawn with probability 2p - p^2 from the same
+    generator."""
+    rng = seed.rng()
+    labels, classes = old_universe(n, l)
+    m = len(labels)
+    edges = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if classes[i] == classes[j]:
+                continue
+            mult = int(rng.random() < p) + int(rng.random() < p)
+            if mult:
+                edges[edge_key(labels[i], labels[j])] = mult
+    extended = {key: 1 for key in edges}
+    for i in range(m):
+        for j in range(i + 1, m):
+            if classes[i] == classes[j] and rng.random() < 2 * p - p * p:
+                extended[edge_key(labels[i], labels[j])] = 1
+    return graph(labels, edges), graph(labels, extended)
+
+
+def old_coupled_bred(n, l, p, seed):
+    """(G, G'): G the bipartite reduced model on W_l + W_{l+1}, one draw per
+    pair of different classes; G' >= G the full bipartite G(|W_l|, |W_{l+1}|,
+    p), the same-class pairs then filled from the same generator."""
+    rng = seed.rng()
+    (labels1, classes1), (labels2, classes2) = old_universe(n, l), old_universe(n, l + 1)
+    partition = (labels1, labels2)
+    graphs = []
+    for same in (False, True):
+        edges = dict(graphs[0].edges) if graphs else {}
+        for i, v in enumerate(labels1):
+            for j, w in enumerate(labels2):
+                if (classes1[i] == classes2[j]) == same and rng.random() < p:
+                    edges[edge_key(v, w)] = 1
+        graphs.append(graph(labels1 + labels2, edges, partition=partition))
+    return tuple(graphs)

@@ -24,7 +24,6 @@ from spectralt.errors import HypothesisViolation
 from spectralt.multigraph import edge_key
 from spectralt.randmodels import (
     Seed,
-    coupled_red_extension,
     sample_bipartite_gnp,
     sample_bred,
     sample_gamma_p,
@@ -35,6 +34,7 @@ from spectralt.randmodels import (
 from spectralt.regularity import extract_regular_subgraph, ore_ryser_feasible
 
 from graphs import graph
+from oracles import old_coupled_red
 
 
 def verdict(name, ok):
@@ -120,7 +120,7 @@ def test_criterion_5_coupling_marginals():
     hits: dict = {}
     ok = True
     for i in range(trials):
-        g, gp = coupled_red_extension(2, 2, p, Seed(102, i))
+        g, gp = old_coupled_red(2, 2, p, Seed(102, i))
         gp_edges = gp.edges
         for u, v in g.edges:
             ok = ok and gp_edges.get(edge_key(u, v), 0) >= 1  # containment

@@ -15,8 +15,6 @@ from spectralt.randmodels import (
     _bernoulli,
     _uniform_ranks,
     _word_universe,
-    coupled_bred_extension,
-    coupled_red_extension,
     sample_bipartite_gnp,
     sample_bred,
     sample_gamma_lax,
@@ -27,7 +25,8 @@ from spectralt.randmodels import (
     strict_model_size,
 )
 
-from graphs import graph, sides
+from graphs import sides
+from oracles import old_coupled_bred, old_coupled_red, old_universe
 
 
 class TestSeed:
@@ -152,15 +151,16 @@ class TestBred:
         assert sizes == [W.word_count(2, 3), W.word_count(2, 4)]
 
     def test_short_l_guard(self):
-        for sampler in (sample_bred, coupled_bred_extension):
-            with pytest.raises(InputError, match=r"^the model is declared for l >= 3$"):
-                sampler(2, 2, 0.5, Seed(0))
+        with pytest.raises(InputError, match=r"^the model is declared for l >= 3$"):
+            sample_bred(2, 2, 0.5, Seed(0))
 
 
 class TestCoupling:
+    """The coupling lemmas, on the reference constructions of the oracles."""
+
     def test_red_containment_and_collapse(self):
         for i in range(30):
-            g, g_prime = coupled_red_extension(2, 2, 0.3, Seed(14, i))
+            g, g_prime = old_coupled_red(2, 2, 0.3, Seed(14, i))
             g_prime_edges = g_prime.edges
             for (u, v), m in g.edges.items():
                 assert g_prime_edges.get(edge_key(u, v), 0) == 1
@@ -172,7 +172,7 @@ class TestCoupling:
         target = 2 * p - p * p
         hits = {}
         for i in range(trials):
-            _, g_prime = coupled_red_extension(2, 2, p, Seed(15, i))
+            _, g_prime = old_coupled_red(2, 2, p, Seed(15, i))
             for e in g_prime.edges:
                 hits[e] = hits.get(e, 0) + 1
         sigma = math.sqrt(trials * target * (1 - target))
@@ -182,7 +182,7 @@ class TestCoupling:
 
     def test_bred_containment(self):
         for i in range(30):
-            g, g_prime = coupled_bred_extension(2, 3, 0.3, Seed(16, i))
+            g, g_prime = old_coupled_bred(2, 3, 0.3, Seed(16, i))
             g_prime_edges = g_prime.edges
             for u, v in g.edges:
                 assert g_prime_edges.get(edge_key(u, v), 0) >= 1
@@ -304,7 +304,9 @@ class TestNoEnumeration:
 # and drew one number per pair: the new ones must reproduce their streams.
 # The Bernoulli model is the enumerating form of its construction since it
 # draws a binomial count and then a uniform subset.  G(m, p) drew all C(m, 2)
-# pairs at once.  The universes are cached only to keep the tests fast.
+# pairs at once, and G(m1, m2, p) all m1 * m2.  The reduced models' forms are
+# in oracles.py with their couplings.  The universes are cached only to keep
+# the tests fast.
 old_enumerate = functools.lru_cache(maxsize=None)(W.enumerate_cyclically_reduced)
 
 
@@ -346,44 +348,11 @@ def old_gnp(m, p, seed):
     return MultiGraph(labels, u, hits - starts[u] + u + 1)
 
 
-def old_universe(n, l):
-    ws = W.enumerate_reduced(n, l)
-    return [W.word_to_label(w) for w in ws], [W.class_index(w, n) for w in ws]
-
-
-def old_coupled_red(n, l, p, seed):
-    rng = seed.rng()
-    labels, classes = old_universe(n, l)
-    m = len(labels)
-    edges = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if classes[i] == classes[j]:
-                continue
-            mult = int(rng.random() < p) + int(rng.random() < p)
-            if mult:
-                edges[edge_key(labels[i], labels[j])] = mult
-    extended = {key: 1 for key in edges}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if classes[i] == classes[j] and rng.random() < 2 * p - p * p:
-                extended[edge_key(labels[i], labels[j])] = 1
-    return graph(labels, edges), graph(labels, extended)
-
-
-def old_coupled_bred(n, l, p, seed):
-    rng = seed.rng()
-    (labels1, classes1), (labels2, classes2) = old_universe(n, l), old_universe(n, l + 1)
-    partition = (labels1, labels2)
-    graphs = []
-    for same in (False, True):
-        edges = dict(graphs[0].edges) if graphs else {}
-        for i, v in enumerate(labels1):
-            for j, w in enumerate(labels2):
-                if (classes1[i] == classes2[j]) == same and rng.random() < p:
-                    edges[edge_key(v, w)] = 1
-        graphs.append(graph(labels1 + labels2, edges, partition=partition))
-    return tuple(graphs)
+def old_bipartite_gnp(m1, m2, p, seed):
+    i, j = np.nonzero(seed.rng().random((m1, m2)) < p)
+    labels = [f"u{a:0{len(str(m1))}d}" for a in range(1, m1 + 1)]
+    labels += [f"v{b:0{len(str(m2))}d}" for b in range(1, m2 + 1)]
+    return MultiGraph(labels, i, m1 + j, side=np.arange(m1 + m2) < m1)
 
 
 def same_graph(a, b):
@@ -409,20 +378,24 @@ class TestStreamIdentity:
             for p in (0.0, 0.3, 1.0):
                 assert same_graph(sample_gnp(m, p, seed), old_gnp(m, p, seed))
 
+    @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 9), (9, 1), (40, 70), (300, 2)])
+    def test_bipartite_gnp(self, m1, m2):
+        for i in range(2):
+            seed = Seed(70 + i, i)
+            for p in (0.0, 0.3, 1.0):
+                new = sample_bipartite_gnp(m1, m2, p, seed)
+                assert same_graph(new, old_bipartite_gnp(m1, m2, p, seed))
+
     @pytest.mark.parametrize("n,l", [(2, 1), (2, 3), (3, 2), (3, 3)])
     def test_reduced_graphs(self, n, l):
         for i in range(4):
             seed = Seed(40 + i, i)
             for p in (0.0, 0.35, 1.0):
-                old_g, old_gp = old_coupled_red(n, l, p, seed)
-                g, gp = coupled_red_extension(n, l, p, seed)
-                assert same_graph(g, old_g) and same_graph(gp, old_gp)
+                old_g, _ = old_coupled_red(n, l, p, seed)
                 assert same_graph(sample_red(n, l, p, seed), old_g)
                 if l < 3:  # the bipartite model is declared for l >= 3 only
                     continue
-                old_g, old_gp = old_coupled_bred(n, l, p, seed)
-                g, gp = coupled_bred_extension(n, l, p, seed)
-                assert same_graph(g, old_g) and same_graph(gp, old_gp)
+                old_g, _ = old_coupled_bred(n, l, p, seed)
                 assert same_graph(sample_bred(n, l, p, seed), old_g)
 
     def test_whole_universe_and_too_large_a_draw(self):
@@ -483,7 +456,7 @@ class TestPairCap:
             raise AssertionError("W_l enumerated before the pair cap")
         monkeypatch.setattr(W, "reduced_labels", refuse)
 
-    @pytest.mark.parametrize("sampler", [sample_red, coupled_red_extension])
+    @pytest.mark.parametrize("sampler", [sample_red])
     @pytest.mark.parametrize("l", [9, 12])
     def test_red(self, sampler, l):
         size = W.word_count(2, l)
@@ -493,7 +466,7 @@ class TestPairCap:
             f"C(|W_{l}|, 2) = {size * (size - 1) // 2} vertex pairs exceed pair cap {PAIR_CAP}"
         )
 
-    @pytest.mark.parametrize("sampler", [sample_bred, coupled_bred_extension])
+    @pytest.mark.parametrize("sampler", [sample_bred])
     def test_bred(self, sampler):
         with pytest.raises(ResourceCapError) as err:
             sampler(2, 8, 0.5, Seed(0))
@@ -525,9 +498,7 @@ W5 = "|W_5| = 324 exceeds enumeration cap 100"
 # entry point -> a call above a cap of 100, and the message it exits with
 CAPPED_CALLS = {
     "sample_red": (lambda: sample_red(2, 9, 0.5, Seed(0)), W9),
-    "coupled_red_extension": (lambda: coupled_red_extension(2, 9, 0.5, Seed(0)), W9),
     "sample_bred": (lambda: sample_bred(2, 3, 0.5, Seed(0)), W4),
-    "coupled_bred_extension": (lambda: coupled_bred_extension(2, 3, 0.5, Seed(0)), W4),
     "sample_gamma_strict": (lambda: sample_gamma_strict(2, 6, 0.9, Seed(0)),
                             "377 relators exceed enumeration cap 100"),
     "sample_gamma_p": (lambda: sample_gamma_p(2, 6, 0.1, Seed(0)),
