@@ -209,10 +209,16 @@ class MultiGraph:
             return all(
                 np.array_equal(a, b) for a, b in zip(self.edge_arrays, other.edge_arrays)
             )
-        return (
-            set(self._vertices) == set(other._vertices)
-            and self.edges == other.edges
-        )
+        if set(self._vertices) != set(other._vertices):
+            return False
+        # equal label sets rank their labels alike: compare the edges in
+        # edge_key order as label-rank pairs, with their multiplicities
+        ranked = []
+        for g in (self, other):
+            a, b, order = g._label_keys()
+            rank = _label_rank(g._vertices)
+            ranked.append(np.stack([rank[a], rank[b], g._mult])[:, order])
+        return np.array_equal(*ranked)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,13 @@
 """Normalized Laplacian spectra, lambda_1, and eigenvalue-ordering utilities.
 
 lambda_1 of a disconnected graph (or one with an isolated vertex) is 0 by
-convention, decided by component search before any solve.  A graph without
-a bipartition whose vertices from p on form an independent set without loops,
+convention, decided by component search before any solve.  A graph whose
+vertices off a head of p form an independent set without loops (the head is
+the smaller side of a bipartition, or else the vertices before u[-1] + 1),
 with 2p < m and 2p <= DENSE_LAMBDA1_MAX, takes it at any vertex count from a
-dense solve of order 2p (`_tail_lambda1`).  Otherwise, up to
-DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the lower triangle of
-the normalized Laplacian, or, on a graph with a bipartition, 1 - sigma_2 of
-its normalized bi-adjacency block C, from the smaller side's Gram matrix
-C C^T (the full solve again when that side has one vertex or sigma_2 is too
-small for its square root to keep the digits).  Above that, an unrestarted
+dense solve of order 2p, or of order p on a bipartition (`_block_lambda1`).
+Otherwise, up to DENSE_LAMBDA1_MAX vertices it is a dense `eigvalsh` of the
+lower triangle of the normalized Laplacian.  Above that, an unrestarted
 Lanczos recurrence on the sparse Laplacian with its known null vector
 shifted to the top of the spectrum, stopped once its estimate for the
 smallest Ritz pair is well inside the residual gate, and falling back to the
@@ -39,7 +37,7 @@ SYMMETRY_TOL = 1e-9
 # Delta_14, 432 vertices: 3.6 against 10.1 ms), but Lanczos imports scipy
 # (~0.35 s), which the link graphs and pipeline factors of n = 2, k <= 14
 # (at most 432 vertices) never pay for below this threshold.  It also bounds
-# the order 2p of the independent-tail solve, at any vertex count
+# the order 2p of the independent-block solve, at any vertex count
 DENSE_LAMBDA1_MAX = 500
 LANCZOS_MAX_RESIDUAL = 1e-10
 # the Lanczos stopping tolerance, relative to |theta| <= 2: 2 tol stays 10x
@@ -53,10 +51,10 @@ LANCZOS_TOL = LANCZOS_MAX_RESIDUAL / 20
 LANCZOS_MIN_STEPS = 100
 LANCZOS_MAX_STEPS = 1000
 LANCZOS_CHECK_STEPS = 8
-# least sigma_2^2 whose square root the bipartite solve takes: below it a
+# least sigma_2^2 whose square root the Gram solve takes: below it a
 # rounding error e in sigma_2^2 becomes e / (2 sigma_2) in lambda_1.  The
-# independent-tail solve takes its Cholesky factor only where mu_2^2 is at
-# least this, since a rounding error e in B B^T moves mu_2 by about e / |mu_2|
+# block solve takes its Cholesky factor only where mu_2^2 is at least this,
+# since a rounding error e in B B^T moves mu_2 by about e / |mu_2|
 BIPARTITE_MIN_SIGMA2_SQ = 1e-8
 # seed of the fixed standard-normal start vectors; never the all-ones vector,
 # which on a regular graph is orthogonal to the lambda_1 eigenspace
@@ -274,71 +272,68 @@ def _smallest_ritz_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray
     return None if info else (float(w[0]), s[:, 0])
 
 
-def _bipartite_lambda1(g: MultiGraph) -> float | None:
-    """lambda_1 of a connected graph with a bipartition, as 1 - sigma_2(C) for
-    C = D1^{-1/2} B D2^{-1/2}, B the bi-adjacency block with the smaller side
-    as rows; None if that side has fewer than 2 vertices or sigma_2^2 <
-    BIPARTITE_MIN_SIGMA2_SQ.
+def _block_lambda1(g: MultiGraph) -> Lambda1Solve | None:
+    """lambda_1 of a connected graph whose vertices off a head of p form an
+    independent set without loops, from a dense solve of order p or 2p; None
+    unless 2p < m and 2p <= DENSE_LAMBDA1_MAX.  The head is the smaller side
+    of a bipartition, or else the vertices before u[-1] + 1.
 
-    L = I - [[0, C], [C^T, 0]] has the eigenvalues 1 -+ sigma_i and 1, so
-    lambda_1 = 1 - sigma_2; sigma_2^2 is the second-largest eigenvalue of
-    C C^T, one row per vertex of the smaller side.
+    N = I - L has the blocks N11 on the head, N12 = B and N22 = 0.  With
+    B^T = Q R, U = diag(I, [Q Q_perp]) turns N into M = [[N11, R^T], [R, 0]]
+    plus m - 2p >= 1 zeros, so lambda_1 = 1 - max(mu_2(M), 0), and M's
+    spectrum depends on R only through R^T R = B B^T.  On a bipartition
+    (N11 = 0) with p >= 2, mu_2(M)^2 is the second eigenvalue of B B^T.
+    Otherwise R is the Cholesky factor of B B^T or, where that fails or
+    sigma_2^2 or mu_2^2 < BIPARTITE_MIN_SIGMA2_SQ, from the QR of B^T.  The
+    residual is that of two inverse-iteration steps on M padded with one
+    zero row and column, which U maps to the residual on L.
     """
-    rows = g.side if 2 * np.count_nonzero(g.side) <= len(g.side) else ~g.side
-    size = int(np.count_nonzero(rows))
-    if size < 2:
-        return None
-    at = np.where(rows, np.cumsum(rows), np.cumsum(~rows)) - 1  # index on its side
-    u, v, off, _ = _laplacian_entries(g)  # every edge crosses: no loop
-    a, b = np.where(rows[u], u, v), np.where(rows[u], v, u)  # a row, b a column
-    c = np.zeros((size, len(rows) - size))
-    c[at[a], at[b]] = -off
-    sigma2_sq = spectrum(c @ c.T, lower=True)[-2]
-    if sigma2_sq < BIPARTITE_MIN_SIGMA2_SQ:
-        return None
-    return float(1.0 - np.sqrt(sigma2_sq))
-
-
-def _tail_lambda1(g: MultiGraph) -> Lambda1Solve | None:
-    """lambda_1 of a connected graph whose vertices from p = u[-1] + 1 on form
-    an independent set without loops (the edge arrays are sorted by u), from
-    a dense solve of order 2p; None unless 2p < m and 2p <= DENSE_LAMBDA1_MAX.
-
-    N = I - L has the blocks N11 on the first p vertices, N12 = B and
-    N22 = 0.  With B^T = Q R and U = diag(I, [Q Q_perp]), U^T N U is
-    M = [[N11, R^T], [R, 0]] plus m - 2p >= 1 zeros on the diagonal, so
-    lambda_1 = 1 - max(mu_2(M), 0).  M's spectrum depends on R only through
-    R^T R = B B^T, so R is first the Cholesky factor of B B^T (about 10x
-    faster than the QR at 108 x 324); where that fails (B has rank < p) or
-    mu_2^2 < BIPARTITE_MIN_SIGMA2_SQ, R comes from the QR of B^T instead.
-    The residual is that of two inverse-iteration steps on I - M', M' being
-    M with one zero row and column added, which is the residual on L of the
-    vector U maps theirs to.
-    """
-    size = g.num_vertices()
-    p = int(g.edge_arrays[0][-1]) + 1
+    size, side = g.num_vertices(), g.side
+    p = int(g.edge_arrays[0][-1]) + 1 if side is None else int(np.count_nonzero(side))
+    flip = side is not None and 2 * p > size  # the head is the smaller side
+    p = size - p if flip else p
     if 2 * p >= size or 2 * p > DENSE_LAMBDA1_MAX:
         return None
+    head = np.arange(size) < p if side is None else ~side if flip else side
+    at = np.where(head, np.cumsum(head), np.cumsum(~head)) - 1  # index in its block
     u, v, off, diag = _laplacian_entries(g)
-    tail = v >= p  # and u < p
+    u_head = head[u]
+    cross = u_head != head[v]  # the other edges lie in the head, u <= v
     b = np.zeros((p, size - p))
-    b[u[tail], v[tail] - p] = -off[tail]
+    b[at[np.where(u_head, u, v)[cross]], at[np.where(u_head, v, u)[cross]]] = -off[cross]
+    gram = b @ b.T
     m = np.zeros((2 * p, 2 * p))  # its lower triangle
-    m[v[~tail], u[~tail]] = -off[~tail]
-    m[np.arange(p), np.arange(p)] = 1.0 - diag[:p]
-    try:
-        root = np.linalg.cholesky(b @ b.T).T
-    except np.linalg.LinAlgError:
-        root = None
-    if root is not None:
-        m[p:, :p] = root
-        mu2 = spectrum(m, lower=True)[-2]
-    if root is None or mu2 * mu2 < BIPARTITE_MIN_SIGMA2_SQ:
+    m[at[v[~cross]], at[u[~cross]]] = -off[~cross]
+    m[np.arange(p), np.arange(p)] = 1.0 - diag[head]
+
+    def set_root(qr: bool) -> bool:
+        """R into m: the Cholesky factor of B B^T unless qr is set or it has
+        none, else from the QR of B^T; whether it is the Cholesky factor.  Not
+        recursive: a closure naming itself is a cycle, freed only by gc."""
+        if not qr:
+            try:
+                m[p:, :p] = np.linalg.cholesky(gram).T
+                return True
+            except np.linalg.LinAlgError:
+                pass
         m[p:, :p] = np.linalg.qr(b.T, mode="r")
+        return False
+
+    sigma2_sq = spectrum(gram, lower=True)[-2] if side is not None and p >= 2 else None
+    gram_solve = sigma2_sq is not None and sigma2_sq >= BIPARTITE_MIN_SIGMA2_SQ
+    if gram_solve:
+        value = float(1.0 - np.sqrt(sigma2_sq))
+    else:
+        cholesky = set_root(qr=sigma2_sq is not None)
         mu2 = spectrum(m, lower=True)[-2]
-    value = float(1.0 - max(mu2, 0.0))
+        if cholesky and mu2 * mu2 < BIPARTITE_MIN_SIGMA2_SQ:
+            set_root(qr=True)
+            mu2 = spectrum(m, lower=True)[-2]
+        value = float(1.0 - max(mu2, 0.0))
 
     def residual() -> float:
+        if gram_solve:
+            set_root(qr=False)
         padded = np.zeros((2 * p + 1, 2 * p + 1))
         padded[: 2 * p, : 2 * p] = m + np.tril(m, -1).T
         return _dense_residual(np.eye(2 * p + 1) - padded, value)
@@ -359,13 +354,11 @@ def lambda1(g: MultiGraph, *, report: bool = False) -> float | Lambda1Solve:
         solve = Lambda1Solve(0.0, "components", 0.0)
     else:
         _check_cap(size)
-        solve = _tail_lambda1(g) if g.side is None else None
+        solve = _block_lambda1(g)
         if solve is None and size > DENSE_LAMBDA1_MAX:
             solve = _lanczos(g)
         if solve is None:
-            value = _bipartite_lambda1(g) if g.side is not None else None
-            if value is None:
-                value = float(spectrum(_dense_laplacian(g, lower=True), lower=True)[1])
+            value = float(spectrum(_dense_laplacian(g, lower=True), lower=True)[1])
             solve = Lambda1Solve(
                 value, "dense", lambda: _dense_residual(normalized_laplacian(g), value)
             )

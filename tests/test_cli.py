@@ -523,7 +523,8 @@ def test_small_commands_do_not_import_scipy(tmp_path):
     k = 13 the pipeline takes lambda_1 of bipartite factors from their
     smaller side, which must not import it either.  Nor must Delta_4 of
     n = 12 (576 vertices), whose independent W_2 leaves a dense solve of
-    order 48."""
+    order 48, or a 100 x 900 bipartite G(n, p), whose smaller side leaves a
+    Gram solve of order 100."""
     path = tmp_path / "p.txt"
     path.write_text("n 2\nk 6\n" + "\n".join(
         W.word_to_text(w) for w in W.enumerate_cyclically_reduced(2, 6)[::7]) + "\n")
@@ -534,8 +535,9 @@ def test_small_commands_do_not_import_scipy(tmp_path):
     code = (
         "import contextlib, io, sys\n"
         "import spectralt.cli as cli, spectralt.spectra as sp\n"
-        "solves, gram = [], sp._bipartite_lambda1\n"
-        "sp._bipartite_lambda1 = lambda g: solves.append(gram(g)) or solves[-1]\n"
+        "from spectralt.randmodels import Seed, sample_bipartite_gnp\n"
+        "solves, block = [], sp._block_lambda1\n"
+        "sp._block_lambda1 = lambda g: solves.append((g.side, block(g))) or solves[-1][1]\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['certify', {str(path)!r}, '--pipeline']) == 0\n"
@@ -544,7 +546,9 @@ def test_small_commands_do_not_import_scipy(tmp_path):
         " '--jobs', '1', '--seed', '3']) == 0\n"
         "    with contextlib.redirect_stderr(err):\n"
         f"        assert cli.main(['certify', {str(k4)!r}, '--diagnostics']) == 0\n"
-        "assert any(s is not None for s in solves), solves\n"
+        "assert any(side is not None and s is not None for side, s in solves), solves\n"
+        "g = sample_bipartite_gnp(100, 900, 0.1, Seed(1))\n"
+        "assert g.num_vertices() == 1000 and sp.lambda1(g, report=True).solver == 'dense'\n"
         "lines = err.getvalue().splitlines()\n"
         "assert lines[0].startswith('delta_k vertices=576 '), lines\n"
         "assert lines[1].startswith('lambda1 solver=dense '), lines\n"

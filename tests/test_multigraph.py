@@ -266,6 +266,15 @@ class TestAgainstDictImplementation:
         assert g != graph("abc", {("a", "b"): 1, ("c", "c"): 1})
         assert g != graph("abcd", {("a", "b"): 2, ("c", "c"): 1})
 
+    def test_equality_across_vertex_orders_reads_no_edge_dict(self, monkeypatch):
+        monkeypatch.setattr(MultiGraph, "edges", property(lambda g: pytest.fail(".edges read")))
+        edges = {("a", "b"): 2, ("c", "c"): 1, ("b", "d"): 3, ("a", "d"): 1}
+        g = graph("abcd", edges)
+        assert g == graph("dbca", {(b, a): m for (a, b), m in edges.items()})
+        assert g != graph("dbca", {**edges, ("a", "d"): 2})
+        # the same sizes and structure on another label set
+        assert g != graph("abce", {(a, b.replace("d", "e")): m for (a, b), m in edges.items()})
+
 
 def unique_canonical(m, u, v, mult):
     """`multigraph._canonical` through `np.unique` alone, as it was before

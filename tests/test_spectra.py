@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -487,7 +488,7 @@ class TestBipartite:
         assert solve_orders == [min(np.count_nonzero(g.side), np.count_nonzero(~g.side))]
         assert solve.solver == "dense"
         assert abs(solve.value - dense_lambda1(g)) <= 1e-12
-        assert solve.residual <= 1e-10  # of the full L, read on demand
+        assert solve.residual <= 1e-10  # of the padded M, read on demand
 
     @pytest.mark.parametrize("name", BIPARTITE)
     def test_the_gram_block_is_minus_the_laplacians(self, monkeypatch, name):
@@ -504,19 +505,31 @@ class TestBipartite:
         block = -spectra.normalized_laplacian(g)[np.ix_(rows, ~rows)]
         assert len(grams) == 1 and np.array_equal(grams[0], block @ block.T)
 
-    @pytest.mark.parametrize("a,b", [(2, 2), (3, 5), (7, 4)])
+    @pytest.mark.parametrize("a,b", [(2, 2), (3, 3), (3, 5), (7, 4)])
     def test_complete_bipartite_falls_back(self, solve_orders, a, b):
-        # sigma_2 = 0: the Gram solve, then the full one
+        # sigma_2 = 0: the Gram solve, then M's from the QR; with equal sides
+        # (2p = m) the full one
         g = bipartite(a, b, [(i, j) for i in range(a) for j in range(b)])
         assert spectra.lambda1(g) == pytest.approx(1.0, abs=1e-12)
-        assert solve_orders == [min(a, b), a + b]
+        p = min(a, b)
+        assert solve_orders == ([p, 2 * p] if a != b else [a + b])
 
     @pytest.mark.parametrize("q", [1, 2, 6])
     def test_star_takes_the_full_solve(self, solve_orders, q):
-        # one vertex on the smaller side: no sigma_2 to take
+        # one vertex on the smaller side: no sigma_2 to take, so M of order 2
+        # is solved (K_2, where 2p = m, takes the full L of order 2)
         g = bipartite(1, q, [(0, j) for j in range(q)])
         assert spectra.lambda1(g) == pytest.approx(2.0 if q == 1 else 1.0, abs=1e-12)
-        assert solve_orders == [1 + q]
+        assert solve_orders == [2]
+
+    def test_above_the_dense_threshold_no_lanczos_runs(self, solve_orders, monkeypatch):
+        # 100 x 900: one Gram solve of order 100
+        g = connected_bgnp(100, 900, 0.1, 1)
+        monkeypatch.setattr(spectra, "_lanczos", lambda g: pytest.fail("Lanczos ran"))
+        solve = spectra.lambda1(g, report=True)
+        assert solve_orders == [100] and solve.solver == "dense"
+        assert abs(solve.value - dense_lambda1(g)) <= 1e-12
+        assert solve.residual <= 1e-12
 
     def test_disconnected_is_zero_without_a_solve(self, solve_orders):
         g = bipartite(3, 4, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3)])
@@ -618,17 +631,30 @@ class TestIndependentTail:
         # k = 2 (mod 3): W_{L_k} is the smaller set
         g = random_delta(2, k, 0.6)
         assert g.components() == 1
-        assert spectra._tail_lambda1(g) is None
+        assert spectra._block_lambda1(g) is None
 
     def test_declines_unless_the_tail_is_more_than_half(self):
         # K_{2,2} in side order and the path a-b-c: 2p = m
         for g in (graph("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]),
                   graph("abc", [("a", "b"), ("b", "c")]), cycle_graph(6)):
             assert 2 * (g.edge_arrays[0][-1] + 1) >= g.num_vertices()
-            assert spectra._tail_lambda1(g) is None
+            assert spectra._block_lambda1(g) is None
+
+    @pytest.mark.parametrize("name", ["bgnp 20x60", "random 3"])
+    def test_a_solve_leaves_no_reference_cycle(self, name):
+        # its matrices go when the solve does, not when the cyclic collector
+        # next runs: a cycle through them raised pipeline-dense's peak RSS
+        g = {**BIPARTITE, **TAIL}[name]()
+        gc.collect()
+        gc.disable()
+        try:
+            assert spectra.lambda1(g, report=True).residual <= 1e-10
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_declines_above_the_dense_threshold(self, monkeypatch):
         g = TAIL["delta n2k13"]()  # 2p = 216
-        assert spectra._tail_lambda1(g) is not None
+        assert spectra._block_lambda1(g) is not None
         monkeypatch.setattr(spectra, "DENSE_LAMBDA1_MAX", 215)
-        assert spectra._tail_lambda1(g) is None
+        assert spectra._block_lambda1(g) is None

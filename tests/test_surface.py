@@ -1,7 +1,9 @@
 """The package's public surface: no definition or constant without a reader,
-and the README's library example runs and prints what it says."""
+the README's library example runs and prints what it says, and the module
+attributes the README names exist."""
 
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -156,3 +158,18 @@ def test_readme_library_example():
         checked.append(code)
     assert checked == ["cert.lambda1, cert.certified", "c4.edges", "st.lambda1(c4)"]
     assert scope["st"] is spectralt
+
+
+def test_readme_module_attributes_exist():
+    """Every backticked `spectra.X`, `delta.X`, `regularity.X`, `words.X` or
+    `spectralt.words.X` outside the README's code blocks names an attribute
+    that module has."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    pattern = r"(?<![\w.])(?:spectralt\.)?(spectra|delta|regularity|words)\.(\w+)"
+    named = {ref for span in re.findall(r"`([^`]+)`", text) for ref in re.findall(pattern, span)}
+    assert len(named) > 5  # the scan found the references
+    missing = sorted(
+        f"{module}.{attr}" for module, attr in named
+        if not hasattr(importlib.import_module(f"spectralt.{module}"), attr)
+    )
+    assert missing == []
